@@ -55,44 +55,46 @@ class IngestError:
     reason: str
 
 
+def parse_document(obj) -> Document:
+    """Validate one JSON-decoded document record; ValueError says what is wrong."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    missing = [k for k in REQUIRED_KEYS if k not in obj]
+    if missing:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    try:
+        ts = float(obj["timestamp"])
+    except (TypeError, ValueError):
+        raise ValueError("timestamp is not numeric") from None
+    if ts < 0:
+        raise ValueError("timestamp is negative")
+    return Document(
+        doc_id=str(obj["doc_id"]),
+        title=str(obj["title"]),
+        body=str(obj["body"]),
+        author_id=str(obj["author_id"]),
+        timestamp=ts,
+        deleted=bool(obj.get("deleted", False)),
+    )
+
+
 def read_jsonl(path: str | Path) -> Iterator[Document | IngestError]:
     """Stream documents from a JSONL file in file order.
 
-    Malformed lines and lines missing required keys become IngestError
-    records; the stream continues past them.
+    Malformed lines and invalid records become IngestError records; the
+    stream continues past them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                item = parse_document(json.loads(line))
             except json.JSONDecodeError as exc:
-                yield IngestError(lineno, f"invalid JSON: {exc.msg}")
-                continue
-            if not isinstance(obj, dict):
-                yield IngestError(lineno, "line is not a JSON object")
-                continue
-            missing = [k for k in REQUIRED_KEYS if k not in obj]
-            if missing:
-                yield IngestError(lineno, f"missing keys: {', '.join(missing)}")
-                continue
-            try:
-                ts = float(obj["timestamp"])
-            except (TypeError, ValueError):
-                yield IngestError(lineno, "timestamp is not numeric")
-                continue
-            if ts < 0:
-                yield IngestError(lineno, "timestamp is negative")
-                continue
-            yield Document(
-                doc_id=str(obj["doc_id"]),
-                title=str(obj["title"]),
-                body=str(obj["body"]),
-                author_id=str(obj["author_id"]),
-                timestamp=ts,
-                deleted=bool(obj.get("deleted", False)),
-            )
+                item = IngestError(lineno, f"invalid JSON: {exc.msg}")
+            except ValueError as exc:
+                item = IngestError(lineno, str(exc))
+            yield item
 
 
 def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:

@@ -337,23 +337,12 @@ def mine_definitions(
 def eval_rule_baseline(rows: list[tuple[str, int]]) -> tuple[float, float, float]:
     """(F1, precision, recall) of the rule classifier treating
     Sufficient-vs-others as the binary task."""
-    labels = {lab for _, lab in rows}
-    if labels != {0, 1}:
+    labels = [lab for _, lab in rows]
+    if set(labels) != {0, 1}:
         raise ValueError("need both binary labels present")
     clf = RuleClassifier()
-    tp = fp = fn = 0
-    for text, label in rows:
-        pred = clf.classify(text)[0] is DefinitionCategory.SUFFICIENT
-        if pred and label == 1:
-            tp += 1
-        elif pred and label == 0:
-            fp += 1
-        elif not pred and label == 1:
-            fn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return f1, precision, recall
+    preds = [int(clf.classify(text)[0] is DefinitionCategory.SUFFICIENT) for text, _ in rows]
+    return prf1(preds, labels)
 
 
 def prf1(preds: list[int], labels: list[int]) -> tuple[float, float, float]:

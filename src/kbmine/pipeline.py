@@ -158,7 +158,7 @@ class PipelineState:
         self.documents: dict[str, corpus.Document] = {}
         self.store = topicrank.CandidateStore()
         self.definitions: dict[str, list[defmine.DefinitionRecord]] = {}
-        self.doc_meta: dict[str, dict] = {}  # doc_id -> length/author/timestamp/title
+        self.doc_length: dict[str, int] = {}  # doc_id -> token count (at least 1)
 
     # -- per-document processing -------------------------------------------
 
@@ -201,48 +201,35 @@ class PipelineState:
             abbreviations=models.abbreviations,
         )
         self.documents[doc.doc_id] = doc
-        self.doc_meta[doc.doc_id] = {
-            "length": max(1, token_count),
-            "author": doc.author_id,
-            "timestamp": doc.timestamp,
-        }
+        self.doc_length[doc.doc_id] = max(1, token_count)
 
     def remove_document(self, doc_id: str) -> bool:
         known = doc_id in self.documents
         self.store.remove_doc(doc_id)
         self.definitions.pop(doc_id, None)
-        self.doc_meta.pop(doc_id, None)
+        self.doc_length.pop(doc_id, None)
         self.documents.pop(doc_id, None)
         return known
 
     # -- persistence ---------------------------------------------------------
+    # A state directory holds documents.jsonl, ledger.json ({"ledger": ...,
+    # "doc_length": ...}) and definitions.jsonl; the topic candidates are
+    # rebuilt from the ledger on load.
 
     def save(self, state_dir: str | Path) -> None:
-        state_dir = Path(state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        with open(state_dir / "documents.jsonl", "w", encoding="utf-8") as fh:
-            for doc_id in sorted(self.documents):
-                d = self.documents[doc_id]
-                fh.write(
-                    json.dumps(
-                        {
-                            "doc_id": d.doc_id,
-                            "title": d.title,
-                            "body": d.body,
-                            "author_id": d.author_id,
-                            "timestamp": d.timestamp,
-                        }
-                    )
-                    + "\n"
-                )
-        self.store.save_snapshot(state_dir / "candidates.jsonl")
-        self.store.save_ledger(state_dir / "ledger.json")
-        with open(state_dir / "definitions.jsonl", "w", encoding="utf-8") as fh:
-            for doc_id in sorted(self.definitions):
-                for rec in self.definitions[doc_id]:
-                    fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-        with open(state_dir / "doc_meta.json", "w", encoding="utf-8") as fh:
-            json.dump(self.doc_meta, fh, sort_keys=True)
+        def write(staging: Path) -> None:
+            with open(staging / "documents.jsonl", "w", encoding="utf-8") as fh:
+                for doc_id in sorted(self.documents):
+                    d = self.documents[doc_id]
+                    fh.write(json.dumps({k: getattr(d, k) for k in corpus.REQUIRED_KEYS}) + "\n")
+            with open(staging / "ledger.json", "w", encoding="utf-8") as fh:
+                json.dump({"ledger": self.store.ledger, "doc_length": self.doc_length}, fh)
+            with open(staging / "definitions.jsonl", "w", encoding="utf-8") as fh:
+                for doc_id in sorted(self.definitions):
+                    for rec in self.definitions[doc_id]:
+                        fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+
+        _write_dir_atomically(Path(state_dir), write)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "PipelineState":
@@ -252,17 +239,23 @@ class PipelineState:
         if errors:
             raise ValueError(f"corrupt state: {errors[0].reason}")
         state.documents = {d.doc_id: d for d in docs}
+        with open(state_dir / "ledger.json", "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        try:
+            ledger, state.doc_length = data["ledger"], data["doc_length"]
+        except (KeyError, TypeError):
+            raise ValueError("corrupt state: ledger.json needs ledger and doc_length") from None
+        if not ledger.keys() == state.doc_length.keys() == state.documents.keys():
+            raise ValueError(
+                "corrupt state: ledger, doc_length and documents.jsonl list different documents"
+            )
+        state.store = topicrank.CandidateStore.from_ledger(ledger)
         state.definitions = {doc_id: [] for doc_id in state.documents}
-        state.store = topicrank.CandidateStore.load(
-            state_dir / "candidates.jsonl", state_dir / "ledger.json"
-        )
         with open(state_dir / "definitions.jsonl", "r", encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
                     rec = defmine.DefinitionRecord.from_dict(json.loads(line))
                     state.definitions.setdefault(rec.doc_id, []).append(rec)
-        with open(state_dir / "doc_meta.json", "r", encoding="utf-8") as fh:
-            state.doc_meta = json.load(fh)
         return state
 
 
@@ -301,9 +294,9 @@ class KnowledgeBase:
 def _doc_tf_stats(state: PipelineState) -> dict[str, dict]:
     stats = {}
     for doc_id in state.documents:
-        contrib = state.store.ledger.get(doc_id, {})
+        contrib = state.store.ledger[doc_id]
         stats[doc_id] = {
-            "length": state.doc_meta[doc_id]["length"],
+            "length": state.doc_length[doc_id],
             "tf": {key: c["mentions"] for key, c in contrib.items()},
         }
     return stats
@@ -349,7 +342,7 @@ def build_knowledge_base(
 
     authorship: dict[str, list[str]] = {}
     for doc_id in matrix.doc_ids:
-        authorship.setdefault(state.doc_meta[doc_id]["author"], []).append(doc_id)
+        authorship.setdefault(state.documents[doc_id].author_id, []).append(doc_id)
     user_ids, user_vecs = cardbuild.build_user_vectors(
         authorship, matrix.doc_ids, doc_vecs
     )
@@ -413,11 +406,11 @@ def build_knowledge_base(
         bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in row.indices), row.data))
         signals = {}
         for doc_id in matrix.doc_ids:
-            contrib = state.store.ledger.get(doc_id, {}).get(canonical, {})
+            contrib = state.store.ledger[doc_id].get(canonical, {})
             signals[doc_id] = {
                 "bm25": bm25_by_doc.get(doc_id, 0.0),
                 "title": contrib.get("titles", 0) > 0,
-                "timestamp": state.doc_meta[doc_id]["timestamp"],
+                "timestamp": state.documents[doc_id].timestamp,
             }
         cards.append(
             cardbuild.build_card(
@@ -469,49 +462,72 @@ def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
 
 def read_events(path: str | Path):
     """JSONL event stream: {"kind": "upsert", "document": {...}} or
-    {"kind": "delete", "doc_id": "..."}."""
+    {"kind": "delete", "doc_id": "..."}. A bad line raises ValueError
+    naming its line number; events before it have already been yielded."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if obj["kind"] == "upsert":
-                d = obj["document"]
-                yield UpdateEvent(
-                    kind="upsert",
-                    document=corpus.Document(
-                        doc_id=str(d["doc_id"]),
-                        title=str(d["title"]),
-                        body=str(d["body"]),
-                        author_id=str(d["author_id"]),
-                        timestamp=float(d["timestamp"]),
-                    ),
-                )
-            else:
-                yield UpdateEvent(kind="delete", doc_id=obj["doc_id"])
+            try:
+                event = _parse_event(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"events line {lineno}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:
+                raise ValueError(f"events line {lineno}: {exc}") from None
+            yield event
 
 
-def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> list[Path]:
-    """Write manifest, one JSON file per card, and the embedding files.
-    The directory is staged and swapped so a failed export leaves no
-    partial output and a re-export replaces the old tree."""
-    out_dir = Path(out_dir)
+def _parse_event(obj) -> UpdateEvent:
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    kind = obj.get("kind")
+    required = {"upsert": "document", "delete": "doc_id"}.get(kind)
+    if required is None:
+        raise ValueError(f"unknown event kind: {kind!r}")
+    if required not in obj:
+        raise ValueError(f"missing keys: {required}")
+    if kind == "upsert":
+        return UpdateEvent(kind, document=corpus.parse_document(obj["document"]))
+    return UpdateEvent(kind, doc_id=obj["doc_id"])
+
+
+def _write_dir_atomically(out_dir: Path, write) -> None:
+    """Call write(staging) on a fresh sibling directory, then swap it in for
+    out_dir: a failed write leaves no partial output and the old tree as it
+    was, and a rewrite replaces the old tree."""
     staging = out_dir.parent / (out_dir.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    written = []
     try:
+        write(staging)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if out_dir.exists():
+        trash = out_dir.parent / (out_dir.name + ".old")
+        if trash.exists():
+            shutil.rmtree(trash)
+        out_dir.rename(trash)
+        staging.rename(out_dir)
+        shutil.rmtree(trash)
+    else:
+        staging.rename(out_dir)
+
+
+def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> list[Path]:
+    """Write manifest, one JSON file per card, and the embedding files,
+    atomically (see _write_dir_atomically)."""
+
+    def write(staging: Path) -> None:
         cards_dir = staging / "cards"
         cards_dir.mkdir()
         card_index = {}
         for card in kb.cards:
             fname = urllib.parse.quote(card.key, safe="") + ".json"
             card_index[card.key] = f"cards/{fname}"
-            path = cards_dir / fname
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(cards_dir / fname, "w", encoding="utf-8") as fh:
                 json.dump(card.to_dict(), fh, sort_keys=True, indent=1)
-            written.append(path)
         if kb.space is not None:
             cardbuild.write_embeddings(
                 staging / "topics.emb", kb.space.topic_keys, kb.space.topic_vectors, "topic"
@@ -526,16 +542,7 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> list[Path]:
         manifest["cards"] = card_index
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
-    except Exception:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    if out_dir.exists():
-        trash = out_dir.parent / (out_dir.name + ".old")
-        if trash.exists():
-            shutil.rmtree(trash)
-        out_dir.rename(trash)
-        staging.rename(out_dir)
-        shutil.rmtree(trash)
-    else:
-        staging.rename(out_dir)
+
+    out_dir = Path(out_dir)
+    _write_dir_atomically(out_dir, write)
     return sorted(out_dir.rglob("*"))

@@ -50,7 +50,6 @@ class TopicCandidate:
     document_frequency: int = 0
     title_frequency: int = 0
     doc_ids: set[str] = field(default_factory=set)
-    type_histogram: Counter = field(default_factory=Counter)
     surface_counts: Counter = field(default_factory=Counter)
 
     @property
@@ -108,19 +107,31 @@ def compute_features(candidate: TopicCandidate) -> RankFeatures:
 
 
 class CandidateStore:
-    """Single-writer store of topic candidates with exact per-doc ledger."""
+    """Single-writer store of topic candidates with exact per-doc ledger.
+
+    The ledger is the only stored form of the counters: every accumulated
+    document has an entry (empty if it yielded no mentions), and the
+    candidates are derived from it.
+    """
 
     def __init__(self):
         self.candidates: dict[str, TopicCandidate] = {}
-        self.seen_docs: set[str] = set()
         # doc_id -> key -> {"mentions": n, "titles": n, "surfaces": {surface: n}}
         self.ledger: dict[str, dict[str, dict]] = {}
 
+    @classmethod
+    def from_ledger(cls, ledger: dict[str, dict[str, dict]]) -> "CandidateStore":
+        """Rebuild the candidates from a ledger, which the store adopts."""
+        store = cls()
+        store.ledger = ledger
+        for doc_id, contrib in ledger.items():
+            store._apply(doc_id, contrib, 1)
+        return store
+
     def accumulate(self, mentions: list[Mention], doc) -> None:
         """Idempotent per doc_id: a redelivered document is a no-op."""
-        if doc.doc_id in self.seen_docs:
+        if doc.doc_id in self.ledger:
             return
-        self.seen_docs.add(doc.doc_id)
         contrib: dict[str, dict] = {}
         for m in mentions:
             try:
@@ -128,47 +139,46 @@ class CandidateStore:
             except ValueError:
                 continue  # surface normalizes to empty: reject the mention
             key = f"{norm}{KEY_SEP}{m.entity_type}"
-            c = contrib.setdefault(key, {"mentions": 0, "titles": 0, "surfaces": Counter()})
+            c = contrib.setdefault(key, {"mentions": 0, "titles": 0, "surfaces": {}})
             c["mentions"] += 1
             if m.from_title:
                 c["titles"] += 1
-            c["surfaces"][m.surface] += 1
-
-            cand = self.candidates.get(key)
-            if cand is None:
-                cand = TopicCandidate(key=key, norm_surface=norm, entity_type=m.entity_type)
-                self.candidates[key] = cand
-            cand.ner_frequency += 1
-            if m.from_title:
-                cand.title_frequency += 1
-            if doc.doc_id not in cand.doc_ids:
-                cand.doc_ids.add(doc.doc_id)
-                cand.document_frequency += 1
-            cand.type_histogram[m.entity_type] += 1
-            cand.surface_counts[m.surface] += 1
-        if contrib:
-            self.ledger[doc.doc_id] = contrib
+            c["surfaces"][m.surface] = c["surfaces"].get(m.surface, 0) + 1
+        self.ledger[doc.doc_id] = contrib
+        self._apply(doc.doc_id, contrib, 1)
 
     def remove_doc(self, doc_id: str) -> bool:
         """Exact inverse of accumulate for one document."""
-        if doc_id not in self.seen_docs:
+        contrib = self.ledger.pop(doc_id, None)
+        if contrib is None:
             return False
-        self.seen_docs.discard(doc_id)
-        contrib = self.ledger.pop(doc_id, {})
+        self._apply(doc_id, contrib, -1)
+        return True
+
+    def _apply(self, doc_id: str, contrib: dict[str, dict], sign: int) -> None:
+        """Add (sign=1) or subtract (sign=-1) one document's contribution."""
         for key, c in contrib.items():
-            cand = self.candidates[key]
-            cand.ner_frequency -= c["mentions"]
-            cand.title_frequency -= c["titles"]
-            cand.doc_ids.discard(doc_id)
-            cand.document_frequency -= 1
-            cand.type_histogram[cand.entity_type] -= c["mentions"]
+            cand = self.candidates.get(key)
+            if cand is None:
+                # the type never contains KEY_SEP; the surface may
+                norm, _, entity_type = key.rpartition(KEY_SEP)
+                cand = TopicCandidate(key=key, norm_surface=norm, entity_type=entity_type)
+                self.candidates[key] = cand
+            cand.ner_frequency += sign * c["mentions"]
+            cand.title_frequency += sign * c["titles"]
+            cand.document_frequency += sign
+            if sign > 0:
+                cand.doc_ids.add(doc_id)
+            else:
+                cand.doc_ids.discard(doc_id)
             for surface, n in c["surfaces"].items():
-                cand.surface_counts[surface] -= n
-                if cand.surface_counts[surface] <= 0:
+                left = cand.surface_counts[surface] + sign * n
+                if left > 0:
+                    cand.surface_counts[surface] = left
+                else:
                     del cand.surface_counts[surface]
             if cand.document_frequency <= 0:
                 del self.candidates[key]
-        return True
 
     def snapshot(self) -> dict:
         """Canonical view of all counters, suitable for equality checks."""
@@ -183,65 +193,9 @@ class CandidateStore:
                 "document_frequency": c.document_frequency,
                 "title_frequency": c.title_frequency,
                 "doc_ids": sorted(c.doc_ids),
-                "type_histogram": {k: v for k, v in sorted(c.type_histogram.items()) if v},
                 "surface_counts": dict(sorted(c.surface_counts.items())),
             }
         return out
-
-    def save_snapshot(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.snapshot().values():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def save_ledger(self, path: str | Path) -> None:
-        serializable = {
-            doc_id: {
-                key: {
-                    "mentions": c["mentions"],
-                    "titles": c["titles"],
-                    "surfaces": dict(c["surfaces"]),
-                }
-                for key, c in contrib.items()
-            }
-            for doc_id, contrib in self.ledger.items()
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"ledger": serializable, "seen_docs": sorted(self.seen_docs)}, fh)
-
-    @classmethod
-    def load(cls, snapshot_path: str | Path, ledger_path: str | Path) -> "CandidateStore":
-        store = cls()
-        with open(snapshot_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                store.candidates[d["key"]] = TopicCandidate(
-                    key=d["key"],
-                    norm_surface=d["norm_surface"],
-                    entity_type=d["entity_type"],
-                    ner_frequency=d["ner_frequency"],
-                    document_frequency=d["document_frequency"],
-                    title_frequency=d["title_frequency"],
-                    doc_ids=set(d["doc_ids"]),
-                    type_histogram=Counter(d["type_histogram"]),
-                    surface_counts=Counter(d["surface_counts"]),
-                )
-        with open(ledger_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        store.seen_docs = set(data["seen_docs"])
-        store.ledger = {
-            doc_id: {
-                key: {
-                    "mentions": c["mentions"],
-                    "titles": c["titles"],
-                    "surfaces": Counter(c["surfaces"]),
-                }
-                for key, c in contrib.items()
-            }
-            for doc_id, contrib in data["ledger"].items()
-        }
-        return store
 
 
 def shortlist(store: CandidateStore, n: int) -> list[str]:

@@ -1,6 +1,7 @@
 import json
 import logging
 import urllib.parse
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,18 @@ def make_doc(doc_id, topic, body_extra="", author="u_ada", ts=0.0):
     if body_extra:
         body += " " + body_extra
     return Document(doc_id, f"{topic} notes", body, author, ts)
+
+
+DEFINITION = "Contoso Falcon is defined as the telemetry ingestion service."
+
+
+def _tree_bytes(root):
+    """{relative path: content} of every file under root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(Path(root).rglob("*"))
+        if p.is_file()
+    }
 
 
 class TestConfig:
@@ -297,11 +310,48 @@ class TestStatePersistence:
         assert loaded.documents == state.documents
         assert loaded.store.snapshot() == state.store.snapshot()
         assert loaded.definitions == state.definitions
-        assert loaded.doc_meta == state.doc_meta
+        assert loaded.doc_length == state.doc_length
+        assert sorted(p.name for p in (tmp_path / "state").iterdir()) == [
+            "definitions.jsonl",
+            "documents.jsonl",
+            "ledger.json",
+        ]
         # ledger is functional after reload
         loaded.remove_document("d1")
         state.remove_document("d1")
         assert loaded.store.snapshot() == state.store.snapshot()
+
+    def test_ledger_missing_a_document_is_corrupt(self, models, tmp_path):
+        state = PipelineState()
+        state.process_document(make_doc("d1", "Contoso Falcon"), models)
+        state.process_document(make_doc("d2", "Atlas Engine"), models)
+        state.save(tmp_path / "state")
+        path = tmp_path / "state" / "ledger.json"
+        data = json.loads(path.read_text())
+        del data["ledger"]["d2"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="corrupt state"):
+            PipelineState.load(tmp_path / "state")
+
+    def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
+        state = PipelineState()
+        state.process_document(
+            make_doc("d1", "Contoso Falcon", body_extra=DEFINITION), models
+        )
+        state.save(tmp_path / "state")
+        before = _tree_bytes(tmp_path / "state")
+        state.process_document(make_doc("d2", "Atlas Engine"), models)
+
+        def boom(self):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.defmine.DefinitionRecord, "to_dict", boom)
+        with pytest.raises(OSError):
+            state.save(tmp_path / "state")
+        monkeypatch.undo()
+        assert _tree_bytes(tmp_path / "state") == before
+        assert sorted(PipelineState.load(tmp_path / "state").documents) == ["d1"]
+        assert not (tmp_path / "state.staging").exists()
 
 
 class TestExport:
@@ -417,6 +467,57 @@ class TestCli:
         assert "applied 1 events" in capsys.readouterr().out
         state = PipelineState.load(state_dir)
         assert "doc0000" not in state.documents
+
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            ("{not json", "invalid JSON"),
+            (json.dumps({"kind": "purge", "doc_id": "d0"}), "unknown event kind: 'purge'"),
+            (
+                json.dumps(
+                    {"kind": "upsert",
+                     "document": {"doc_id": "d9", "title": "T", "author_id": "u1",
+                                  "timestamp": 1}}
+                ),
+                "missing keys: body",
+            ),
+            (
+                json.dumps(
+                    {"kind": "upsert",
+                     "document": {"doc_id": "d9", "title": "T", "body": "B",
+                                  "author_id": "u1", "timestamp": -5}}
+                ),
+                "timestamp is negative",
+            ),
+        ],
+        ids=["invalid_json", "unknown_kind", "missing_field", "negative_timestamp"],
+    )
+    def test_bad_event_exits_2_and_keeps_state(
+        self, config, tmp_path, capsys, bad_line, reason
+    ):
+        corpus_path = tmp_path / "corpus.jsonl"
+        with open(corpus_path, "w", encoding="utf-8") as fh:
+            for i, topic in enumerate(["Contoso Falcon", "Atlas Engine"]):
+                fh.write(json.dumps(asdict(make_doc(f"d{i}", topic))) + "\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(corpus_path), output_dir=str(tmp_path / "kb")
+        )
+        state_dir = tmp_path / "state"
+        assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        before = _tree_bytes(state_dir)
+        events = tmp_path / "events.jsonl"
+        # a good event first: it must not be saved either
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n" + bad_line + "\n")
+        capsys.readouterr()
+        rc = cli.main(
+            ["update", "--config", str(cfg_path), "--state", str(state_dir),
+             "--events", str(events)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 2" in err and reason in err
+        assert _tree_bytes(state_dir) == before
 
     def test_ingest_reports_counts(self, config, capsys):
         rc = cli.main(["ingest", "--corpus", config.corpus_path])

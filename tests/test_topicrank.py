@@ -310,19 +310,44 @@ class TestBaselineComparison:
         assert gbdt_auc > baseline_auc + 0.1
 
 
-class TestSnapshotPersistence:
-    def test_store_round_trip(self, tmp_path):
+# one document's mentions: (surface, entity type, from_title); the surfaces
+# include case variants, one with the key separator inside it and one that
+# normalizes to empty
+_mentions = st.lists(
+    st.tuples(
+        st.sampled_from(["Contoso", "contoso", "Fabrikam", "A||B", "..."]),
+        st.sampled_from(["product", "organization"]),
+        st.booleans(),
+    ),
+    max_size=5,
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("accumulate"), st.integers(0, 4), _mentions),
+        st.tuples(st.just("remove"), st.integers(0, 4), st.none()),
+    ),
+    max_size=25,
+)
+
+
+class TestLedgerRebuild:
+    @settings(max_examples=100, deadline=None)
+    @given(_ops)
+    def test_rebuilt_store_matches_incremental_and_fresh(self, ops):
         store = CandidateStore()
-        store.accumulate(
-            [mention("Contoso", from_title=True), mention("Fabrikam")], doc("d1")
-        )
-        store.accumulate([mention("Contoso", doc_id="d2")], doc("d2"))
-        store.save_snapshot(tmp_path / "cand.jsonl")
-        store.save_ledger(tmp_path / "ledger.json")
-        loaded = CandidateStore.load(tmp_path / "cand.jsonl", tmp_path / "ledger.json")
-        assert loaded.snapshot() == store.snapshot()
-        assert loaded.seen_docs == store.seen_docs
-        # ledger still functional after reload
-        loaded.remove_doc("d2")
-        store.remove_doc("d2")
-        assert loaded.snapshot() == store.snapshot()
+        surviving = {}  # doc_id -> the mentions its live contribution came from
+        for op, i, spec in ops:
+            doc_id = f"d{i}"
+            if op == "accumulate":
+                ms = [mention(s, t, doc_id=doc_id, from_title=f) for s, t, f in spec]
+                store.accumulate(ms, doc(doc_id))
+                surviving.setdefault(doc_id, ms)
+            else:
+                assert store.remove_doc(doc_id) == (surviving.pop(doc_id, None) is not None)
+        assert CandidateStore.from_ledger(store.ledger).snapshot() == store.snapshot()
+        fresh = CandidateStore()
+        for doc_id, ms in surviving.items():
+            fresh.accumulate(ms, doc(doc_id))
+        assert fresh.snapshot() == store.snapshot()
+        assert sorted(store.ledger) == sorted(surviving)
+
