@@ -56,9 +56,6 @@ def make_doc(doc_id, topic, body_extra="", author="u_ada", ts=0.0):
     return Document(doc_id, f"{topic} notes", body, author, ts)
 
 
-DEFINITION = "Contoso Falcon is defined as the telemetry ingestion service."
-
-
 def _tree_bytes(root):
     """{relative path: content} of every file under root."""
     return {
@@ -335,8 +332,14 @@ class TestStatePersistence:
 
     def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
         state = PipelineState()
+        # d1 has a definition, so the patched to_dict below is reached
         state.process_document(
-            make_doc("d1", "Contoso Falcon", body_extra=DEFINITION), models
+            make_doc(
+                "d1",
+                "Contoso Falcon",
+                body_extra="Contoso Falcon is defined as the telemetry ingestion service.",
+            ),
+            models,
         )
         state.save(tmp_path / "state")
         before = _tree_bytes(tmp_path / "state")
