@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .topicrank import normalize_key
+
 logger = logging.getLogger(__name__)
 
 
@@ -59,9 +61,6 @@ class SparseTopicDocMatrix:
     @property
     def n_docs(self) -> int:
         return self.matrix.shape[1]
-
-    def topic_row(self, key: str) -> int:
-        return self.topic_keys.index(key)
 
 
 def build_matrix(
@@ -301,14 +300,10 @@ class EmbeddingSpace:
     user_ids: list[str]
     user_vectors: np.ndarray
     singular_values: np.ndarray
-    topic_index: dict[str, int] = field(default_factory=dict)
-    doc_index: dict[str, int] = field(default_factory=dict)
-    user_index: dict[str, int] = field(default_factory=dict)
+    topic_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         self.topic_index = {k: i for i, k in enumerate(self.topic_keys)}
-        self.doc_index = {d: i for i, d in enumerate(self.doc_ids)}
-        self.user_index = {u: i for i, u in enumerate(self.user_ids)}
 
     def topic_vector(self, key: str) -> np.ndarray:
         return self.topic_vectors[self.topic_index[key]]
@@ -371,19 +366,16 @@ def top_k_related(
     return pairs[:k]
 
 
-DEFAULT_RERANK_WEIGHTS = {"bm25": 1.0, "title": 0.5, "recency": 0.2}
+RERANK_WEIGHTS = {"bm25": 1.0, "title": 0.5, "recency": 0.2}
 
 
 def rerank_related_docs(
-    candidates: list[tuple[str, float]],
-    signals: dict[str, dict],
-    weights: dict[str, float] | None = None,
+    candidates: list[tuple[str, float]], signals: dict[str, dict]
 ) -> list[tuple[str, float]]:
     """Rerank embedding-recalled documents by BM25, title presence and
     recency. Stable: equal sort keys keep the embedding order."""
     if not candidates:
         raise ValueError("no candidate documents")
-    weights = weights or DEFAULT_RERANK_WEIGHTS
     bm25s = [signals[d].get("bm25", 0.0) for d, _ in candidates]
     stamps = [signals[d].get("timestamp", 0.0) for d, _ in candidates]
     max_bm25 = max(bm25s) or 1.0
@@ -392,9 +384,9 @@ def rerank_related_docs(
     scored = []
     for (doc_id, _), bm, ts in zip(candidates, bm25s, stamps):
         s = (
-            weights["bm25"] * bm / max_bm25
-            + weights["title"] * (1.0 if signals[doc_id].get("title") else 0.0)
-            + weights["recency"] * (ts - lo) / span
+            RERANK_WEIGHTS["bm25"] * bm / max_bm25
+            + RERANK_WEIGHTS["title"] * (1.0 if signals[doc_id].get("title") else 0.0)
+            + RERANK_WEIGHTS["recency"] * (ts - lo) / span
         )
         scored.append((doc_id, s))
     scored.sort(key=lambda kv: -kv[1])  # stable, preserves input order on ties
@@ -438,12 +430,9 @@ def trigram_jaccard(a: str, b: str) -> float:
     return len(ga & gb) / len(union) if union else 0.0
 
 
-@dataclass
-class ConflationConfig:
-    tau: float | None = None          # absolute threshold on normalized relatedness
-    tau_ratio: float = 0.6            # fraction of max observed relatedness
-    trigram_threshold: float = 0.4
-    doc_jaccard_threshold: float = 0.3
+TAU_RATIO = 0.6  # default tau, as a fraction of the max observed relatedness
+TRIGRAM_THRESHOLD = 0.4
+DOC_JACCARD_THRESHOLD = 0.3
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -457,11 +446,9 @@ def conflate(
     space: EmbeddingSpace,
     tau: float,
     acronym_pairs: set[tuple[str, str]],
-    config: ConflationConfig | None = None,
 ) -> bool:
     """Merge decision for one topic pair: relatedness (on normalized
     vectors) above tau AND at least one over-merge guard check passes."""
-    config = config or ConflationConfig()
     va = _unit(space.topic_vector(cand_a.key))
     vb = _unit(space.topic_vector(cand_b.key))
     if relatedness(va, vb) < tau:
@@ -469,10 +456,10 @@ def conflate(
     na, nb = cand_a.norm_surface, cand_b.norm_surface
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
-    if trigram_jaccard(na, nb) >= config.trigram_threshold:
+    if trigram_jaccard(na, nb) >= TRIGRAM_THRESHOLD:
         return True
     union = cand_a.doc_ids | cand_b.doc_ids
-    if union and len(cand_a.doc_ids & cand_b.doc_ids) / len(union) >= config.doc_jaccard_threshold:
+    if union and len(cand_a.doc_ids & cand_b.doc_ids) / len(union) >= DOC_JACCARD_THRESHOLD:
         return True
     return False
 
@@ -498,43 +485,36 @@ def conflate_all(
     candidates: dict[str, "object"],
     space: EmbeddingSpace,
     acronym_pairs: list[tuple[str, str]],
-    config: ConflationConfig | None = None,
+    tau: float | None = None,
 ) -> dict[str, list[str]]:
     """Union-find over check-passing edges; returns canonical key ->
-    sorted alias keys. Canonical = highest NER frequency, ties by key."""
-    config = config or ConflationConfig()
+    sorted alias keys. Canonical = highest NER frequency, ties by key.
+    tau is an absolute threshold on normalized relatedness; None means
+    TAU_RATIO times the largest relatedness between distinct topics."""
     keys = [k for k in keys if k in space.topic_index]
     if len(keys) < 2:
         return {k: [] for k in keys}
 
     # normalize pair surfaces the same way candidate keys are
-    from .topicrank import normalize_key
-
-    norm_pairs = set()
-    for long_form, acro in acronym_pairs:
-        try:
-            norm_pairs.add((normalize_key(long_form), normalize_key(acro)))
-        except ValueError:
-            continue
+    norm_pairs = {
+        (normalize_key(long_form), normalize_key(acro)) for long_form, acro in acronym_pairs
+    }
 
     vecs = np.vstack([_unit(space.topic_vector(k)) for k in keys])
     rel = vecs @ vecs.T
     np.fill_diagonal(rel, -np.inf)
-    tau = config.tau
     if tau is None:
         max_rel = float(rel.max())
         if not np.isfinite(max_rel):
             return {k: [] for k in keys}
-        tau = config.tau_ratio * max_rel
+        tau = TAU_RATIO * max_rel
 
     uf = _UnionFind(keys)
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             if rel[i, j] < tau:
                 continue
-            if conflate(
-                candidates[keys[i]], candidates[keys[j]], space, tau, norm_pairs, config
-            ):
+            if conflate(candidates[keys[i]], candidates[keys[j]], space, tau, norm_pairs):
                 uf.union(keys[i], keys[j])
 
     groups: dict[str, list[str]] = {}
@@ -576,6 +556,10 @@ class TopicCard:
         }
 
 
+MAX_DEFINITIONS = 3
+RECALL_FACTOR = 3  # documents recalled by embedding per related-doc slot, before the rerank
+
+
 def build_card(
     candidate,
     definitions: list,
@@ -584,16 +568,14 @@ def build_card(
     space: EmbeddingSpace,
     k: int,
     doc_signals: dict[str, dict],
-    max_definitions: int = 3,
-    recall_factor: int = 3,
 ) -> TopicCard:
     """Assemble one topic card from ranked data and the embedding space."""
     defs = sorted(definitions, key=lambda r: (-r.confidence, r.doc_id, r.sentence_index))
-    def_texts = [r.sentence_text for r in defs[:max_definitions]]
+    def_texts = [r.sentence_text for r in defs[:MAX_DEFINITIONS]]
 
     related_topics = top_k_related(candidate.key, space, "topic", k)
     related_people = top_k_related(candidate.key, space, "user", k)
-    doc_candidates = top_k_related(candidate.key, space, "doc", max(k * recall_factor, k))
+    doc_candidates = top_k_related(candidate.key, space, "doc", k * RECALL_FACTOR)
     related_docs = []
     if doc_candidates:
         related_docs = rerank_related_docs(

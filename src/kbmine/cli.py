@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 stage failure.
+Exit codes: 0 success, 2 bad input (config file, event file or saved state),
+3 stage failure.
 """
 
 from __future__ import annotations
@@ -9,11 +10,10 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from . import cardbuild, corpus, defmine, nertag, pipeline, topicrank
+from . import corpus, defmine, nertag, pipeline, topicrank
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,6 +38,12 @@ def _load_config(args) -> pipeline.PipelineConfig:
         if value is not None:
             setattr(cfg, key, value)
     return cfg
+
+
+def _load_state(args):
+    """(config, models, saved state) for the commands that work on --state."""
+    cfg = _load_config(args)
+    return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
 
 
 def _add_common(parser):
@@ -115,9 +121,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_update(args) -> int:
-    cfg = _load_config(args)
-    models = pipeline.Models.load(cfg)
-    state = pipeline.PipelineState.load(args.state)
+    _, models, state = _load_state(args)
     n = 0
     for event in pipeline.read_events(args.events):
         pipeline.apply_update(state, event, models)
@@ -128,9 +132,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_refresh(args) -> int:
-    cfg = _load_config(args)
-    models = pipeline.Models.load(cfg)
-    state = pipeline.PipelineState.load(args.state)
+    cfg, models, state = _load_state(args)
     ranked = pipeline.rank_refresh(state, cfg, models)
     for key, score in ranked.entries:
         print(f"{score:.4f}\t{key}")
@@ -138,9 +140,7 @@ def cmd_refresh(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = _load_config(args)
-    models = pipeline.Models.load(cfg)
-    state = pipeline.PipelineState.load(args.state)
+    cfg, models, state = _load_state(args)
     kb = pipeline.build_knowledge_base(state, cfg, models)
     pipeline.export_kb(kb, cfg.output_dir)
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
@@ -250,8 +250,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except pipeline.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, FileNotFoundError) as exc:  # bad input data or a missing file
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

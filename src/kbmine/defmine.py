@@ -1,5 +1,5 @@
 """Definition mining: sentence classification, pattern extraction and
-opinion filtering, composed per document by mine_definitions.
+opinion filtering, composed over one document's sentences by mine_definitions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, split_sentences
+# split_sentences is unused here, but bench/tracing.py patches this binding
+from .corpus import Sentence, split_sentences  # noqa: F401
 from .topicrank import normalize_key
 
 
@@ -185,6 +186,12 @@ def _ngram_features(text: str) -> list[str]:
     return feats
 
 
+def _feature_index(text: str, hash_dim: int) -> np.ndarray:
+    """Sorted distinct hash buckets of a sentence's n-gram features."""
+    buckets = {zlib.crc32(f.encode("utf-8")) % hash_dim for f in _ngram_features(text)}
+    return np.array(sorted(buckets))
+
+
 @dataclass
 class ClassifierConfig:
     epochs: int = 20
@@ -203,10 +210,7 @@ class LinearClassifier:
         self.hash_dim = hash_dim
 
     def _logits(self, text: str) -> np.ndarray:
-        idx = np.array(
-            sorted({zlib.crc32(f.encode("utf-8")) % self.hash_dim for f in _ngram_features(text)})
-        )
-        return self.weights[idx].sum(axis=0)
+        return self.weights[_feature_index(text, self.hash_dim)].sum(axis=0)
 
     def classify(self, text: str) -> tuple[DefinitionCategory, float]:
         logits = self._logits(text)
@@ -235,12 +239,7 @@ def train_sentence_classifier(
     cat_index = {c: i for i, c in enumerate(CATEGORIES)}
     rng = np.random.default_rng(config.seed)
 
-    examples = []
-    for text, cat in rows:
-        idx = np.array(
-            sorted({zlib.crc32(f.encode("utf-8")) % config.hash_dim for f in _ngram_features(text)})
-        )
-        examples.append((idx, cat_index[cat]))
+    examples = [(_feature_index(text, config.hash_dim), cat_index[cat]) for text, cat in rows]
 
     weights = np.zeros((config.hash_dim, len(CATEGORIES)))
     order = np.arange(len(examples))
@@ -286,24 +285,27 @@ class DefinitionRecord:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DefinitionRecord":
-        d = dict(d)
-        d["category"] = DefinitionCategory(d["category"])
-        return cls(**d)
+    def from_dict(cls, d) -> "DefinitionRecord":
+        """Inverse of to_dict; ValueError says what is wrong with a bad record."""
+        if not isinstance(d, dict):
+            raise ValueError("record is not a JSON object")
+        wrong = sorted(d.keys() ^ cls.__dataclass_fields__.keys())
+        if wrong:
+            raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+        return cls(**{**d, "category": DefinitionCategory(d["category"])})
 
 
 def mine_definitions(
-    doc: Document,
+    sentences: list[Sentence],
     classifier,
     patterns=DEFAULT_PATTERNS,
     lexicon: OpinionLexicon | None = None,
-    abbreviations=None,
 ) -> list[DefinitionRecord]:
-    """split -> classify (keep Sufficient) -> extract topic -> opinion filter."""
+    """One document's sentences -> classify (keep Sufficient) -> extract
+    topic -> opinion filter."""
     lexicon = lexicon or OpinionLexicon.load()
-    kwargs = {} if abbreviations is None else {"abbreviations": abbreviations}
     records = []
-    for sentence in split_sentences(doc, **kwargs):
+    for sentence in sentences:
         category, confidence = classifier.classify(sentence.text)
         if category is not DefinitionCategory.SUFFICIENT:
             continue
@@ -324,7 +326,7 @@ def mine_definitions(
                 topic_key=key,
                 topic_surface=topic_surface,
                 sentence_text=sentence.text,
-                doc_id=doc.doc_id,
+                doc_id=sentence.doc_id,
                 sentence_index=sentence.index,
                 category=category,
                 pattern_id=hit[0].pattern_id,

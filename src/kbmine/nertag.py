@@ -434,9 +434,3 @@ def load_external_scores(path: str | Path) -> dict[tuple[str, int], np.ndarray]:
                 obj["scores"], dtype=np.float64
             )
     return table
-
-
-def load_entity_bank(path: str | Path) -> dict[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        bank = json.load(fh)
-    return {str(k): [str(s) for s in v] for k, v in bank.items()}

@@ -2,9 +2,9 @@
 deletions, ranking refresh, and knowledge-base export.
 
 Deletion is exact: the candidate store keeps per-document contribution
-ledgers and definitions are indexed by source document, so removing a
-document restores the state a batch run on the reduced corpus would
-produce, and no deleted text survives in exports.
+ledgers, and definitions and acronym pairs are indexed by source document,
+so removing a document restores the state a batch run on the reduced corpus
+would produce, and no deleted text survives in exports.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from pathlib import Path
 from . import cardbuild, corpus, defmine, nertag, topicrank
 
 logger = logging.getLogger(__name__)
+
+
+class ConfigError(ValueError):
+    """A bad config file or setting, as opposed to bad input data."""
 
 
 class StageError(RuntimeError):
@@ -59,18 +63,21 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(str(exc)) from None
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
         if isinstance(cfg.entity_types, list):
             cfg.entity_types = tuple(cfg.entity_types)
         if cfg.shortlist_n < cfg.final_top_k:
-            raise ValueError("shortlist_n must be >= final_top_k")
+            raise ConfigError("shortlist_n must be >= final_top_k")
         return cfg
 
     def config_hash(self) -> str:
@@ -102,7 +109,7 @@ class Models:
             tagger = nertag.TaggerModel.load(config.tagger_model)
             labelset = tagger.labelset
         else:
-            raise ValueError("config needs either tagger_model or score_file")
+            raise ConfigError("config needs either tagger_model or score_file")
         ranker = (
             topicrank.GbdtModel.load(config.ranker_model) if config.ranker_model else None
         )
@@ -151,6 +158,9 @@ class UpdateEvent:
             raise ValueError(f"unknown event kind: {self.kind}")
 
 
+LEDGER_KEYS = ("ledger", "doc_length", "acronyms")
+
+
 class PipelineState:
     """Everything needed to serve updates and rebuild the KB."""
 
@@ -159,10 +169,13 @@ class PipelineState:
         self.store = topicrank.CandidateStore()
         self.definitions: dict[str, list[defmine.DefinitionRecord]] = {}
         self.doc_length: dict[str, int] = {}  # doc_id -> token count (at least 1)
+        self.acronyms: dict[str, list[tuple[str, str]]] = {}  # doc_id -> (long form, acronym)
 
     # -- per-document processing -------------------------------------------
 
     def process_document(self, doc: corpus.Document, models: Models) -> None:
+        """The only reader of document text: one sentence split feeds the
+        tagger, the definition miner and the acronym extractor."""
         if doc.doc_id in self.documents:
             self.remove_document(doc.doc_id)
         sentences = corpus.split_sentences(doc, models.abbreviations)
@@ -194,12 +207,9 @@ class PipelineState:
             )
         self.store.accumulate(mentions, doc)
         self.definitions[doc.doc_id] = defmine.mine_definitions(
-            doc,
-            models.classifier,
-            models.patterns,
-            models.lexicon,
-            abbreviations=models.abbreviations,
+            sentences, models.classifier, models.patterns, models.lexicon
         )
+        self.acronyms[doc.doc_id] = cardbuild.extract_acronym_aliases(s.text for s in sentences)
         self.documents[doc.doc_id] = doc
         self.doc_length[doc.doc_id] = max(1, token_count)
 
@@ -208,13 +218,19 @@ class PipelineState:
         self.store.remove_doc(doc_id)
         self.definitions.pop(doc_id, None)
         self.doc_length.pop(doc_id, None)
+        self.acronyms.pop(doc_id, None)
         self.documents.pop(doc_id, None)
         return known
 
+    def acronym_pairs(self) -> list[tuple[str, str]]:
+        """Every document's acronym pairs in doc-id order, first occurrence
+        kept: the list one pass over the whole live corpus would give."""
+        return list(dict.fromkeys(p for d in sorted(self.acronyms) for p in self.acronyms[d]))
+
     # -- persistence ---------------------------------------------------------
-    # A state directory holds documents.jsonl, ledger.json ({"ledger": ...,
-    # "doc_length": ...}) and definitions.jsonl; the topic candidates are
-    # rebuilt from the ledger on load.
+    # A state directory holds documents.jsonl, ledger.json (one object per
+    # LEDGER_KEYS entry, each keyed by doc_id) and definitions.jsonl; the
+    # topic candidates are rebuilt from the ledger on load.
 
     def save(self, state_dir: str | Path) -> None:
         def write(staging: Path) -> None:
@@ -223,7 +239,8 @@ class PipelineState:
                     d = self.documents[doc_id]
                     fh.write(json.dumps({k: getattr(d, k) for k in corpus.REQUIRED_KEYS}) + "\n")
             with open(staging / "ledger.json", "w", encoding="utf-8") as fh:
-                json.dump({"ledger": self.store.ledger, "doc_length": self.doc_length}, fh)
+                per_doc = (self.store.ledger, self.doc_length, self.acronyms)
+                json.dump(dict(zip(LEDGER_KEYS, per_doc)), fh)
             with open(staging / "definitions.jsonl", "w", encoding="utf-8") as fh:
                 for doc_id in sorted(self.definitions):
                     for rec in self.definitions[doc_id]:
@@ -242,21 +259,41 @@ class PipelineState:
         with open(state_dir / "ledger.json", "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
-            ledger, state.doc_length = data["ledger"], data["doc_length"]
-        except (KeyError, TypeError):
-            raise ValueError("corrupt state: ledger.json needs ledger and doc_length") from None
-        if not ledger.keys() == state.doc_length.keys() == state.documents.keys():
+            ledger, state.doc_length, acronyms = (data[k] for k in LEDGER_KEYS)
+            state.acronyms = {d: [_acronym_pair(p) for p in ps] for d, ps in acronyms.items()}
+        except (KeyError, TypeError, ValueError, AttributeError):
             raise ValueError(
-                "corrupt state: ledger, doc_length and documents.jsonl list different documents"
+                f"corrupt state: ledger.json needs {', '.join(LEDGER_KEYS)}, "
+                "with acronyms as lists of [long form, acronym] pairs"
+            ) from None
+        ids = state.documents.keys()
+        if not ledger.keys() == state.doc_length.keys() == state.acronyms.keys() == ids:
+            raise ValueError(
+                "corrupt state: ledger.json and documents.jsonl list different documents"
             )
         state.store = topicrank.CandidateStore.from_ledger(ledger)
         state.definitions = {doc_id: [] for doc_id in state.documents}
         with open(state_dir / "definitions.jsonl", "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
                     rec = defmine.DefinitionRecord.from_dict(json.loads(line))
-                    state.definitions.setdefault(rec.doc_id, []).append(rec)
+                    if rec.doc_id not in state.definitions:
+                        raise ValueError(f"unknown doc_id {rec.doc_id!r}")
+                except ValueError as exc:  # json.JSONDecodeError included
+                    raise ValueError(
+                        f"corrupt state: definitions.jsonl line {lineno}: {exc}"
+                    ) from None
+                state.definitions[rec.doc_id].append(rec)
         return state
+
+
+def _acronym_pair(pair) -> tuple[str, str]:
+    """A saved [long form, acronym] pair as the tuple the build uses."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+        raise ValueError(f"bad acronym pair: {pair!r}")
+    return pair[0], pair[1]
 
 
 def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> PipelineState:
@@ -357,20 +394,9 @@ def build_knowledge_base(
         singular_values=sigma,
     )
 
-    all_sentences = []
-    for doc_id in sorted(state.documents):
-        doc = state.documents[doc_id]
-        all_sentences.extend(
-            s.text for s in corpus.split_sentences(doc, models.abbreviations)
-        )
-    acronym_pairs = cardbuild.extract_acronym_aliases(all_sentences)
-
+    acronym_pairs = state.acronym_pairs()
     conflation = cardbuild.conflate_all(
-        matrix.topic_keys,
-        state.store.candidates,
-        space,
-        acronym_pairs,
-        cardbuild.ConflationConfig(tau=config.conflation_tau),
+        matrix.topic_keys, state.store.candidates, space, acronym_pairs, config.conflation_tau
     )
 
     definitions_by_key: dict[str, list] = {}
@@ -380,10 +406,7 @@ def build_knowledge_base(
 
     acro_by_norm: dict[str, list[str]] = {}
     for long_form, acro in acronym_pairs:
-        try:
-            acro_by_norm.setdefault(topicrank.normalize_key(long_form), []).append(acro)
-        except ValueError:
-            continue
+        acro_by_norm.setdefault(topicrank.normalize_key(long_form), []).append(acro)
 
     csr = matrix.matrix.tocsr()
     cards = []

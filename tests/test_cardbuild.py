@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from kbmine import cardbuild
 from kbmine.cardbuild import (
     Bm25Params,
-    ConflationConfig,
     EmbeddingSpace,
     MemoryBudgetError,
     SparseTopicDocMatrix,
@@ -414,7 +413,6 @@ class TestConflation:
             cands,
             space,
             [("Managed Virtual Testbed", "MVT")],
-            ConflationConfig(tau_ratio=0.6),
         )
         # every key appears exactly once across canonicals and aliases
         seen = list(groups) + [a for aliases in groups.values() for a in aliases]

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import binary_rows, make_definition_rows
 from kbmine import defmine
-from kbmine.corpus import Document
+from kbmine.corpus import Document, split_sentences
 from kbmine.defmine import (
     DEFAULT_PATTERNS,
     ClassifierConfig,
@@ -156,7 +156,7 @@ class TestMineDefinitions:
 
     def test_statistics_record(self, lexicon):
         doc = self.make_doc(STATISTICS)
-        records = mine_definitions(doc, RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
         assert len(records) == 1
         rec = records[0]
         assert rec.topic_key == "statistics"
@@ -165,38 +165,40 @@ class TestMineDefinitions:
 
     def test_opinion_hard_negative_dropped(self, lexicon):
         doc = self.make_doc(CATERPILLAR)
-        assert mine_definitions(doc, RuleClassifier(), lexicon=lexicon) == []
+        assert mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon) == []
 
     def test_empty_doc(self, lexicon):
         doc = self.make_doc("")
-        assert mine_definitions(doc, RuleClassifier(), lexicon=lexicon) == []
+        assert mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon) == []
 
     def test_record_count_bounded_by_sentences(self, lexicon):
         body = f"{STATISTICS} Nothing else here. {PERSONAL}"
         doc = self.make_doc(body)
-        records = mine_definitions(doc, RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
         assert len(records) <= 3
 
     def test_removing_pattern_never_adds_records(self, lexicon):
         doc = self.make_doc(f"{STATISTICS} Entropy means disorder.")
-        full = mine_definitions(doc, RuleClassifier(), DEFAULT_PATTERNS, lexicon)
+        sentences = split_sentences(doc)
+        full = mine_definitions(sentences, RuleClassifier(), DEFAULT_PATTERNS, lexicon)
         reduced_patterns = tuple(p for p in DEFAULT_PATTERNS if p.connective != "means")
-        reduced = mine_definitions(doc, RuleClassifier(), reduced_patterns, lexicon)
+        reduced = mine_definitions(sentences, RuleClassifier(), reduced_patterns, lexicon)
         assert len(reduced) <= len(full)
 
     def test_no_emitted_record_contains_negative_word(self, lexicon):
         body = " ".join(
             [STATISTICS, CATERPILLAR, "Telemetry is defined as the worst process ever."]
         )
-        records = mine_definitions(self.make_doc(body), RuleClassifier(), lexicon=lexicon)
+        sentences = split_sentences(self.make_doc(body))
+        records = mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
         for rec in records:
             keep, _ = opinion_filter(rec.sentence_text, lexicon)
             assert keep
 
     def test_deterministic(self, lexicon):
         doc = self.make_doc(f"{STATISTICS} {PERSONAL}")
-        a = mine_definitions(doc, RuleClassifier(), lexicon=lexicon)
-        b = mine_definitions(doc, RuleClassifier(), lexicon=lexicon)
+        a = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        b = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
         assert a == b
 
 

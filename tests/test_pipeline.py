@@ -5,8 +5,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kbmine import cli, pipeline
+from kbmine import cardbuild, cli, corpus, pipeline
 from kbmine.corpus import Document
 from kbmine.pipeline import (
     KnowledgeBase,
@@ -54,6 +55,22 @@ def make_doc(doc_id, topic, body_extra="", author="u_ada", ts=0.0):
     if body_extra:
         body += " " + body_extra
     return Document(doc_id, f"{topic} notes", body, author, ts)
+
+
+def _saved_state(models, state_dir):
+    """Save a two-document state whose d1 holds one definition; returns state_dir."""
+    state = PipelineState()
+    state.process_document(
+        make_doc(
+            "d1",
+            "Contoso Falcon",
+            body_extra="Contoso Falcon is defined as the telemetry ingestion service.",
+        ),
+        models,
+    )
+    state.process_document(make_doc("d2", "Atlas Engine"), models)
+    state.save(state_dir)
+    return state_dir
 
 
 def _tree_bytes(root):
@@ -266,6 +283,106 @@ class TestIncrementalEquivalence:
         assert r1.entries == r2.entries
 
 
+# sentences for the acronym property test: pairs repeated across documents
+# and within one, a pair in the title, and a parenthesized capital run that
+# is not an acronym of the words before it
+_ACRONYM_SENTENCES = [
+    "Managed Virtual Testbed (MVT) hosts the demo.",
+    "We moved the Managed Virtual Testbed (MVT) cluster.",
+    "Fabrikam Cloud Services (FCS) went live.",
+    "The Fabrikam Cloud (FC) team met.",
+    "Atlas Engine runs nightly.",
+    "See Contoso Falcon (CF) and Managed Virtual Testbed (MVT) notes.",
+    "Lowercase words (XYZ) do not pair.",
+]
+_acronym_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("upsert"),
+            st.integers(0, 4),
+            st.sampled_from(["", "Nimbus Gateway (NG) notes", "Fabrikam Cloud (FC)"]),
+            st.lists(st.sampled_from(_ACRONYM_SENTENCES), max_size=3),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 4), st.none(), st.none()),
+    ),
+    max_size=12,
+)
+
+
+def _fresh_acronym_pairs(state):
+    """The acronym pairs of one pass over a fresh split of the live corpus."""
+    return cardbuild.extract_acronym_aliases(
+        s.text
+        for doc_id in sorted(state.documents)
+        for s in corpus.split_sentences(state.documents[doc_id])
+    )
+
+
+class TestSplitOnce:
+    def acronym_state(self, models):
+        state = PipelineState()
+        for doc in [
+            make_doc("d0", "Contoso Falcon"),
+            make_doc("d1", "Atlas Engine"),
+            make_doc("d2", "Quantum Mesh"),
+            make_doc("d3", "Contoso Falcon", body_extra="Contoso Falcon (CF) handles telemetry."),
+        ]:
+            state.process_document(doc, models)
+        return state
+
+    def test_upserts_split_once_and_build_never(self, config, models, monkeypatch):
+        calls = []
+        real = corpus.split_sentences
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].doc_id)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "split_sentences", counting)
+        monkeypatch.setattr(pipeline.defmine, "split_sentences", counting)
+        state = self.acronym_state(models)
+        assert calls == ["d0", "d1", "d2", "d3"]
+
+        used = []
+        conflate_all = cardbuild.conflate_all
+
+        def capture(keys, candidates, space, acronym_pairs, tau=None):
+            used.append(list(acronym_pairs))
+            return conflate_all(keys, candidates, space, acronym_pairs, tau)
+
+        monkeypatch.setattr(cardbuild, "conflate_all", capture)
+        cfg = PipelineConfig(**{**config.__dict__, "min_topic_score": 0.0})
+        kb = build_knowledge_base(state, cfg, models)
+        assert kb.cards
+        assert calls == ["d0", "d1", "d2", "d3"]
+        monkeypatch.undo()
+        assert used == [_fresh_acronym_pairs(state)] == [[("Contoso Falcon", "CF")]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_acronym_ops)
+    def test_stored_pairs_match_fresh_split(self, models, ops):
+        state = PipelineState()
+        for kind, i, title, sentences in ops:
+            if kind == "upsert":
+                state.process_document(
+                    Document(f"d{i}", title, " ".join(sentences), "u1", 0.0), models
+                )
+            else:
+                state.remove_document(f"d{i}")
+            assert state.acronym_pairs() == _fresh_acronym_pairs(state)
+        assert state.acronyms.keys() == state.documents.keys()
+
+    def test_deleting_only_defining_doc_drops_acronym(self, config, models):
+        cfg = PipelineConfig(**{**config.__dict__, "min_topic_score": 0.0})
+        state = self.acronym_state(models)
+        kb = build_knowledge_base(state, cfg, models)
+        assert "CF" in {a for c in kb.cards for a in c.alternate_names}
+        apply_update(state, UpdateEvent(kind="delete", doc_id="d3"), models)
+        kb = build_knowledge_base(state, cfg, models)
+        assert "contoso falcon||product" in {c.key for c in kb.cards}
+        assert "CF" not in {a for c in kb.cards for a in c.alternate_names}
+
+
 class TestRankRefresh:
     def test_empty_state(self, config, models):
         ranked = rank_refresh(PipelineState(), config, models)
@@ -301,13 +418,19 @@ class TestStatePersistence:
             ),
             models,
         )
-        state.process_document(make_doc("d2", "Atlas Engine", author="u_brin"), models)
+        state.process_document(
+            make_doc(
+                "d2", "Atlas Engine", body_extra="Atlas Engine (AE) runs builds.", author="u_brin"
+            ),
+            models,
+        )
         state.save(tmp_path / "state")
         loaded = PipelineState.load(tmp_path / "state")
         assert loaded.documents == state.documents
         assert loaded.store.snapshot() == state.store.snapshot()
         assert loaded.definitions == state.definitions
         assert loaded.doc_length == state.doc_length
+        assert loaded.acronyms == state.acronyms == {"d1": [], "d2": [("Atlas Engine", "AE")]}
         assert sorted(p.name for p in (tmp_path / "state").iterdir()) == [
             "definitions.jsonl",
             "documents.jsonl",
@@ -329,6 +452,31 @@ class TestStatePersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="corrupt state"):
             PipelineState.load(tmp_path / "state")
+
+    @pytest.mark.parametrize(
+        "acronyms",
+        [None, [], {"d1": [], "d2": [["Atlas Engine"]]}, {"d1": [], "d2": ["AE"]}],
+        ids=["missing", "not_a_dict", "short_pair", "not_a_pair"],
+    )
+    def test_bad_acronyms_are_corrupt(self, models, tmp_path, acronyms):
+        path = _saved_state(models, tmp_path / "state") / "ledger.json"
+        data = json.loads(path.read_text())
+        if acronyms is None:
+            del data["acronyms"]
+        else:
+            data["acronyms"] = acronyms
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="corrupt state: ledger.json"):
+            PipelineState.load(path.parent)
+
+    def test_definition_of_unknown_doc_is_corrupt(self, models, tmp_path):
+        path = _saved_state(models, tmp_path / "state") / "definitions.jsonl"
+        rec = json.loads(path.read_text())
+        path.write_text(json.dumps({**rec, "doc_id": "ghost"}) + "\n")
+        with pytest.raises(
+            ValueError, match="corrupt state: definitions.jsonl line 1: unknown doc_id 'ghost'"
+        ):
+            PipelineState.load(path.parent)
 
     def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
         state = PipelineState()
@@ -520,7 +668,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "line 2" in err and reason in err
+        assert "config error" not in err
         assert _tree_bytes(state_dir) == before
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda rec: {**rec, "sentence": "x"}, "missing or unknown keys: sentence"),
+            (lambda rec: {k: v for k, v in rec.items() if k != "confidence"},
+             "missing or unknown keys: confidence"),
+            (lambda rec: {**rec, "category": "Bogus"}, "'Bogus' is not a valid"),
+            (lambda rec: [rec], "record is not a JSON object"),
+        ],
+        ids=["unknown_key", "missing_key", "bad_category", "not_an_object"],
+    )
+    def test_malformed_definition_exits_2(self, config, models, tmp_path, capsys, edit, reason):
+        state_dir = _saved_state(models, tmp_path / "state")
+        path = state_dir / "definitions.jsonl"
+        rec = json.loads(path.read_text())
+        path.write_text("\n" + json.dumps(edit(rec)) + "\n")
+        cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
+        capsys.readouterr()
+        rc = cli.main(["export", "--config", str(cfg_path), "--state", str(state_dir)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: corrupt state: definitions.jsonl line 2: ")
+        assert reason in err
+        assert not (tmp_path / "kb").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [(None, "No such file or directory"), ("{not json", "Expecting property name")],
+        ids=["missing", "invalid_json"],
+    )
+    def test_bad_config_file_says_config_error(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["mine", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
 
     def test_ingest_reports_counts(self, config, capsys):
         rc = cli.main(["ingest", "--corpus", config.corpus_path])
