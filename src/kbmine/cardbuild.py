@@ -1,9 +1,9 @@
 """Topic card construction: BM25 topic-document matrix, batched
 randomized SVD embeddings, relatedness, conflation and card assembly.
 
-The factorization streams the matrix by document-column batches and keeps
-its own byte accounting so a configured memory budget is enforced (and
-verifiable) rather than assumed.
+The SVD streams the matrix by batches of document columns. Its memory
+budget is checked up front against one bound, _working_bytes, and a test
+checks that bound against what tracemalloc sees NumPy and SciPy allocate.
 """
 
 from __future__ import annotations
@@ -138,31 +138,30 @@ class MemoryBudgetError(RuntimeError):
         self.minimum = minimum
 
 
-class _ByteTracker:
-    """Ledger of working allocations inside the factorization."""
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def alloc(self, nbytes: int) -> int:
-        self.current += int(nbytes)
-        self.peak = max(self.peak, self.current)
-        return int(nbytes)
-
-    def free(self, nbytes: int) -> None:
-        self.current -= int(nbytes)
+# Bytes of Python objects (sparse slice objects, the per-column generators
+# in _omega_block, array headers) that tracemalloc sees on top of the arrays
+# counted in _working_bytes.
+_PY_OVERHEAD = 16 * 1024
 
 
-def _required_bytes(n_topics, n_docs, l, r, batch, max_batch_nnz, q) -> int:
-    total = 8 * n_topics * l * 2           # Y and Q
-    total += 8 * batch * l * 2             # omega block + projected block
-    total += 16 * max_batch_nnz            # sparse batch slice (values + indices)
-    total += 8 * l * l * 2                 # C and its eigenvectors
-    if q > 0:
-        total += 8 * n_docs * l            # Z for power refinement
-    total += 8 * (n_topics + n_docs) * r   # output factors
-    return total
+def _working_bytes(M: sp.csc_matrix, l: int, r: int, batch: int, q: int) -> int:
+    """Most bytes batched_randomized_svd holds at once: the maximum over its
+    phases of the arrays live in that phase. Buffers NumPy and SciPy take
+    outside Python's allocators (LAPACK workspace) are not counted."""
+    n_topics, n_docs = M.shape
+    nnz = int(np.diff(M.indptr[np.r_[0:n_docs:batch, n_docs]]).max())
+    # a batch: its column slice (scipy copies it, <= 16 B a nonzero) and a batch x l block
+    per_batch = 16 * nnz + 8 * (batch + 1) + 8 * batch * l
+    tl = 8 * n_topics * l
+    # sketch and power iterations: Y, Q, a batch and its topics x l product
+    sketch = (3 if q else 2) * tl + per_batch
+    # QR of Y: Y, its copy, the new Q, tau, and R with triu's temporaries
+    qr = 3 * tl + 8 * (2 * l * l + 3 * l) + l * l
+    # pass 2 and eigh: Q, C, and a batch with Bb Bb^T or eigh's outputs
+    gram = tl + 8 * (3 * l * l + 3 * l) + per_batch
+    # pass 3: Q, C, eigenvectors, U, V, and a batch with its batch x r block
+    docs = tl + 8 * ((n_topics + n_docs) * r + 2 * l * l + batch * r) + per_batch
+    return max(sketch, qr, gram, docs) + _PY_OVERHEAD
 
 
 def _omega_block(seed: int, cols: range, l: int) -> np.ndarray:
@@ -179,11 +178,13 @@ def _omega_block(seed: int, cols: range, l: int) -> np.ndarray:
 def batched_randomized_svd(
     matrix: SparseTopicDocMatrix, config: SvdConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Two-pass streaming randomized SVD of the topic-document matrix.
+    """Randomized SVD (Halko, Martinsson & Tropp, arXiv:0909.4061) of the
+    topic-document matrix, streamed by batches of document columns.
 
-    Returns (topic_vectors, doc_vectors, singular_values, peak_bytes) with
-    topic vector_i = U_i * sqrt(sigma) and doc vector_j = V_j * sqrt(sigma),
-    truncated to the configured rank.
+    Returns (topic_vectors, doc_vectors, singular_values, working_bytes):
+    topic vector_i = U_i * sqrt(sigma) and doc vector_j = V_j * sqrt(sigma)
+    at the configured rank, and the _working_bytes bound that was checked
+    against the memory budget before anything was allocated.
     """
     M = matrix.matrix
     n_topics, n_docs = M.shape
@@ -194,95 +195,59 @@ def batched_randomized_svd(
     batch = min(config.batch_size, n_docs)
     q = config.power_iterations
 
-    batches = [range(s, min(s + batch, n_docs)) for s in range(0, n_docs, batch)]
-    nnz_per_batch = [
-        M.indptr[b.stop] - M.indptr[b.start] for b in batches
-    ] or [0]
-    max_nnz = max(nnz_per_batch)
+    working = _working_bytes(M, l, r, batch, q)
+    if working > config.memory_budget:
+        raise MemoryBudgetError(config.memory_budget, _working_bytes(M, l, r, 1, q))
 
-    need = _required_bytes(n_topics, n_docs, l, r, batch, max_nnz, q)
-    if need > config.memory_budget:
-        minimum = _required_bytes(n_topics, n_docs, l, r, 1, max_nnz, q)
-        raise MemoryBudgetError(config.memory_budget, minimum)
+    def accumulate(out, term):
+        # out += term(first column, column slice); each slice dies with its batch
+        for start in range(0, n_docs, batch):
+            out += term(start, M[:, start : start + batch])
+        return out
 
-    tracker = _ByteTracker()
+    def sketch(start, Mb):
+        return Mb @ _omega_block(config.seed, range(start, start + Mb.shape[1]), l)
 
-    def batch_cost(cols):
-        nnz = M.indptr[cols.stop] - M.indptr[cols.start]
-        return 16 * nnz + 8 * len(cols) * l * 2
+    def gram(_, Mb):
+        Bb = Q.T @ Mb
+        return Bb @ Bb.T
 
-    # pass 1: Y = M @ Omega, accumulated over document batches
-    Y = np.zeros((n_topics, l))
-    tracker.alloc(Y.nbytes)
-    for cols in batches:
-        cost = tracker.alloc(batch_cost(cols))
-        Y += M[:, cols.start : cols.stop] @ _omega_block(config.seed, cols, l)
-        tracker.free(cost)
-
-    Q = None
+    # sketch Y = M @ Omega, then q power iterations Y = M M^T Q
+    Y = accumulate(np.zeros((n_topics, l)), sketch)
     for _ in range(q):
-        Q, _ = np.linalg.qr(Y)
-        tracker.alloc(Q.nbytes)
-        Z = np.zeros((n_docs, l))
-        tracker.alloc(Z.nbytes)
-        for cols in batches:
-            cost = tracker.alloc(batch_cost(cols))
-            Z[cols.start : cols.stop] = M[:, cols.start : cols.stop].T @ Q
-            tracker.free(cost)
+        Q = np.linalg.qr(Y)[0]
         Y[:] = 0.0
-        for cols in batches:
-            cost = tracker.alloc(batch_cost(cols))
-            Y += M[:, cols.start : cols.stop] @ Z[cols.start : cols.stop]
-            tracker.free(cost)
-        tracker.free(Z.nbytes)
-        tracker.free(Q.nbytes)
-        del Z
-
-    Q, _ = np.linalg.qr(Y)
-    tracker.alloc(Q.nbytes)
-    tracker.free(Y.nbytes)
+        accumulate(Y, lambda _, Mb: Mb @ (Mb.T @ Q))
+        del Q
+    Q = np.linalg.qr(Y)[0]
     del Y
 
     # pass 2: accumulate C = (Q^T M)(Q^T M)^T batch-wise; B itself is too
     # wide to materialize, so the small eigenproblem of C stands in for the
     # dense SVD of B.
-    C = np.zeros((l, l))
-    tracker.alloc(C.nbytes)
-    for cols in batches:
-        cost = tracker.alloc(batch_cost(cols))
-        Bb = Q.T @ M[:, cols.start : cols.stop]
-        C += Bb @ Bb.T
-        tracker.free(cost)
+    C = accumulate(np.zeros((l, l)), gram)
 
     evals, W = np.linalg.eigh(C)
-    tracker.alloc(W.nbytes)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
+    order = np.argsort(evals)[::-1][:r]
+    sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     W = W[:, order]
-    sigma = np.sqrt(np.clip(evals[:r], 0.0, None))
+    U = Q @ W
 
-    U = Q @ W[:, :r]
-    tracker.alloc(U.nbytes)
-
-    # pass 3: doc-side factor V = B^T W / sigma, batch-wise
+    # pass 3: doc-side factor V = B^T W batch-wise, divided by sigma below
     V = np.zeros((n_docs, r))
-    tracker.alloc(V.nbytes)
-    safe = np.where(sigma > 1e-12, sigma, 1.0)
-    for cols in batches:
-        cost = tracker.alloc(batch_cost(cols))
-        Bb = Q.T @ M[:, cols.start : cols.stop]
-        V[cols.start : cols.stop] = (Bb.T @ W[:, :r]) / safe
-        tracker.free(cost)
-    V[:, sigma <= 1e-12] = 0.0
+    for start in range(0, n_docs, batch):
+        V[start : start + batch] = (Q.T @ M[:, start : start + batch]).T @ W
+    del Q
 
-    scale = np.sqrt(sigma)
-    topic_vectors = U * scale
-    doc_vectors = V * scale
-
-    peak = tracker.peak
-    if peak > config.memory_budget:
-        raise MemoryBudgetError(config.memory_budget, peak)
-    return topic_vectors, doc_vectors, sigma, peak
+    # scale column by column: in-place ufuncs on 1-D views allocate nothing
+    for k, s in enumerate(sigma):
+        U[:, k] *= np.sqrt(s)
+        if s > 1e-12:
+            V[:, k] /= s
+            V[:, k] *= np.sqrt(s)
+        else:
+            V[:, k] = 0.0
+    return U, V, sigma, working
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +368,7 @@ _ACRO_RE = re.compile(r"\(([A-Z]{2,6})\)")
 def extract_acronym_aliases(sentences) -> list[tuple[str, str]]:
     """'Long Form (ACRO)' pairs where each acronym letter matches the
     initial of a preceding capitalized word, in order."""
-    seen = set()
-    out = []
+    pairs = {}  # insertion-ordered set
     for text in sentences:
         for m in _ACRO_RE.finditer(text):
             acro = m.group(1)
@@ -413,11 +377,8 @@ def extract_acronym_aliases(sentences) -> list[tuple[str, str]]:
                 continue
             tail = prefix_words[-len(acro) :]
             if all(w[0].isupper() and w[0] == c for w, c in zip(tail, acro)):
-                pair = (" ".join(tail), acro)
-                if pair not in seen:
-                    seen.add(pair)
-                    out.append(pair)
-    return out
+                pairs[(" ".join(tail), acro)] = None
+    return list(pairs)
 
 
 def trigram_jaccard(a: str, b: str) -> float:
@@ -628,7 +589,4 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray, str]:
         matrix = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
     with open(path.with_suffix(path.suffix + ".index.json"), "r", encoding="utf-8") as fh:
         index = json.load(fh)
-    ids = [None] * n
-    for key, row in index.items():
-        ids[row] = key
-    return ids, matrix.copy(), kind
+    return sorted(index, key=index.get), matrix.copy(), kind

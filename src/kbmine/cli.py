@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import corpus, defmine, nertag, pipeline, topicrank
+from . import cardbuild, corpus, defmine, nertag, pipeline, topicrank
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,7 +141,10 @@ def cmd_refresh(args) -> int:
 
 def cmd_export(args) -> int:
     cfg, models, state = _load_state(args)
-    kb = pipeline.build_knowledge_base(state, cfg, models)
+    try:
+        kb = pipeline.build_knowledge_base(state, cfg, models)
+    except cardbuild.MemoryBudgetError as exc:  # reported as `mine` reports it
+        raise pipeline.StageError("build", exc) from exc
     pipeline.export_kb(kb, cfg.output_dir)
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
     return EXIT_OK

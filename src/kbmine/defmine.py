@@ -78,12 +78,19 @@ def _find_connective(text: str, patterns) -> tuple[DefinitionPattern, int, int] 
     return None
 
 
-def extract_topic(text: str, patterns=DEFAULT_PATTERNS) -> tuple[str, str] | None:
-    """(topic surface, description) from the first matching pattern, or None."""
-    hit = _find_connective(text, patterns)
+def extract_topic(
+    text: str, patterns=DEFAULT_PATTERNS
+) -> tuple[str, str, DefinitionPattern] | None:
+    """(topic surface, description, pattern) from the first matching
+    pattern, or None."""
+    return _topic_at(text, _find_connective(text, patterns))
+
+
+def _topic_at(text: str, hit) -> tuple[str, str, DefinitionPattern] | None:
+    """extract_topic for a _find_connective result already in hand."""
     if hit is None:
         return None
-    _, start, end = hit
+    pattern, start, end = hit
     topic = text[:start].strip()
     words = topic.split()
     while words and words[0].lower() in DETERMINERS:
@@ -94,7 +101,7 @@ def extract_topic(text: str, patterns=DEFAULT_PATTERNS) -> tuple[str, str] | Non
     description = text[end:].strip()
     if not description:
         return None
-    return topic, description
+    return topic, description, pattern
 
 
 class OpinionLexicon:
@@ -173,7 +180,7 @@ class RuleClassifier:
             if any(w.strip(" ,.").lower() in OCCUPATION_CUES for w in head):
                 return DefinitionCategory.PERSONAL, 1.0
 
-        if extract_topic(text, self.patterns) is None:
+        if _topic_at(text, hit) is None:
             return DefinitionCategory.NON_DEFINITION, 0.5
         return DefinitionCategory.SUFFICIENT, 1.0
 
@@ -292,6 +299,10 @@ class DefinitionRecord:
         wrong = sorted(d.keys() ^ cls.__dataclass_fields__.keys())
         if wrong:
             raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+        types = {"sentence_index": (int,), "confidence": (int, float)}
+        for name, value in d.items():
+            if name != "category" and type(value) not in types.get(name, (str,)):
+                raise ValueError(f"wrong type for {name}: {value!r}")
         return cls(**{**d, "category": DefinitionCategory(d["category"])})
 
 
@@ -312,7 +323,7 @@ def mine_definitions(
         extracted = extract_topic(sentence.text, patterns)
         if extracted is None:
             continue
-        topic_surface, _ = extracted
+        topic_surface, _, pattern = extracted
         keep, _ = opinion_filter(sentence.text, lexicon)
         if not keep:
             continue
@@ -320,7 +331,6 @@ def mine_definitions(
             key = normalize_key(topic_surface)
         except ValueError:
             continue
-        hit = _find_connective(sentence.text, patterns)
         records.append(
             DefinitionRecord(
                 topic_key=key,
@@ -329,7 +339,7 @@ def mine_definitions(
                 doc_id=sentence.doc_id,
                 sentence_index=sentence.index,
                 category=category,
-                pattern_id=hit[0].pattern_id,
+                pattern_id=pattern.pattern_id,
                 confidence=confidence,
             )
         )

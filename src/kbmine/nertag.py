@@ -422,15 +422,36 @@ def extract_mentions(
     return mentions
 
 
-def load_external_scores(path: str | Path) -> dict[tuple[str, int], np.ndarray]:
-    """Scorer bypass: JSONL of {doc_id, sentence_index, labels, scores}."""
+def load_external_scores(
+    path: str | Path, n_labels: int
+) -> dict[tuple[str, int], np.ndarray]:
+    """Scorer bypass: JSONL of {doc_id, sentence_index, labels, scores},
+    scores being tokens x n_labels. A bad line raises ValueError naming its
+    line number."""
     table: dict[tuple[str, int], np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            table[(obj["doc_id"], int(obj["sentence_index"]))] = np.asarray(
-                obj["scores"], dtype=np.float64
-            )
+            try:
+                key, scores = _parse_score_row(json.loads(line), n_labels)
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise ValueError(f"score file line {lineno}: {exc}") from None
+            table[key] = scores
     return table
+
+
+def _parse_score_row(obj, n_labels: int) -> tuple[tuple[str, int], np.ndarray]:
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    missing = [k for k in ("doc_id", "sentence_index", "scores") if k not in obj]
+    if missing:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    if type(obj["sentence_index"]) is not int:
+        raise ValueError("sentence_index is not an integer")
+    scores = np.asarray(obj["scores"])  # ragged rows raise ValueError here
+    if scores.ndim != 2 or scores.dtype.kind not in "iuf":
+        raise ValueError("scores is not a 2-D numeric array")
+    if scores.shape[1] != n_labels:
+        raise ValueError(f"scores rows have {scores.shape[1]} columns, not {n_labels} labels")
+    return (str(obj["doc_id"]), obj["sentence_index"]), scores.astype(np.float64, copy=False)

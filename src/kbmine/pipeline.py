@@ -103,8 +103,8 @@ class Models:
         tagger = None
         external = None
         if config.score_file:
-            external = nertag.load_external_scores(config.score_file)
             labelset = nertag.LabelSet(config.entity_types)
+            external = nertag.load_external_scores(config.score_file, len(labelset))
         elif config.tagger_model:
             tagger = nertag.TaggerModel.load(config.tagger_model)
             labelset = tagger.labelset
@@ -260,10 +260,12 @@ class PipelineState:
             data = json.load(fh)
         try:
             ledger, state.doc_length, acronyms = (data[k] for k in LEDGER_KEYS)
+            if not all(isinstance(data[k], dict) for k in LEDGER_KEYS):
+                raise TypeError
             state.acronyms = {d: [_acronym_pair(p) for p in ps] for d, ps in acronyms.items()}
-        except (KeyError, TypeError, ValueError, AttributeError):
+        except (KeyError, TypeError, ValueError):
             raise ValueError(
-                f"corrupt state: ledger.json needs {', '.join(LEDGER_KEYS)}, "
+                f"corrupt state: ledger.json needs the objects {', '.join(LEDGER_KEYS)}, "
                 "with acronyms as lists of [long form, acronym] pairs"
             ) from None
         ids = state.documents.keys()

@@ -175,6 +175,8 @@ def test_criterion_4_randomized_svd():
         [
             ("rank-8 relative Frobenius error <= 1e-6", rel_err <= 1e-6),
             ("batch 64 vs full within 1e-8", invariance <= 1e-8),
+            # peak is the SVD's up-front working-bytes bound; test_cardbuild's
+            # test_working_bytes_bound_tracemalloc checks it against tracemalloc
             ("peak accounted bytes within budget", 0 < peak <= cfg64.memory_budget),
             ("runtime < 30 s", elapsed < 30.0),
         ],

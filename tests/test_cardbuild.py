@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +38,50 @@ def sparse(arr, prefix=("t", "d")):
         [f"{prefix[0]}{i}" for i in range(arr.shape[0])],
         [f"{prefix[1]}{j}" for j in range(arr.shape[1])],
     )
+
+
+def random_sparse(n_topics, n_docs, seed=0):
+    """Topics x docs matrix with 3-5 nonzeros per document column."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(3, 6, size=n_docs)
+    rows = np.concatenate([rng.choice(n_topics, c, replace=False) for c in counts])
+    cols = np.repeat(np.arange(n_docs), counts)
+    return SparseTopicDocMatrix(
+        sp.csc_matrix((rng.random(len(rows)) + 0.1, (rows, cols)), shape=(n_topics, n_docs)),
+        [f"t{i}" for i in range(n_topics)],
+        [f"d{j}" for j in range(n_docs)],
+    )
+
+
+def traced_svd(m, cfg):
+    """(returned working bytes, tracemalloc peak) of an SVD run with the
+    budget set to exactly those bytes. A first, untraced run gives the bytes
+    and fills the interpreter's one-time caches (CPython's object
+    freelists), which are not the SVD's working memory."""
+    working = batched_randomized_svd(m, cfg)[3]
+    exact = replace(cfg, memory_budget=working)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert batched_randomized_svd(m, exact)[3] == working
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return working, peak
+
+
+# n_topics, n_docs, rank, oversampling, batch_size, power_iterations
+SVD_GRID = [
+    (60, 300, 5, 3, 32, 1),
+    (1000, 3000, 16, 2, 1024, 1),
+    (5000, 200, 16, 8, 64, 1),  # tall
+    (2000, 500, 10, 5, 100, 2),  # tall
+    (100, 600, 8, 4, 1, 1),  # wide, batch 1
+    (100, 1000, 4, 1, 7, 0),  # wide
+    (300, 2000, 16, 8, 2000, 0),  # single batch
+    (800, 800, 20, 10, 800, 1),  # single batch
+    (400, 1500, 8, 4, 256, 2),
+]
 
 
 class TestBm25:
@@ -168,8 +214,21 @@ class TestBatchedSvd:
         A = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 300))
         m = sparse(A)
         cfg = SvdConfig(rank=5, oversampling=3, power_iterations=1, batch_size=32, seed=9)
-        _, _, _, peak = batched_randomized_svd(m, cfg)
-        assert 0 < peak <= cfg.memory_budget
+        working, peak = traced_svd(m, cfg)
+        assert 0 < peak <= working <= 2 * peak
+        assert working <= cfg.memory_budget
+
+    @pytest.mark.parametrize("shape", SVD_GRID, ids=lambda s: "x".join(map(str, s)))
+    def test_working_bytes_bound_tracemalloc(self, shape):
+        n_topics, n_docs, rank, oversampling, batch, q = shape
+        m = random_sparse(n_topics, n_docs)
+        cfg = SvdConfig(
+            rank=rank, oversampling=oversampling, power_iterations=q, batch_size=batch
+        )
+        working, peak = traced_svd(m, cfg)
+        assert peak <= working <= 2 * peak
+        with pytest.raises(MemoryBudgetError):
+            batched_randomized_svd(m, replace(cfg, memory_budget=working - 1))
 
     def test_budget_too_small_reports_minimum(self):
         m = sparse(np.eye(40))

@@ -64,7 +64,7 @@ class TestRuleClassifier:
 
 class TestExtractTopic:
     def test_statistics_example(self):
-        topic, desc = extract_topic(STATISTICS)
+        topic, desc, _ = extract_topic(STATISTICS)
         assert topic == "Statistics"
         assert desc.startswith("branch of mathematics dealing with data collection")
 
@@ -75,7 +75,7 @@ class TestExtractTopic:
         assert extract_topic("No connective here.") is None
 
     def test_determiner_stripped(self):
-        topic, _ = extract_topic("The Atlas Engine is a rendering component.")
+        topic, _, _ = extract_topic("The Atlas Engine is a rendering component.")
         assert topic == "Atlas Engine"
 
     def test_priority_order(self):
@@ -85,7 +85,7 @@ class TestExtractTopic:
             DefinitionPattern("{topic} is defined as {description}", 0),
             DefinitionPattern("{topic} is a {description}", 1),
         )
-        topic, desc = extract_topic(text, patterns)
+        topic, desc, _ = extract_topic(text, patterns)
         assert desc == "disorder."
 
     def test_bad_template_rejected(self):
@@ -162,6 +162,42 @@ class TestMineDefinitions:
         assert rec.topic_key == "statistics"
         assert rec.category is DefinitionCategory.SUFFICIENT
         assert rec.doc_id == "d1"
+
+    def test_one_connective_search_per_step(self, lexicon, monkeypatch):
+        doc = self.make_doc(
+            "Contoso Falcon is a cloud platform. Atlas Engine refers to a build tool. "
+            "We met on Monday."
+        )
+        calls = []
+        search = defmine._find_connective
+        monkeypatch.setattr(
+            defmine, "_find_connective", lambda *args: calls.append(args) or search(*args)
+        )
+        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        # one search per sentence to classify it, one per kept sentence to extract
+        assert len(calls) == 5
+        assert [r.to_dict() for r in records] == [
+            {
+                "topic_key": "contoso falcon",
+                "topic_surface": "Contoso Falcon",
+                "sentence_text": "Contoso Falcon is a cloud platform.",
+                "doc_id": "d1",
+                "sentence_index": 0,
+                "category": "Sufficient",
+                "pattern_id": "is_a",
+                "confidence": 1.0,
+            },
+            {
+                "topic_key": "atlas engine",
+                "topic_surface": "Atlas Engine",
+                "sentence_text": "Atlas Engine refers to a build tool.",
+                "doc_id": "d1",
+                "sentence_index": 1,
+                "category": "Sufficient",
+                "pattern_id": "refers_to",
+                "confidence": 1.0,
+            },
+        ]
 
     def test_opinion_hard_negative_dropped(self, lexicon):
         doc = self.make_doc(CATERPILLAR)
@@ -247,5 +283,5 @@ class TestPatternFile:
         )
         pats = defmine.load_patterns(path)
         assert [p.connective for p in pats] == ["is called", "denotes"]
-        topic, desc = extract_topic("Foo denotes a bar.", pats)
+        topic, desc, _ = extract_topic("Foo denotes a bar.", pats)
         assert (topic, desc) == ("Foo", "a bar.")

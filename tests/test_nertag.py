@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -367,10 +368,16 @@ class TestModelPersistence:
         assert loaded.gamma == fixture_tagger.gamma
 
 
+GOOD_SCORE_ROW = {
+    "doc_id": "d1",
+    "sentence_index": 0,
+    "labels": ["O", "B-product", "I-product"],
+    "scores": [[0.1, 0.2, 0.3]],
+}
+
+
 class TestExternalScores:
     def test_load_external_scores(self, tmp_path):
-        import json
-
         path = tmp_path / "scores.jsonl"
         row = {
             "doc_id": "d1",
@@ -379,5 +386,40 @@ class TestExternalScores:
             "scores": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
         }
         path.write_text(json.dumps(row) + "\n")
-        table = nertag.load_external_scores(path)
+        table = nertag.load_external_scores(path, 3)
         assert table[("d1", 0)].shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "record is not a JSON object"),
+            ({"doc_id": "d2", "scores": [[0.1, 0.2, 0.3]]}, "missing keys: sentence_index"),
+            ({**GOOD_SCORE_ROW, "sentence_index": "1"}, "sentence_index is not an integer"),
+            ({**GOOD_SCORE_ROW, "scores": [0.1, 0.2, 0.3]}, "not a 2-D numeric array"),
+            ({**GOOD_SCORE_ROW, "scores": [["a", "b", "c"]]}, "not a 2-D numeric array"),
+            ({**GOOD_SCORE_ROW, "scores": [[0.1, 0.2, 0.3], [0.4]]}, "inhomogeneous shape"),
+        ],
+        ids=[
+            "invalid_json", "not_an_object", "missing_key", "text_sentence_index",
+            "scores_1d", "scores_text", "scores_ragged",
+        ],
+    )
+    def test_bad_line_raises_with_line_number(self, tmp_path, row, reason):
+        path = tmp_path / "scores.jsonl"
+        line = row if isinstance(row, str) else json.dumps(row)
+        path.write_text(json.dumps(GOOD_SCORE_ROW) + "\n" + line + "\n")
+        with pytest.raises(ValueError) as exc:
+            nertag.load_external_scores(path, 3)
+        assert str(exc.value).startswith("score file line 2: ")
+        assert reason in str(exc.value)
+
+    def test_models_load_rejects_row_width(self, tmp_path):
+        from kbmine.pipeline import Models, PipelineConfig
+
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps(GOOD_SCORE_ROW) + "\n")
+        models = Models.load(PipelineConfig(score_file=str(path), entity_types=("product",)))
+        assert models.external_scores[("d1", 0)].shape == (1, 3)
+        with pytest.raises(ValueError, match="score file line 1: .*3 columns, not 5 labels"):
+            Models.load(PipelineConfig(score_file=str(path), entity_types=("product", "person")))

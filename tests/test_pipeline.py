@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import urllib.parse
 from dataclasses import asdict
 from pathlib import Path
@@ -469,6 +470,15 @@ class TestStatePersistence:
         with pytest.raises(ValueError, match="corrupt state: ledger.json"):
             PipelineState.load(path.parent)
 
+    @pytest.mark.parametrize("key", ["ledger", "doc_length"])
+    def test_ledger_value_not_an_object_is_corrupt(self, models, tmp_path, key):
+        path = _saved_state(models, tmp_path / "state") / "ledger.json"
+        data = json.loads(path.read_text())
+        data[key] = []
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="corrupt state: ledger.json"):
+            PipelineState.load(path.parent)
+
     def test_definition_of_unknown_doc_is_corrupt(self, models, tmp_path):
         path = _saved_state(models, tmp_path / "state") / "definitions.jsonl"
         rec = json.loads(path.read_text())
@@ -679,8 +689,14 @@ class TestCli:
              "missing or unknown keys: confidence"),
             (lambda rec: {**rec, "category": "Bogus"}, "'Bogus' is not a valid"),
             (lambda rec: [rec], "record is not a JSON object"),
+            (lambda rec: {**rec, "confidence": "high"}, "wrong type for confidence: 'high'"),
+            (lambda rec: {**rec, "sentence_index": "0"}, "wrong type for sentence_index: '0'"),
+            (lambda rec: {**rec, "sentence_text": None}, "wrong type for sentence_text: None"),
         ],
-        ids=["unknown_key", "missing_key", "bad_category", "not_an_object"],
+        ids=[
+            "unknown_key", "missing_key", "bad_category", "not_an_object",
+            "text_confidence", "text_sentence_index", "null_sentence_text",
+        ],
     )
     def test_malformed_definition_exits_2(self, config, models, tmp_path, capsys, edit, reason):
         state_dir = _saved_state(models, tmp_path / "state")
@@ -695,6 +711,21 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: corrupt state: definitions.jsonl line 2: ")
         assert reason in err
+        assert not (tmp_path / "kb").exists()
+
+    def test_export_below_memory_budget_exits_3(self, config, models, tmp_path, capsys):
+        state_dir = _saved_state(models, tmp_path / "state")
+        cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
+        capsys.readouterr()
+        rc = cli.main(
+            ["export", "--config", str(cfg_path), "--state", str(state_dir),
+             "--mem-budget", "1000"]
+        )
+        assert rc == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: stage 'build' failed: memory budget 1000 bytes too small")
+        assert int(re.search(r"minimum feasible budget is (\d+) bytes", err).group(1)) > 1000
         assert not (tmp_path / "kb").exists()
 
     @pytest.mark.parametrize(
