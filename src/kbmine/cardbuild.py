@@ -4,6 +4,10 @@ randomized SVD embeddings, relatedness, conflation and card assembly.
 The SVD streams the matrix by batches of document columns. Its memory
 budget is checked up front against one bound, _working_bytes, and a test
 checks that bound against what tracemalloc sees NumPy and SciPy allocate.
+
+Card assembly stays off O(K*D) Python loops: each related list is a partial
+top-k over one score vector, the rerank signals are asked for the recalled
+documents only, and conflation visits just the pairs at or above tau.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import logging
 import math
 import re
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,12 +134,17 @@ class SvdConfig:
 
 
 class MemoryBudgetError(RuntimeError):
-    def __init__(self, budget: int, minimum: int):
+    """The budget is below what the configured batch size needs; minimum is
+    what batch size 1 needs, the least any batch size can."""
+
+    def __init__(self, budget: int, batch_size: int, needed: int, minimum: int):
         super().__init__(
-            f"memory budget {budget} bytes too small; "
+            f"memory budget {budget} bytes too small for batch size {batch_size} "
+            f"(needs {needed} bytes); "
             f"minimum feasible budget is {minimum} bytes (batch size 1)"
         )
         self.budget = budget
+        self.needed = needed
         self.minimum = minimum
 
 
@@ -197,7 +207,9 @@ def batched_randomized_svd(
 
     working = _working_bytes(M, l, r, batch, q)
     if working > config.memory_budget:
-        raise MemoryBudgetError(config.memory_budget, _working_bytes(M, l, r, 1, q))
+        raise MemoryBudgetError(
+            config.memory_budget, config.batch_size, working, _working_bytes(M, l, r, 1, q)
+        )
 
     def accumulate(out, term):
         # out += term(first column, column slice); each slice dies with its batch
@@ -309,7 +321,10 @@ def top_k_related(
     query_key: str, space: EmbeddingSpace, kind: str, k: int
 ) -> list[tuple[str, float]]:
     """K most related ids of the given kind, descending, ties by id.
-    The query topic never appears in its own related-topic list."""
+    The query topic never appears in its own related-topic list.
+
+    A partial sort: np.partition finds the k-th largest score, and only the
+    ids scoring at least that much (ties at the cut included) are sorted."""
     qv = space.topic_vector(query_key)
     if kind == "topic":
         ids, vectors = space.topic_keys, space.topic_vectors
@@ -322,12 +337,18 @@ def top_k_related(
     if k <= 0 or len(ids) == 0:
         return []
     scores = vectors @ qv
-    pairs = [
-        (ids[i], float(scores[i]))
-        for i in range(len(ids))
-        if not (kind == "topic" and ids[i] == query_key)
-    ]
-    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
+    keep = np.ones(len(ids), dtype=bool)
+    if kind == "topic":
+        keep[space.topic_index[query_key]] = False
+    n = int(np.count_nonzero(keep))
+    if k < n:
+        kth = np.partition(scores[keep], n - k)[n - k]
+        keep &= scores >= kth
+    top = np.flatnonzero(keep)
+    pairs = sorted(
+        zip([ids[i] for i in top.tolist()], scores[top].tolist()),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
     return pairs[:k]
 
 
@@ -471,12 +492,11 @@ def conflate_all(
         tau = TAU_RATIO * max_rel
 
     uf = _UnionFind(keys)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if rel[i, j] < tau:
-                continue
-            if conflate(candidates[keys[i]], candidates[keys[j]], space, tau, norm_pairs):
-                uf.union(keys[i], keys[j])
+    for i, key in enumerate(keys):
+        # pairs (i, j > i) at or above tau, in the nested loop's order
+        for j in (np.flatnonzero(rel[i, i + 1 :] >= tau) + (i + 1)).tolist():
+            if conflate(candidates[key], candidates[keys[j]], space, tau, norm_pairs):
+                uf.union(key, keys[j])
 
     groups: dict[str, list[str]] = {}
     for k in keys:
@@ -528,9 +548,11 @@ def build_card(
     acronyms: list[str],
     space: EmbeddingSpace,
     k: int,
-    doc_signals: dict[str, dict],
+    doc_signals: Callable[[list[str]], dict[str, dict]],
 ) -> TopicCard:
-    """Assemble one topic card from ranked data and the embedding space."""
+    """Assemble one topic card from ranked data and the embedding space.
+    doc_signals maps the doc ids the embedding recalls to their rerank
+    signals; it is asked for those documents only."""
     defs = sorted(definitions, key=lambda r: (-r.confidence, r.doc_id, r.sentence_index))
     def_texts = [r.sentence_text for r in defs[:MAX_DEFINITIONS]]
 
@@ -539,9 +561,8 @@ def build_card(
     doc_candidates = top_k_related(candidate.key, space, "doc", k * RECALL_FACTOR)
     related_docs = []
     if doc_candidates:
-        related_docs = rerank_related_docs(
-            doc_candidates, {d: doc_signals.get(d, {}) for d, _ in doc_candidates}
-        )[:k]
+        signals = doc_signals([d for d, _ in doc_candidates])
+        related_docs = rerank_related_docs(doc_candidates, signals)[:k]
 
     alt = sorted(set(aliases) | set(acronyms))
     return TopicCard(

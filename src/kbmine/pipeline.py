@@ -9,6 +9,7 @@ would produce, and no deleted text survives in exports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -273,6 +274,10 @@ class PipelineState:
             raise ValueError(
                 "corrupt state: ledger.json and documents.jsonl list different documents"
             )
+        try:
+            _check_ledger(ledger, state.doc_length)
+        except ValueError as exc:
+            raise ValueError(f"corrupt state: ledger.json: {exc}") from None
         state.store = topicrank.CandidateStore.from_ledger(ledger)
         state.definitions = {doc_id: [] for doc_id in state.documents}
         with open(state_dir / "definitions.jsonl", "r", encoding="utf-8") as fh:
@@ -289,6 +294,34 @@ class PipelineState:
                     ) from None
                 state.definitions[rec.doc_id].append(rec)
         return state
+
+
+def _is_count(x, least: int) -> bool:
+    """An int (a bool is not one) of at least `least`."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
+def _check_ledger(ledger: dict, doc_length: dict) -> None:
+    """Raise ValueError naming the first saved per-document value that is not
+    of the kind process_document and CandidateStore.accumulate write."""
+    for doc_id, n in doc_length.items():
+        if not _is_count(n, 1):
+            raise ValueError(f"doc_length of {doc_id!r} is {n!r}, not an int >= 1")
+    for doc_id, contrib in ledger.items():
+        if not isinstance(contrib, dict):
+            raise ValueError(f"ledger entry of {doc_id!r} is not an object")
+        for key, c in contrib.items():
+            surfaces = c.get("surfaces") if isinstance(c, dict) else None
+            if not (
+                isinstance(surfaces, dict)
+                and _is_count(c.get("mentions"), 1)
+                and _is_count(c.get("titles"), 0)
+                and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
+            ):
+                raise ValueError(
+                    f"ledger entry of {doc_id!r} for {key!r} needs int mentions >= 1, "
+                    "int titles >= 0 and surfaces mapping str to int >= 1"
+                )
 
 
 def _acronym_pair(pair) -> tuple[str, str]:
@@ -426,17 +459,8 @@ def build_knowledge_base(
         for ns in sorted(norm_surfaces):
             acronyms.extend(acro_by_norm.get(ns, []))
 
-        i = space.topic_index[canonical]
-        row = csr.getrow(i)
+        row = csr.getrow(space.topic_index[canonical])
         bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in row.indices), row.data))
-        signals = {}
-        for doc_id in matrix.doc_ids:
-            contrib = state.store.ledger[doc_id].get(canonical, {})
-            signals[doc_id] = {
-                "bm25": bm25_by_doc.get(doc_id, 0.0),
-                "title": contrib.get("titles", 0) > 0,
-                "timestamp": state.documents[doc_id].timestamp,
-            }
         cards.append(
             cardbuild.build_card(
                 cand,
@@ -445,10 +469,25 @@ def build_knowledge_base(
                 acronyms,
                 space,
                 config.card_k,
-                signals,
+                functools.partial(_doc_signals, state, canonical, bm25_by_doc),
             )
         )
     return KnowledgeBase(cards=cards, manifest=manifest, space=space)
+
+
+def _doc_signals(
+    state: PipelineState, key: str, bm25_by_doc: dict, doc_ids: list[str]
+) -> dict[str, dict]:
+    """Rerank signals of the given documents on key's card: its BM25 weight
+    there, whether it names key in a title, and the document's timestamp."""
+    return {
+        doc_id: {
+            "bm25": bm25_by_doc.get(doc_id, 0.0),
+            "title": state.store.ledger[doc_id].get(key, {}).get("titles", 0) > 0,
+            "timestamp": state.documents[doc_id].timestamp,
+        }
+        for doc_id in doc_ids
+    }
 
 
 def _corpus_snapshot_id(state: PipelineState) -> str:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from kbmine import cardbuild
 from kbmine.cardbuild import (
@@ -28,7 +29,7 @@ from kbmine.cardbuild import (
     user_embedding,
     write_embeddings,
 )
-from kbmine.topicrank import TopicCandidate
+from kbmine.topicrank import TopicCandidate, normalize_key
 
 
 def sparse(arr, prefix=("t", "d")):
@@ -335,6 +336,51 @@ class TestTopKRelated:
         got = top_k_related("t0", make_space(), "user", 2)
         assert got[0][0] == "u0"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_matches_oracle(self, data):
+        # 1-d vectors over 2-4 integer levels: scores are exact products of
+        # levels, so most of them tie, at the k-th place too
+        levels = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
+
+        def block(prefix, min_size):
+            n = data.draw(st.integers(min_size, 10))
+            ids = [f"{prefix}{i}" for i in data.draw(st.permutations(range(n)))]
+            values = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+            return ids, np.array(values, dtype=np.float64).reshape(n, 1)
+
+        topic_keys, topic_vectors = block("t", 1)
+        doc_ids, doc_vectors = block("d", 0)
+        user_ids, user_vectors = block("u", 0)
+        space = EmbeddingSpace(
+            dimension=1,
+            topic_keys=topic_keys,
+            topic_vectors=topic_vectors,
+            doc_ids=doc_ids,
+            doc_vectors=doc_vectors,
+            user_ids=user_ids,
+            user_vectors=user_vectors,
+            singular_values=np.ones(1),
+        )
+        query = data.draw(st.sampled_from(topic_keys))
+        kind = data.draw(st.sampled_from(["topic", "doc", "user"]))
+        ids, vectors = {
+            "topic": (topic_keys, topic_vectors),
+            "doc": (doc_ids, doc_vectors),
+            "user": (user_ids, user_vectors),
+        }[kind]
+        k = data.draw(st.integers(0, len(ids) + 2))
+        q = space.topic_vector(query)
+        oracle = sorted(
+            (
+                (i, float(v @ q))
+                for i, v in zip(ids, vectors)
+                if not (kind == "topic" and i == query)
+            ),
+            key=lambda kv: (-kv[1], kv[0]),
+        )[:k]
+        assert top_k_related(query, space, kind, k) == oracle
+
 
 class TestRerankRelatedDocs:
     def test_title_flag_wins(self):
@@ -477,6 +523,69 @@ class TestConflation:
         seen = list(groups) + [a for aliases in groups.values() for a in aliases]
         assert sorted(seen) == sorted(cands)
         assert groups["managed virtual testbed||product"] == ["mvt||product"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    def test_conflate_all_matches_nested_loop(self, seed, tau):
+        rng = np.random.default_rng(seed)
+        n = 30
+        # a few directions with jitter, so many pairs clear tau; short
+        # shared-letter surfaces and overlapping doc sets, so guards pass too
+        centers = rng.standard_normal((4, 3))
+        vectors = centers[rng.integers(0, 4, n)] + 0.3 * rng.standard_normal((n, 3))
+        keys = [f"k{i:02d}||product" for i in rng.permutation(n)]
+        cands = {
+            k: make_candidate(
+                k,
+                "".join(rng.choice(list("abc"), 3)),
+                {f"d{j}" for j in rng.choice(8, 2, replace=False)},
+                freq=int(rng.integers(1, 4)),
+            )
+            for k in keys
+        }
+        pairs = [("Abc", "CAB"), ("Bca", "ACB")]  # normalize to surfaces drawn above
+        space = EmbeddingSpace(
+            dimension=3,
+            topic_keys=keys,
+            topic_vectors=vectors,
+            doc_ids=[],
+            doc_vectors=np.zeros((0, 3)),
+            user_ids=[],
+            user_vectors=np.zeros((0, 3)),
+            singular_values=np.ones(3),
+        )
+
+        # reference: the nested loop over all pairs, then the same grouping
+        units = np.vstack([v / np.linalg.norm(v) for v in vectors])
+        rel = units @ units.T
+        off_diagonal = rel[~np.eye(n, dtype=bool)]
+        threshold = tau if tau is not None else cardbuild.TAU_RATIO * float(off_diagonal.max())
+        norm_pairs = {(normalize_key(lf), normalize_key(a)) for lf, a in pairs}
+        parent = {k: k for k in keys}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rel[a, b] >= threshold and conflate(
+                    cands[keys[a]], cands[keys[b]], space, threshold, norm_pairs
+                ):
+                    ra, rb = find(keys[a]), find(keys[b])
+                    if ra != rb:
+                        parent[rb] = ra
+        groups = {}
+        for k in keys:
+            groups.setdefault(find(k), []).append(k)
+        expected = {}
+        for members in groups.values():
+            canonical = min(members, key=lambda k: (-cands[k].ner_frequency, k))
+            expected[canonical] = sorted(m for m in members if m != canonical)
+
+        assert any(expected.values())  # some pairs merge
+        assert conflate_all(keys, cands, space, pairs, tau) == expected
 
     def test_trigram_jaccard(self):
         assert trigram_jaccard("abc", "abc") == 1.0

@@ -2,7 +2,7 @@ import json
 import logging
 import re
 import urllib.parse
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -83,6 +83,11 @@ def _tree_bytes(root):
     }
 
 
+def _first_contribution(ledger_json: dict) -> dict:
+    """The first topic contribution of d1 in a saved ledger.json object."""
+    return next(iter(ledger_json["ledger"]["d1"].values()))
+
+
 class TestConfig:
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -138,6 +143,59 @@ class TestRunFull:
             key = candidate_key(name, etype)
             assert key in state.store.candidates
             assert key in card_keys or name in alt_names
+
+    def test_related_docs_match_exhaustive_signals(self, config, full_run):
+        # the rerank signals of every document, as the card loop once built
+        # them for each card, and a full sort in place of the partial top-k
+        state, kb = full_run
+        space = kb.space
+        doc_stats = {
+            d: {
+                "length": state.doc_length[d],
+                "tf": {key: c["mentions"] for key, c in state.store.ledger[d].items()},
+            }
+            for d in state.documents
+        }
+        params = cardbuild.Bm25Params(k1=config.bm25_k1, b=config.bm25_b)
+        matrix = cardbuild.build_matrix(space.topic_keys, doc_stats, params)
+        csr = matrix.matrix.tocsr()
+        assert len(kb.cards) > 1
+        for card in kb.cards:
+            row = csr.getrow(space.topic_index[card.key])
+            bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in row.indices), row.data))
+            signals = {
+                d: {
+                    "bm25": bm25_by_doc.get(d, 0.0),
+                    "title": state.store.ledger[d].get(card.key, {}).get("titles", 0) > 0,
+                    "timestamp": state.documents[d].timestamp,
+                }
+                for d in matrix.doc_ids
+            }
+            q = space.topic_vector(card.key)
+            recalled = sorted(
+                ((d, float(v @ q)) for d, v in zip(space.doc_ids, space.doc_vectors)),
+                key=lambda kv: (-kv[1], kv[0]),
+            )[: config.card_k * cardbuild.RECALL_FACTOR]
+            expected = cardbuild.rerank_related_docs(recalled, signals)[: config.card_k]
+            assert card.related_docs == expected
+
+    def test_budget_error_names_what_the_batch_size_needs(self, config):
+        with pytest.raises(StageError) as exc:
+            run_full(replace(config, memory_budget=1000))
+        minimum = exc.value.cause.minimum
+        # the minimum is what batch size 1 needs, not the configured batch size
+        with pytest.raises(StageError) as exc:
+            run_full(replace(config, memory_budget=minimum))
+        err = exc.value.cause
+        assert isinstance(err, cardbuild.MemoryBudgetError)
+        assert err.needed > minimum
+        assert (
+            f"memory budget {minimum} bytes too small for batch size {config.svd_batch_size} "
+            f"(needs {err.needed} bytes); minimum feasible budget is {minimum} bytes"
+        ) in str(err)
+        _, kb = run_full(replace(config, memory_budget=minimum, svd_batch_size=1))
+        assert kb.cards
+        assert kb.manifest["svd_peak_bytes"] == minimum
 
     def test_missing_models_is_stage_error(self, tmp_path):
         cfg = PipelineConfig(corpus_path=str(tmp_path / "x.jsonl"))
@@ -478,6 +536,55 @@ class TestStatePersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="corrupt state: ledger.json"):
             PipelineState.load(path.parent)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data["ledger"].update(d1=5),
+            lambda data: _first_contribution(data).update(mentions="2"),
+            lambda data: _first_contribution(data).update(titles=1.0),
+            lambda data: _first_contribution(data).update(titles=True),
+            lambda data: _first_contribution(data).pop("mentions"),
+            lambda data: _first_contribution(data).update(surfaces=["Atlas Engine"]),
+            lambda data: _first_contribution(data).update(surfaces={"Atlas Engine": "1"}),
+            lambda data: data["ledger"]["d2"].update(x=7),
+            lambda data: data["doc_length"].update(d1="ten"),
+            lambda data: data["doc_length"].update(d1=0),
+            lambda data: data["doc_length"].update(d1=True),
+            lambda data: data["doc_length"].update(d1=12.0),
+        ],
+        ids=[
+            "entry_not_object",
+            "mentions_str",
+            "titles_float",
+            "titles_bool",
+            "mentions_missing",
+            "surfaces_list",
+            "surface_count_str",
+            "contribution_not_object",
+            "doc_length_str",
+            "doc_length_zero",
+            "doc_length_bool",
+            "doc_length_float",
+        ],
+    )
+    def test_ledger_contents_are_checked(self, config, models, tmp_path, capsys, edit):
+        path = _saved_state(models, tmp_path / "state") / "ledger.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="corrupt state: ledger.json: "):
+            PipelineState.load(path.parent)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"tagger_model": config.tagger_model, "ranker_model": config.ranker_model})
+        )
+        capsys.readouterr()
+        rc = cli.main(["refresh", "--config", str(cfg_path), "--state", str(path.parent)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: corrupt state: ledger.json: ")
 
     def test_definition_of_unknown_doc_is_corrupt(self, models, tmp_path):
         path = _saved_state(models, tmp_path / "state") / "definitions.jsonl"
