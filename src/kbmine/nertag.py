@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,13 @@ NEG_INF = -1e30
 
 
 class LabelSet:
-    """O plus B-t/I-t per entity type, with a stable ordinal mapping."""
+    """O plus B-t/I-t per entity type, with a stable ordinal mapping.
+
+    Immutable. The transition masks are built once from transition_ok and
+    are read-only: transition_mask[p, c] is True where label c may follow
+    label p, start_mask[c] where c may open a sentence, and transition_scores
+    and start_scores are the same masks as additive 0/NEG_INF arrays.
+    """
 
     def __init__(self, entity_types=DEFAULT_ENTITY_TYPES):
         self.entity_types = tuple(entity_types)
@@ -40,6 +46,15 @@ class LabelSet:
             labels.append(f"I-{t}")
         self.labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(labels)}
+        L = len(labels)
+        self.transition_mask = _read_only(
+            np.array([[self.transition_ok(p, c) for c in range(L)] for p in range(L)], dtype=bool)
+        )
+        self.start_mask = _read_only(
+            np.array([self.transition_ok(None, c) for c in range(L)], dtype=bool)
+        )
+        self.transition_scores = _read_only(np.where(self.transition_mask, 0.0, NEG_INF))
+        self.start_scores = _read_only(np.where(self.start_mask, 0.0, NEG_INF))
 
     def __len__(self):
         return len(self.labels)
@@ -73,22 +88,15 @@ class LabelSet:
     def is_valid_sequence(self, ordinals) -> bool:
         prev = None
         for cur in ordinals:
-            if not self.transition_ok(prev, cur):
+            if not (self.start_mask[cur] if prev is None else self.transition_mask[prev, cur]):
                 return False
             prev = cur
         return True
 
-    def transition_mask(self) -> np.ndarray:
-        """mask[p, c] = True where label c may follow label p."""
-        L = len(self)
-        mask = np.zeros((L, L), dtype=bool)
-        for p in range(L):
-            for c in range(L):
-                mask[p, c] = self.transition_ok(p, c)
-        return mask
 
-    def start_mask(self) -> np.ndarray:
-        return np.array([self.transition_ok(None, c) for c in range(len(self))])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def focal_loss(probs: np.ndarray, gold: int, gamma: float) -> tuple[float, np.ndarray]:
@@ -145,30 +153,52 @@ def word_shape(word: str) -> str:
     return "".join(shape)
 
 
+_BIAS = "bias"
+_TITLE = "title"
+
+
 def featurize(index: int, tokens: list[str], from_title: bool = False) -> list[str]:
     """Sparse feature strings for one token position."""
-    word = tokens[index]
+    prev = tokens[index - 1].lower() if index > 0 else "<s>"
+    nxt = tokens[index + 1].lower() if index + 1 < len(tokens) else "</s>"
+    feats = [_BIAS, *_word_features(tokens[index])]
+    feats += [_context_features(prev)[0], _context_features(nxt)[1]]
+    if from_title:
+        feats.append(_TITLE)
+    return feats
+
+
+def _word_features(word: str) -> list[str]:
+    """The features of a token that depend on its own word only."""
     lower = word.lower()
-    feats = [
-        "bias",
-        f"w={lower}",
-        f"shape={word_shape(word)}",
-    ]
+    feats = [f"w={lower}", f"shape={word_shape(word)}"]
     for k in (1, 2, 3):
         if len(word) >= k:
             feats.append(f"pre{k}={lower[:k]}")
             feats.append(f"suf{k}={lower[-k:]}")
-    prev = tokens[index - 1].lower() if index > 0 else "<s>"
-    nxt = tokens[index + 1].lower() if index + 1 < len(tokens) else "</s>"
-    feats.append(f"prev={prev}")
-    feats.append(f"next={nxt}")
-    if from_title:
-        feats.append("title")
     return feats
 
 
+def _context_features(lower: str) -> tuple[str, str]:
+    """The features a lowercased word gives its right neighbour (prev=)
+    and its left neighbour (next=)."""
+    return f"prev={lower}", f"next={lower}"
+
+
+def _feature_id(feature: str, dim: int) -> int:
+    return zlib.crc32(feature.encode("utf-8")) % dim
+
+
+def _feature_ids(feats, dim: int) -> tuple[int, ...]:
+    return tuple(_feature_id(f, dim) for f in feats)
+
+
 def hash_features(feats: list[str], dim: int) -> np.ndarray:
-    return np.array(sorted({zlib.crc32(f.encode("utf-8")) % dim for f in feats}))
+    return np.array(sorted(set(_feature_ids(feats, dim))))
+
+
+# Entries each TaggerModel memo may hold before it is cleared.
+_MEMO_LIMIT = 1 << 16
 
 
 @dataclass
@@ -177,6 +207,35 @@ class TaggerModel:
     labelset: LabelSet
     gamma: float
     hash_dim: int
+    # hashed-id memos, never saved: word -> sorted ids of its word features,
+    # lowercased word -> (its prev= id, its next= id)
+    _word_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _context_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def feature_ids(self, tokens: list[str], from_title: bool = False) -> list[tuple[int, ...]]:
+        """Per token, the sorted unique ids of hash_features(featurize(...))."""
+        dim = self.hash_dim
+        word_ids, context_ids = self._word_ids, self._context_ids
+        fixed = [_feature_id(_BIAS, dim)]
+        if from_title:
+            fixed.append(_feature_id(_TITLE, dim))
+        context = []
+        for lower in ("<s>", *(t.lower() for t in tokens), "</s>"):
+            ids = context_ids.get(lower)
+            if ids is None:
+                if len(context_ids) >= _MEMO_LIMIT:
+                    context_ids.clear()
+                ids = context_ids[lower] = _feature_ids(_context_features(lower), dim)
+            context.append(ids)
+        out = []
+        for i, word in enumerate(tokens):
+            ids = word_ids.get(word)
+            if ids is None:
+                if len(word_ids) >= _MEMO_LIMIT:
+                    word_ids.clear()
+                ids = word_ids[word] = tuple(sorted(set(_feature_ids(_word_features(word), dim))))
+            out.append(tuple(sorted({*ids, *fixed, context[i][0], context[i + 2][1]})))
+        return out
 
     def save(self, path: str | Path) -> None:
         np.savez(
@@ -229,13 +288,13 @@ def train_tagger(
             raise ValueError(f"gold sequence is not BIO-valid: {sent.labels}")
 
     weights = np.zeros((config.hash_dim, len(labelset)))
+    model = TaggerModel(weights, labelset, config.gamma, config.hash_dim)
     rng = np.random.default_rng(config.seed)
 
     examples = []
     for sent in data:
-        for i in range(len(sent.tokens)):
-            idx = hash_features(featurize(i, sent.tokens, sent.from_title), config.hash_dim)
-            examples.append((idx, labelset.index(sent.labels[i])))
+        for ids, label in zip(model.feature_ids(sent.tokens, sent.from_title), sent.labels):
+            examples.append((np.array(ids), labelset.index(label)))
 
     order = np.arange(len(examples))
     final_loss = 0.0
@@ -251,7 +310,6 @@ def train_tagger(
             weights[idx] -= config.learning_rate * grad
         final_loss = total / len(examples)
 
-    model = TaggerModel(weights, labelset, config.gamma, config.hash_dim)
     model.final_training_loss = final_loss
     return model
 
@@ -308,37 +366,46 @@ def augment(
 
 
 def score_tokens(model: TaggerModel, tokens: list[str], from_title: bool = False) -> np.ndarray:
-    """Log-softmax score matrix, one row per token."""
+    """Log-softmax score matrix, one row per token.
+
+    Bitwise equal to _log_softmax(weights[hash_features(featurize(i, ...))]
+    .sum(axis=0)) per token: the gather for the tokens with k ids is one
+    (g, k, L) array summed over k, which adds rows in the same order as the
+    per-token (k, L) sum. np.add.reduceat over the flat gather does not.
+    """
     if not tokens:
         raise ValueError("no tokens to score")
-    rows = []
-    for i in range(len(tokens)):
-        idx = hash_features(featurize(i, tokens, from_title), model.hash_dim)
-        rows.append(_log_softmax(model.weights[idx].sum(axis=0)))
-    return np.vstack(rows)
+    ids = model.feature_ids(tokens, from_title)
+    by_count: dict[int, list[int]] = {}
+    for i, token_ids in enumerate(ids):
+        by_count.setdefault(len(token_ids), []).append(i)
+    logits = np.empty((len(tokens), model.weights.shape[1]))
+    for rows in by_count.values():
+        logits[rows] = model.weights[np.array([ids[i] for i in rows])].sum(axis=1)
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def viterbi_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
     """Max-sum valid BIO path. Ties break toward the smallest label ordinal
     at the latest position where candidate paths differ."""
     scores = np.asarray(scores, dtype=np.float64)
-    n, L = scores.shape
+    n, _ = scores.shape
     if n < 1:
         raise ValueError("need at least one token")
-    trans = np.where(labelset.transition_mask(), 0.0, NEG_INF)
-    start = np.where(labelset.start_mask(), 0.0, NEG_INF)
+    trans = labelset.transition_scores
 
-    dp = start + scores[0]
-    back = np.zeros((n, L), dtype=np.int64)
+    dp = labelset.start_scores + scores[0]
+    back = []
     for t in range(1, n):
         cand = dp[:, None] + trans  # (prev, cur)
         # argmax picks the smallest prev ordinal on ties
-        back[t] = np.argmax(cand, axis=0)
-        dp = cand[back[t], np.arange(L)] + scores[t]
+        back.append(cand.argmax(axis=0).tolist())
+        dp = cand.max(axis=0) + scores[t]
     last = int(np.argmax(dp))
     path = [last]
-    for t in range(n - 1, 0, -1):
-        last = int(back[t, last])
+    for row in reversed(back):
+        last = row[last]
         path.append(last)
     path.reverse()
     return path
@@ -349,13 +416,13 @@ def greedy_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] < 1:
         raise ValueError("need at least one token")
-    raw = np.argmax(scores, axis=1)
+    raw = np.argmax(scores, axis=1).tolist()
     out: list[int] = []
     prev: int | None = None
     o = labelset.index("O")
     for cur in raw:
-        cur = int(cur)
-        if labelset.is_inside(cur) and not labelset.transition_ok(prev, cur):
+        ok = labelset.start_mask[cur] if prev is None else labelset.transition_mask[prev, cur]
+        if not ok:
             cur = o
         out.append(cur)
         prev = cur

@@ -17,6 +17,7 @@ from kbmine.nertag import (
     featurize,
     focal_loss,
     greedy_decode,
+    hash_features,
     score_tokens,
     train_tagger,
     viterbi_decode,
@@ -45,6 +46,28 @@ class TestLabelSet:
         assert not ls.transition_ok(b_per, i_wrk)
         assert not ls.transition_ok(ls.index("O"), i_per)
         assert not ls.transition_ok(None, i_per)
+
+    @pytest.mark.parametrize("types", [nertag.DEFAULT_ENTITY_TYPES, TWO_TYPES])
+    def test_cached_masks_follow_transition_ok(self, types):
+        ls = LabelSet(types)
+        for c in range(len(ls)):
+            ok = ls.transition_ok(None, c)
+            assert ls.start_mask[c] == ok
+            assert ls.start_scores[c] == (0.0 if ok else nertag.NEG_INF)
+            for p in range(len(ls)):
+                ok = ls.transition_ok(p, c)
+                assert ls.transition_mask[p, c] == ok
+                assert ls.transition_scores[p, c] == (0.0 if ok else nertag.NEG_INF)
+        for arr in (ls.transition_mask, ls.start_mask, ls.transition_scores, ls.start_scores):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=8))
+    def test_is_valid_sequence_matches_transition_ok(self, seq):
+        ls = LabelSet(TWO_TYPES)
+        expected = all(ls.transition_ok(p, c) for p, c in zip([None, *seq], seq))
+        assert ls.is_valid_sequence(seq) == expected
 
 
 class TestFocalLoss:
@@ -176,6 +199,31 @@ class TestTrainTagger:
         with pytest.raises(ValueError):
             train_tagger([bad])
 
+    def test_weights_equal_hashed_featurize_reference(self):
+        data = make_tagger_training_data()
+        data += [LabeledSentence(s.tokens, s.labels, from_title=True) for s in data[:10]]
+        cfg = TrainConfig(gamma=1.6, epochs=2, learning_rate=0.5, seed=3, hash_dim=1 << 10)
+        labelset = LabelSet()
+        examples = [
+            (
+                hash_features(featurize(i, s.tokens, s.from_title), cfg.hash_dim),
+                labelset.index(lab),
+            )
+            for s in data
+            for i, lab in enumerate(s.labels)
+        ]
+        weights = np.zeros((cfg.hash_dim, len(labelset)))
+        rng = np.random.default_rng(cfg.seed)
+        order = np.arange(len(examples))
+        for _ in range(cfg.epochs):
+            rng.shuffle(order)
+            for ex in order:
+                idx, gold = examples[ex]
+                probs = np.exp(nertag._log_softmax(weights[idx].sum(axis=0)))
+                _, grad = focal_loss(probs, gold, cfg.gamma)
+                weights[idx] -= cfg.learning_rate * grad
+        assert train_tagger(data, cfg).weights.tobytes() == weights.tobytes()
+
 
 class TestAugment:
     def test_lowercase_mode(self):
@@ -236,6 +284,76 @@ class TestScoreTokens:
         scores = score_tokens(fixture_tagger, "the team shipped Contoso Falcon last week".split())
         lab = fixture_tagger.labelset.label(int(np.argmax(scores[3])))
         assert lab == "B-product"
+
+    @staticmethod
+    def reference_scores(model, tokens, from_title=False):
+        rows = []
+        for i in range(len(tokens)):
+            idx = hash_features(featurize(i, tokens, from_title), model.hash_dim)
+            rows.append(nertag._log_softmax(model.weights[idx].sum(axis=0)))
+        return np.vstack(rows)
+
+    def test_feature_ids_match_featurize(self):
+        model = nertag.TaggerModel(np.zeros((1 << 16, 17)), LabelSet(), 1.6, 1 << 16)
+        for sent in make_tagger_training_data():
+            for from_title in (False, True):
+                expected = [
+                    tuple(hash_features(featurize(i, sent.tokens, from_title), 1 << 16).tolist())
+                    for i in range(len(sent.tokens))
+                ]
+                assert model.feature_ids(sent.tokens, from_title) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hash_dim=st.integers(5, 13),
+        n_labels=st.sampled_from([1, 5, 17]),
+        seed=st.integers(0, 2**32 - 1),
+        tokens=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["Contoso", "contoso", "CONTOSO", "<s>", "</s>", "a", "NLP", "x-9"]
+                ),
+                st.text(alphabet="aAbZ9-</s>", min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        from_title=st.booleans(),
+    )
+    def test_fast_scorer_equals_reference_bitwise(
+        self, hash_dim, n_labels, seed, tokens, from_title
+    ):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
+        model = nertag.TaggerModel(weights, LabelSet(), 1.6, hash_dim)
+        expected = self.reference_scores(model, tokens, from_title).tobytes()
+        assert score_tokens(model, tokens, from_title).tobytes() == expected
+        # the second call reads every id from the memo
+        assert score_tokens(model, tokens, from_title).tobytes() == expected
+
+    def test_models_with_different_hash_dim_score_independently(self):
+        tokens = "the team shipped Contoso Falcon last week".split()
+        rng = np.random.default_rng(0)
+        small = nertag.TaggerModel(rng.normal(size=(7, 17)), LabelSet(), 1.6, 7)
+        large = nertag.TaggerModel(rng.normal(size=(11, 17)), LabelSet(), 1.6, 11)
+        for model in (small, large, small, large):
+            expected = self.reference_scores(model, tokens)
+            assert score_tokens(model, tokens).tobytes() == expected.tobytes()
+
+    def test_memo_stays_bounded_and_unsaved(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(nertag, "_MEMO_LIMIT", 8)
+        weights = np.random.default_rng(1).normal(size=(13, 17))
+        model = nertag.TaggerModel(weights, LabelSet(), 1.6, 13)
+        words = [f"w{i}" for i in range(30)]
+        for start in range(0, 30, 6):
+            tokens = words[start : start + 12]
+            scores = score_tokens(model, tokens)
+            assert len(model._word_ids) <= 8
+            assert len(model._context_ids) <= 8
+            assert scores.tobytes() == self.reference_scores(model, tokens).tobytes()
+        model.save(tmp_path / "tagger.npz")
+        with np.load(tmp_path / "tagger.npz") as saved:
+            assert set(saved.files) == {"weights", "entity_types", "gamma", "hash_dim"}
 
 
 class TestViterbi:
