@@ -31,13 +31,7 @@ def _load_config(args) -> pipeline.PipelineConfig:
         "card_k": getattr(args, "card_k", None),
         "memory_budget": getattr(args, "mem_budget", None),
     }
-    if args.config:
-        return pipeline.PipelineConfig.from_file(args.config, **overrides)
-    cfg = pipeline.PipelineConfig()
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    return pipeline.PipelineConfig.from_file(args.config, **overrides)
 
 
 def _load_state(args):

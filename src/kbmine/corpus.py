@@ -55,6 +55,16 @@ class IngestError:
     reason: str
 
 
+def parse_doc_id(value) -> str:
+    """The doc-id rule of every input record: a non-empty string, or an
+    integer read as its decimal string, so 77 and "77" name one document."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"doc_id is {value!r}, not a string or an integer")
+    if value == "":
+        raise ValueError("doc_id is empty")
+    return str(value)
+
+
 def parse_document(obj) -> Document:
     """Validate one JSON-decoded document record; ValueError says what is wrong."""
     if not isinstance(obj, dict):
@@ -69,7 +79,7 @@ def parse_document(obj) -> Document:
     if ts < 0:
         raise ValueError("timestamp is negative")
     return Document(
-        doc_id=str(obj["doc_id"]),
+        doc_id=parse_doc_id(obj["doc_id"]),
         title=str(obj["title"]),
         body=str(obj["body"]),
         author_id=str(obj["author_id"]),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -16,6 +16,7 @@ import numpy as np
 
 # split_sentences is unused here, but bench/tracing.py patches this binding
 from .corpus import Sentence, split_sentences  # noqa: F401
+from .nertag import check_weights, read_npz
 from .topicrank import normalize_key
 
 
@@ -45,15 +46,29 @@ OCCUPATION_CUES = {
 
 @dataclass(frozen=True)
 class DefinitionPattern:
+    """A "{topic} <connective> {description}" template. The connective and
+    its whole-word, case-insensitive regex are parsed once, when the pattern
+    is built; a template without a connective between the two slots raises
+    ValueError then."""
+
     template: str
     priority: int
+    connective: str = field(init=False, compare=False, repr=False)
+    regex: re.Pattern = field(init=False, compare=False, repr=False)
 
-    @property
-    def connective(self) -> str:
+    def __post_init__(self):
+        if not isinstance(self.template, str):
+            raise ValueError(f"pattern template is not a string: {self.template!r}")
+        if isinstance(self.priority, bool) or not isinstance(self.priority, int):
+            raise ValueError(f"pattern priority is not an integer: {self.priority!r}")
         m = re.match(r"\{topic\}\s*(.+?)\s*\{description\}", self.template)
-        if not m or not m.group(1):
+        connective = m.group(1) if m else ""
+        if not connective.strip():
             raise ValueError(f"bad pattern template: {self.template!r}")
-        return m.group(1)
+        object.__setattr__(self, "connective", connective)
+        object.__setattr__(
+            self, "regex", re.compile(rf"\b{re.escape(connective)}\b", re.IGNORECASE)
+        )
 
     @property
     def pattern_id(self) -> str:
@@ -72,7 +87,7 @@ def _find_connective(text: str, patterns) -> tuple[DefinitionPattern, int, int] 
     """First pattern (by priority) whose connective occurs; returns the
     pattern and the [start, end) of the connective match."""
     for pat in sorted(patterns, key=lambda p: p.priority):
-        m = re.search(rf"\b{re.escape(pat.connective)}\b", text, flags=re.IGNORECASE)
+        m = pat.regex.search(text)
         if m:
             return pat, m.start(), m.end()
     return None
@@ -231,8 +246,11 @@ class LinearClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearClassifier":
-        data = np.load(path, allow_pickle=False)
-        return cls(weights=data["weights"], hash_dim=int(data["hash_dim"]))
+        """ValueError names the file and what is wrong with it."""
+        data = read_npz(path, ("weights", "hash_dim"), "classifier model")
+        hash_dim = int(data["hash_dim"])
+        check_weights(path, data["weights"], (hash_dim, len(CATEGORIES)), "classifier model")
+        return cls(weights=data["weights"], hash_dim=hash_dim)
 
 
 def train_sentence_classifier(
@@ -369,13 +387,28 @@ def prf1(preds: list[int], labels: list[int]) -> tuple[float, float, float]:
 
 
 def load_patterns(path: str | Path) -> tuple[DefinitionPattern, ...]:
-    """Pattern file: JSON list of {template, priority}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        items = json.load(fh)
-    pats = tuple(DefinitionPattern(p["template"], int(p["priority"])) for p in items)
-    for p in pats:
-        p.connective  # validates the template
-    return pats
+    """Pattern file: JSON list of {template, priority}. ValueError names the
+    file and the first entry or key that is wrong."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            items = json.load(fh)
+        if not isinstance(items, list):
+            raise ValueError("not a JSON list")
+        return tuple(_pattern_entry(i, item) for i, item in enumerate(items))
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"pattern file {path}: {exc}") from None
+
+
+def _pattern_entry(i: int, item) -> DefinitionPattern:
+    if not isinstance(item, dict):
+        raise ValueError(f"entry {i} is not a JSON object")
+    wrong = sorted(item.keys() ^ {"template", "priority"})
+    if wrong:
+        raise ValueError(f"entry {i} has missing or unknown keys: {', '.join(wrong)}")
+    try:
+        return DefinitionPattern(item["template"], item["priority"])
+    except ValueError as exc:
+        raise ValueError(f"entry {i}: {exc}") from None
 
 
 def load_training_csv(path: str | Path) -> list[tuple[str, DefinitionCategory]]:

@@ -9,6 +9,7 @@ from an external file (see load_external_scores).
 from __future__ import annotations
 
 import json
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -248,14 +249,39 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
-        data = np.load(path, allow_pickle=False)
+        """ValueError names the file and what is wrong with it."""
+        data = read_npz(path, ("weights", "entity_types", "gamma", "hash_dim"), "tagger model")
         labelset = LabelSet(tuple(str(t) for t in data["entity_types"]))
+        hash_dim = int(data["hash_dim"])
+        check_weights(path, data["weights"], (hash_dim, len(labelset)), "tagger model")
         return cls(
             weights=data["weights"],
             labelset=labelset,
             gamma=float(data["gamma"]),
-            hash_dim=int(data["hash_dim"]),
+            hash_dim=hash_dim,
         )
+
+
+def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
+    """The named arrays of an .npz model file, read without pickle;
+    ValueError names the file and the first missing key."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            missing = [k for k in keys if k not in data.files]
+            if missing:
+                raise ValueError(f"missing key {missing[0]!r}")
+            return {k: data[k] for k in keys}
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
+def check_weights(path: str | Path, weights: np.ndarray, shape: tuple, what: str) -> None:
+    """ValueError unless a loaded weight matrix has the shape its other keys give."""
+    if weights.shape != shape:
+        raise ValueError(f"{what} {path}: weights have shape {weights.shape}, not {shape}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ import json
 import logging
 import shutil
 import time
+import typing
 import urllib.parse
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -62,28 +63,59 @@ class PipelineConfig:
     memory_budget: int = 512 * 1024 * 1024
     seed: int = 0
 
+    def __post_init__(self):
+        """Every construction path checks each field against its declared
+        type (an int passes as a float, a bool as neither) and the
+        cross-field rule; ConfigError names the first bad field."""
+        if isinstance(self.entity_types, list):
+            self.entity_types = tuple(self.entity_types)
+        for name, allowed in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, allowed):
+                names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in allowed)
+                raise ConfigError(f"{name} must be {names}, not {value!r}")
+        if not all(isinstance(t, str) for t in self.entity_types):
+            raise ConfigError(f"entity_types must be a list of strings, not {self.entity_types!r}")
+        if self.shortlist_n < self.final_top_k:
+            raise ConfigError("shortlist_n must be >= final_top_k")
+
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(str(exc)) from None
+    def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
+        """The config a JSON file (or, with path None, the defaults) gives
+        once the overrides that are not None replace its values."""
+        data = {}
+        if path is not None:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(str(exc)) from None
+            if not isinstance(data, dict):
+                raise ConfigError("config file does not hold a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        if isinstance(cfg.entity_types, list):
-            cfg.entity_types = tuple(cfg.entity_types)
-        if cfg.shortlist_n < cfg.final_top_k:
-            raise ConfigError("shortlist_n must be >= final_top_k")
-        return cfg
+        return cls(**data)
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+# field name -> the types its declaration allows
+_CONFIG_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(PipelineConfig).items()
+}
+_JSON_NAMES = {tuple: "list", type(None): "null"}
+
+
+def _has_type(value, allowed: tuple) -> bool:
+    """isinstance, where an int is also a float and a bool is neither."""
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
 
 
 @dataclass
@@ -114,15 +146,16 @@ class Models:
         ranker = (
             topicrank.GbdtModel.load(config.ranker_model) if config.ranker_model else None
         )
-        classifier = (
-            defmine.LinearClassifier.load(config.def_classifier)
-            if config.def_classifier
-            else defmine.RuleClassifier()
-        )
         patterns = (
             defmine.load_patterns(config.patterns_file)
             if config.patterns_file
             else defmine.DEFAULT_PATTERNS
+        )
+        # the rule classifier and the extractor read one pattern tuple
+        classifier = (
+            defmine.LinearClassifier.load(config.def_classifier)
+            if config.def_classifier
+            else defmine.RuleClassifier(patterns)
         )
         lexicon = defmine.OpinionLexicon.load(
             config.negative_lexicon or None, config.positive_lexicon or None
@@ -343,14 +376,11 @@ def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> Pi
 def rank_refresh(state: PipelineState, config: PipelineConfig, models: Models):
     """Shortlist + rerank on current counters, no document reprocessing."""
     if not state.store.candidates:
-        return topicrank.RankedTopicList(entries=[], top_k=0, min_score=config.min_topic_score)
+        return topicrank.RankedTopicList(entries=[])
     keys = topicrank.shortlist(state.store, config.shortlist_n)
     if models.ranker is None:
         # no ranker model: fall back to NER-frequency order with score 1.0
-        entries = [(k, 1.0) for k in keys[: config.final_top_k]]
-        return topicrank.RankedTopicList(
-            entries=entries, top_k=config.final_top_k, min_score=0.0
-        )
+        return topicrank.RankedTopicList(entries=[(k, 1.0) for k in keys[: config.final_top_k]])
     return topicrank.rerank_and_filter(
         keys, state.store, models.ranker, config.final_top_k, config.min_topic_score
     )
@@ -552,7 +582,7 @@ def _parse_event(obj) -> UpdateEvent:
         raise ValueError(f"missing keys: {required}")
     if kind == "upsert":
         return UpdateEvent(kind, document=corpus.parse_document(obj["document"]))
-    return UpdateEvent(kind, doc_id=obj["doc_id"])
+    return UpdateEvent(kind, doc_id=corpus.parse_doc_id(obj["doc_id"]))
 
 
 def _write_dir_atomically(out_dir: Path, write) -> None:

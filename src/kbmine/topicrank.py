@@ -256,15 +256,31 @@ class _TreeNode:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; ValueError names the first bad or missing key."""
+        if not isinstance(d, dict):
+            raise ValueError("tree node is not a JSON object")
         node = cls()
         if "value" in d:
-            node.value = d["value"]
+            node.value = _number(d, "value")
             return node
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.left = cls.from_dict(d["left"])
-        node.right = cls.from_dict(d["right"])
+        feature = d.get("feature")
+        if not (type(feature) is int and 0 <= feature < len(RankFeatures.NAMES)):
+            raise ValueError(f"tree node feature is {feature!r}, not a feature index")
+        node.feature = feature
+        node.threshold = _number(d, "threshold")
+        node.left = cls.from_dict(d.get("left"))
+        node.right = cls.from_dict(d.get("right"))
         return node
+
+
+def _number(d: dict, key: str) -> float:
+    """d[key] if it is an int or a float (a bool is neither); else ValueError."""
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} is {value!r}, not a number")
+    return value
 
 
 def _best_split(X, g, h, rows, min_leaf):
@@ -332,13 +348,19 @@ class GbdtModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "GbdtModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-        return cls(
-            trees=[_TreeNode.from_dict(t) for t in d["trees"]],
-            learning_rate=d["learning_rate"],
-            base_score=d["base_score"],
-        )
+        """ValueError names the file and the first bad or missing key."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+            if not isinstance(d, dict):
+                raise ValueError("not a JSON object")
+            learning_rate, base_score = _number(d, "learning_rate"), _number(d, "base_score")
+            if not isinstance(d.get("trees"), list):
+                raise ValueError("key 'trees' is missing or not a list")
+            trees = [_TreeNode.from_dict(t) for t in d["trees"]]
+            return cls(trees=trees, learning_rate=learning_rate, base_score=base_score)
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"ranker model {path}: {exc}") from None
 
 
 def train_gbdt(
@@ -378,8 +400,6 @@ def score_topic(model: GbdtModel, features: RankFeatures) -> float:
 @dataclass
 class RankedTopicList:
     entries: list[tuple[str, float]]  # (candidate key, classifier score)
-    top_k: int
-    min_score: float
 
     def keys(self) -> list[str]:
         return [k for k, _ in self.entries]
@@ -401,7 +421,7 @@ def rerank_and_filter(
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     if top_k is not None:
         scored = scored[:top_k]
-    return RankedTopicList(entries=scored, top_k=top_k or len(scored), min_score=min_score)
+    return RankedTopicList(entries=scored)
 
 
 def auc(scores, labels) -> float:

@@ -56,6 +56,25 @@ class TestIngest:
         assert len(docs) == 1
         assert docs[0].title == "new"
 
+    @pytest.mark.parametrize(
+        "doc_id, expected",
+        [
+            ("d1", "d1"),
+            (77, "77"),
+            (None, "doc_id is None, not a string or an integer"),
+            (True, "doc_id is True, not a string or an integer"),
+            (1.5, "doc_id is 1.5, not a string or an integer"),
+            ("", "doc_id is empty"),
+        ],
+        ids=["string", "integer", "null", "bool", "float", "empty"],
+    )
+    def test_doc_id_rule(self, tmp_path, doc_id, expected):
+        path = tmp_path / "c.jsonl"
+        record = {"doc_id": doc_id, "title": "T", "body": "B", "author_id": "u1", "timestamp": 0}
+        path.write_text(json.dumps(record) + "\n")
+        docs, errors = corpus.ingest_jsonl(path)
+        assert [d.doc_id for d in docs] + [e.reason for e in errors] == [expected]
+
     def test_ingest_twice_identical(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

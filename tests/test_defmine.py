@@ -1,5 +1,10 @@
+import json
+import random
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import binary_rows, make_definition_rows
 from kbmine import defmine
@@ -91,6 +96,94 @@ class TestExtractTopic:
     def test_bad_template_rejected(self):
         with pytest.raises(ValueError):
             DefinitionPattern("no slots at all", 0).connective
+
+
+BAD_PATTERNS = [
+    ("{topic} {description}", 0),
+    ("{topic} is a", 0),
+    ("is a {description}", 0),
+    (None, 0),
+    ("{topic} is a {description}", "1"),
+    ("{topic} is a {description}", True),
+]
+
+
+@pytest.mark.parametrize(
+    "template, priority",
+    BAD_PATTERNS,
+    ids=[
+        "blank_connective", "no_description", "no_topic", "not_a_string",
+        "text_priority", "bool_priority",
+    ],
+)
+def test_bad_pattern_rejected_when_built(template, priority):
+    with pytest.raises(ValueError):
+        DefinitionPattern(template, priority)
+
+
+# connectives with regex metacharacters and non-word edges, beside the defaults
+CONNECTIVES = [p.connective for p in DEFAULT_PATTERNS] + [
+    "is known as", "a.k.a.", "(see)", "c++ is", "= ", "is", "IS A",
+]
+WORDS = [
+    "Falcon", "Atlas", "is", "IS", "Is", "a", "an", "An", "defined", "as", "known",
+    "refers", "refer", "to", "means", "stands", "for", "a.k.a.", "(see)", "c++",
+    "=", ",", ".", "isa", "island", "meanwhile", "the",
+]
+
+
+def _search_loop(text, patterns):
+    """The reference: one re.search per pattern, in priority order."""
+    for pat in sorted(patterns, key=lambda p: p.priority):
+        m = re.search(rf"\b{re.escape(pat.connective)}\b", text, re.IGNORECASE)
+        if m:
+            return pat, m.start(), m.end()
+    return None
+
+
+class TestFindConnective:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(
+            st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+            st.text(max_size=30),
+        ),
+        picks=st.lists(
+            st.tuples(st.sampled_from(CONNECTIVES), st.integers(0, 3)), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_search_loop(self, text, picks, seed):
+        patterns = [DefinitionPattern(f"{{topic}} {c} {{description}}", p) for c, p in picks]
+        random.Random(seed).shuffle(patterns)
+        patterns = tuple(patterns)
+        hit = defmine._find_connective(text, patterns)
+        ref = _search_loop(text, patterns)
+        assert hit == ref
+        assert hit is None or hit[0] is ref[0]
+
+    def test_mining_builds_no_regex(self, lexicon, monkeypatch):
+        custom = DEFAULT_PATTERNS + (
+            DefinitionPattern("{topic} is known as {description}", len(DEFAULT_PATTERNS)),
+        )
+        doc = Document(
+            "d1", "Contoso Falcon",
+            "Contoso Falcon is known as the telemetry service. Atlas Engine is a build tool. "
+            "We met on Monday. Entropy means disorder.",
+            "u1", 0,
+        )
+        sentences = split_sentences(doc)
+        calls = []
+        for name in ("escape", "search", "compile"):
+            original = getattr(re, name)
+            monkeypatch.setattr(
+                re, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        records = mine_definitions(sentences, RuleClassifier(custom), custom, lexicon)
+        records += mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
+        monkeypatch.undo()
+        assert calls == []
+        assert len(records) == 5
 
 
 class TestOpinionFilter:
@@ -285,3 +378,42 @@ class TestPatternFile:
         assert [p.connective for p in pats] == ["is called", "denotes"]
         topic, desc, _ = extract_topic("Foo denotes a bar.", pats)
         assert (topic, desc) == ("Foo", "a bar.")
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{not json", "Expecting property name"),
+            (json.dumps({"template": "{topic} is {description}"}), "not a JSON list"),
+            (json.dumps(["{topic} is {description}"]), "entry 0 is not a JSON object"),
+            (
+                json.dumps([{"template": "{topic} is a {description}", "priority": 0},
+                            {"template": "{topic} is known as {description}"}]),
+                "entry 1 has missing or unknown keys: priority",
+            ),
+            (
+                json.dumps([{"template": "{topic} is {description}", "priority": 0,
+                             "weight": 2}]),
+                "entry 0 has missing or unknown keys: weight",
+            ),
+            (
+                json.dumps([{"template": "{topic} {description}", "priority": 0}]),
+                "entry 0: bad pattern template",
+            ),
+            (
+                json.dumps([{"template": "{topic} is {description}", "priority": "0"}]),
+                "entry 0: pattern priority is not an integer",
+            ),
+        ],
+        ids=[
+            "invalid_json", "not_a_list", "entry_not_object", "missing_priority",
+            "unknown_key", "no_connective", "text_priority",
+        ],
+    )
+    def test_bad_pattern_file_names_file_and_entry(self, tmp_path, content, reason):
+        path = tmp_path / "patterns.json"
+        path.write_text(content)
+        with pytest.raises(ValueError) as exc:
+            defmine.load_patterns(path)
+        message = str(exc.value)
+        assert message.startswith(f"pattern file {path}: ") and reason in message
+        assert "\n" not in message

@@ -5,10 +5,11 @@ import urllib.parse
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbmine import cardbuild, cli, corpus, pipeline
+from kbmine import cardbuild, cli, corpus, defmine, pipeline
 from kbmine.corpus import Document
 from kbmine.pipeline import (
     KnowledgeBase,
@@ -112,10 +113,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_file(path)
 
+    def test_json_types_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"min_topic_score": 1, "conflation_tau": None, "entity_types": ["product"]}
+        ))
+        cfg = PipelineConfig.from_file(path)
+        assert cfg.min_topic_score == 1 and cfg.conflation_tau is None
+        assert cfg.entity_types == ("product",)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"card_k": "5"}, {"seed": False}, {"entity_types": ["product", 3]}, {"shortlist_n": 1}],
+        ids=["text_int", "bool_int", "non_string_type", "shortlist_below_top_k"],
+    )
+    def test_direct_construction_is_checked(self, data):
+        with pytest.raises(pipeline.ConfigError):
+            PipelineConfig(**data)
+
     def test_hash_stable_and_sensitive(self, config):
         assert config.config_hash() == config.config_hash()
         other = PipelineConfig(**{**config.__dict__, "seed": 99})
         assert other.config_hash() != config.config_hash()
+
+
+class TestModels:
+    def test_rule_classifier_reads_the_loaded_patterns(self, config, tmp_path):
+        path = tmp_path / "patterns.json"
+        path.write_text(json.dumps([{"template": "{topic} is known as {description}",
+                                     "priority": 0}]))
+        loaded = Models.load(replace(config, patterns_file=str(path)))
+        assert loaded.classifier.patterns is loaded.patterns
+        assert [p.connective for p in loaded.patterns] == ["is known as"]
 
 
 class TestRunFull:
@@ -710,6 +739,15 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         return path
 
+    def _two_doc_corpus(self, tmp_path, extra=""):
+        """d0 on Contoso Falcon (plus `extra` in its body) and d1 on Atlas Engine."""
+        corpus_path = tmp_path / "corpus.jsonl"
+        with open(corpus_path, "w", encoding="utf-8") as fh:
+            for i, topic in enumerate(["Contoso Falcon", "Atlas Engine"]):
+                doc = make_doc(f"d{i}", topic, body_extra=extra if i == 0 else "")
+                fh.write(json.dumps(asdict(doc)) + "\n")
+        return corpus_path
+
     def test_mine_and_refresh(self, config, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
         state_dir = tmp_path / "state"
@@ -757,18 +795,22 @@ class TestCli:
                 ),
                 "timestamp is negative",
             ),
+            (
+                json.dumps({"kind": "delete", "doc_id": None}),
+                "doc_id is None, not a string or an integer",
+            ),
         ],
-        ids=["invalid_json", "unknown_kind", "missing_field", "negative_timestamp"],
+        ids=[
+            "invalid_json", "unknown_kind", "missing_field", "negative_timestamp",
+            "null_doc_id",
+        ],
     )
     def test_bad_event_exits_2_and_keeps_state(
         self, config, tmp_path, capsys, bad_line, reason
     ):
-        corpus_path = tmp_path / "corpus.jsonl"
-        with open(corpus_path, "w", encoding="utf-8") as fh:
-            for i, topic in enumerate(["Contoso Falcon", "Atlas Engine"]):
-                fh.write(json.dumps(asdict(make_doc(f"d{i}", topic))) + "\n")
         cfg_path = self.write_config(
-            tmp_path, config, corpus_path=str(corpus_path), output_dir=str(tmp_path / "kb")
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
         )
         state_dir = tmp_path / "state"
         assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
@@ -818,6 +860,153 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: corrupt state: definitions.jsonl line 2: ")
         assert reason in err
+        assert not (tmp_path / "kb").exists()
+
+    def test_patterns_file_can_add_a_connective(self, config, tmp_path):
+        sentence = "Contoso Falcon is known as the telemetry ingestion service."
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text(json.dumps(
+            [{"template": p.template, "priority": p.priority} for p in defmine.DEFAULT_PATTERNS]
+            + [{"template": "{topic} is known as {description}", "priority": 7}]
+        ))
+        cfg_path = self.write_config(
+            tmp_path, config,
+            corpus_path=str(self._two_doc_corpus(tmp_path, sentence)),
+            output_dir=str(tmp_path / "kb"), patterns_file=str(patterns), min_topic_score=0.0,
+        )
+        assert cli.main(["mine", "--config", str(cfg_path)]) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "kb" / "manifest.json").read_text())
+        card_path = tmp_path / "kb" / manifest["cards"]["contoso falcon||product"]
+        assert json.loads(card_path.read_text())["definitions"] == [sentence]
+
+    def test_delete_event_reads_doc_id_as_ingest_does(self, config, tmp_path, caplog):
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        state_dir = tmp_path / "state"
+        assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        doc = {**asdict(make_doc("x", "Atlas Engine")), "doc_id": 77}
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            json.dumps({"kind": "upsert", "document": doc}) + "\n"
+            + json.dumps({"kind": "delete", "doc_id": 77}) + "\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="kbmine.pipeline"):
+            rc = cli.main(
+                ["update", "--config", str(cfg_path), "--state", str(state_dir),
+                 "--events", str(events)]
+            )
+        assert rc == cli.EXIT_OK
+        assert not caplog.records
+        assert sorted(PipelineState.load(state_dir).documents) == ["d0", "d1"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("final_top_k", "50"),
+            ("card_k", "5"),
+            ("seed", True),
+            ("min_topic_score", "high"),
+            ("conflation_tau", [0.5]),
+            ("entity_types", "product"),
+            ("corpus_path", 7),
+        ],
+    )
+    def test_config_type_error_exits_2(self, config, tmp_path, capsys, key, value):
+        cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), key: value}))
+        rc = cli.main(["mine", "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: {key} must be ")
+        assert not (tmp_path / "kb").exists()
+
+    def test_flags_without_config_file_are_checked(self, config, capsys):
+        rc = cli.main(["mine", "--corpus", config.corpus_path, "--top-n", "5000"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: shortlist_n must be >= final_top_k\n"
+
+    @pytest.mark.parametrize(
+        "command, key, write, reason",
+        [
+            (
+                "export", "tagger_model",
+                lambda p: np.savez(p, weights=np.zeros((4, 3)), gamma=1.6, hash_dim=4),
+                "missing key 'entity_types'",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
+                                   gamma=1.6, hash_dim=64),
+                "weights have shape (4, 3), not (64, 3)",
+            ),
+            (
+                "export", "tagger_model",
+                lambda p: p.write_text("not an archive"),
+                "tagger model ",
+            ),
+            (
+                "export", "tagger_model",
+                lambda p: p.write_bytes(b"PK\x03\x04" + bytes(40)),
+                "tagger model ",
+            ),
+            (
+                "refresh", "ranker_model",
+                lambda p: p.write_text(json.dumps({"trees": []})),
+                "missing key 'learning_rate'",
+            ),
+            (
+                "refresh", "ranker_model",
+                lambda p: p.write_text(json.dumps(
+                    {"learning_rate": 0.1, "base_score": 0.0,
+                     "trees": [{"feature": "ner_freq", "threshold": 1.0}]}
+                )),
+                "tree node feature is 'ner_freq', not a feature index",
+            ),
+            (
+                "update", "def_classifier",
+                lambda p: np.savez(p, weights=np.zeros((8, 5))),
+                "missing key 'hash_dim'",
+            ),
+            (
+                "export", "patterns_file",
+                lambda p: p.write_text(json.dumps([{"template": "{topic} is {description}"}])),
+                "entry 0 has missing or unknown keys: priority",
+            ),
+        ],
+        ids=[
+            "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
+            "tagger_truncated_zip",
+            "ranker_without_learning_rate", "ranker_bad_feature", "classifier_without_hash_dim",
+            "pattern_without_priority",
+        ],
+    )
+    def test_bad_model_file_exits_2(
+        self, config, models, tmp_path, capsys, command, key, write, reason
+    ):
+        state_dir = _saved_state(models, tmp_path / "state")
+        model_path = tmp_path / ("model.json" if key in ("ranker_model", "patterns_file")
+                                 else "model.npz")
+        write(model_path)
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"), **{key: str(model_path)}
+        )
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "upsert", "document": asdict(make_doc(
+            "d3", "Atlas Engine", body_extra="Atlas Engine is a build tool."))}) + "\n")
+        before = _tree_bytes(state_dir)
+        capsys.readouterr()
+        rc = cli.main(
+            [command, "--config", str(cfg_path), "--state", str(state_dir)]
+            + (["--events", str(events)] if command == "update" else [])
+        )
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(model_path) in err and reason in err
+        assert _tree_bytes(state_dir) == before
         assert not (tmp_path / "kb").exists()
 
     def test_export_below_memory_budget_exits_3(self, config, models, tmp_path, capsys):
