@@ -1,13 +1,15 @@
 """Topic card construction: BM25 topic-document matrix, batched
 randomized SVD embeddings, relatedness, conflation and card assembly.
 
-The SVD streams the matrix by batches of document columns. Its memory
-budget is checked up front against one bound, _working_bytes, and a test
+The SVD streams the matrix by batches of document columns. One bound,
+_working_bytes, accounts for its memory: the SVD runs at the largest batch
+(up to SvdConfig.batch_size) whose bound fits the memory budget, and a test
 checks that bound against what tracemalloc sees NumPy and SciPy allocate.
 
 Card assembly stays off O(K*D) Python loops: each related list is a partial
 top-k over one score vector, the rerank signals are asked for the recalled
-documents only, and conflation visits just the pairs at or above tau.
+documents only, and conflation decides just the pairs at or above tau, from
+the relatedness matrix it already holds.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class SvdConfig:
     rank: int = 32
     oversampling: int = 8
     power_iterations: int = 1
-    batch_size: int = 1024
+    batch_size: int = 1024  # the largest batch; the memory budget may pick a smaller one
     memory_budget: int = 512 * 1024 * 1024
     seed: int = 0
 
@@ -134,17 +136,15 @@ class SvdConfig:
 
 
 class MemoryBudgetError(RuntimeError):
-    """The budget is below what the configured batch size needs; minimum is
-    what batch size 1 needs, the least any batch size can."""
+    """The budget is below what batch size 1 needs, the least any batch
+    size can; minimum is that need."""
 
-    def __init__(self, budget: int, batch_size: int, needed: int, minimum: int):
+    def __init__(self, budget: int, minimum: int):
         super().__init__(
-            f"memory budget {budget} bytes too small for batch size {batch_size} "
-            f"(needs {needed} bytes); "
-            f"minimum feasible budget is {minimum} bytes (batch size 1)"
+            f"memory budget {budget} bytes too small; "
+            f"minimum feasible budget is {minimum} bytes"
         )
         self.budget = budget
-        self.needed = needed
         self.minimum = minimum
 
 
@@ -193,8 +193,10 @@ def batched_randomized_svd(
 
     Returns (topic_vectors, doc_vectors, singular_values, working_bytes):
     topic vector_i = U_i * sqrt(sigma) and doc vector_j = V_j * sqrt(sigma)
-    at the configured rank, and the _working_bytes bound that was checked
-    against the memory budget before anything was allocated.
+    at the configured rank, and the _working_bytes bound of the batch size
+    used, checked against the memory budget before anything was allocated.
+    That batch is the largest one up to config.batch_size whose bound fits
+    the budget; the factors do not depend on it.
     """
     M = matrix.matrix
     n_topics, n_docs = M.shape
@@ -202,14 +204,18 @@ def batched_randomized_svd(
     l = r + config.oversampling
     if l > min(n_topics, n_docs):
         raise ValueError("rank + oversampling exceeds matrix dimensions")
-    batch = min(config.batch_size, n_docs)
     q = config.power_iterations
 
-    working = _working_bytes(M, l, r, batch, q)
-    if working > config.memory_budget:
-        raise MemoryBudgetError(
-            config.memory_budget, config.batch_size, working, _working_bytes(M, l, r, 1, q)
-        )
+    # The bound is not monotone in the batch size (the densest window of
+    # columns moves as the windows change), so scan down from the cap. It is
+    # least at batch 1: every window holds whole columns, so no batch's
+    # densest window has fewer nonzeros than the densest single column.
+    for batch in range(min(config.batch_size, n_docs), 0, -1):
+        working = _working_bytes(M, l, r, batch, q)
+        if working <= config.memory_budget:
+            break
+    else:
+        raise MemoryBudgetError(config.memory_budget, working)
 
     def accumulate(out, term):
         # out += term(first column, column slice); each slice dies with its batch
@@ -309,14 +315,6 @@ def build_user_vectors(
     return users, vectors
 
 
-def relatedness(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return float(a @ b)
-
-
 def top_k_related(
     query_key: str, space: EmbeddingSpace, kind: str, k: int
 ) -> list[tuple[str, float]]:
@@ -412,7 +410,7 @@ def trigram_jaccard(a: str, b: str) -> float:
     return len(ga & gb) / len(union) if union else 0.0
 
 
-TAU_RATIO = 0.6  # default tau, as a fraction of the max observed relatedness
+TAU_RATIO = 0.6  # tau, as a fraction of the max observed relatedness
 TRIGRAM_THRESHOLD = 0.4
 DOC_JACCARD_THRESHOLD = 0.3
 
@@ -422,28 +420,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def conflate(
-    cand_a,
-    cand_b,
-    space: EmbeddingSpace,
-    tau: float,
-    acronym_pairs: set[tuple[str, str]],
-) -> bool:
-    """Merge decision for one topic pair: relatedness (on normalized
-    vectors) above tau AND at least one over-merge guard check passes."""
-    va = _unit(space.topic_vector(cand_a.key))
-    vb = _unit(space.topic_vector(cand_b.key))
-    if relatedness(va, vb) < tau:
-        return False
+def merge_guard(cand_a, cand_b, acronym_pairs: set[tuple[str, str]]) -> bool:
+    """The over-merge guard of a topic pair whose relatedness clears tau:
+    the surfaces are an acronym pair, their names are similar (trigram
+    Jaccard), or they share enough of their documents."""
     na, nb = cand_a.norm_surface, cand_b.norm_surface
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
     if trigram_jaccard(na, nb) >= TRIGRAM_THRESHOLD:
         return True
     union = cand_a.doc_ids | cand_b.doc_ids
-    if union and len(cand_a.doc_ids & cand_b.doc_ids) / len(union) >= DOC_JACCARD_THRESHOLD:
-        return True
-    return False
+    shared = len(cand_a.doc_ids & cand_b.doc_ids)
+    return bool(union) and shared / len(union) >= DOC_JACCARD_THRESHOLD
 
 
 class _UnionFind:
@@ -467,12 +455,11 @@ def conflate_all(
     candidates: dict[str, "object"],
     space: EmbeddingSpace,
     acronym_pairs: list[tuple[str, str]],
-    tau: float | None = None,
 ) -> dict[str, list[str]]:
-    """Union-find over check-passing edges; returns canonical key ->
-    sorted alias keys. Canonical = highest NER frequency, ties by key.
-    tau is an absolute threshold on normalized relatedness; None means
-    TAU_RATIO times the largest relatedness between distinct topics."""
+    """Union-find over the pairs whose relatedness (on normalized vectors)
+    is at least tau, TAU_RATIO times the largest relatedness between
+    distinct topics, and that pass merge_guard; returns canonical key ->
+    sorted alias keys. Canonical = highest NER frequency, ties by key."""
     keys = [k for k in keys if k in space.topic_index]
     if len(keys) < 2:
         return {k: [] for k in keys}
@@ -485,17 +472,16 @@ def conflate_all(
     vecs = np.vstack([_unit(space.topic_vector(k)) for k in keys])
     rel = vecs @ vecs.T
     np.fill_diagonal(rel, -np.inf)
-    if tau is None:
-        max_rel = float(rel.max())
-        if not np.isfinite(max_rel):
-            return {k: [] for k in keys}
-        tau = TAU_RATIO * max_rel
+    max_rel = float(rel.max())
+    if not np.isfinite(max_rel):
+        return {k: [] for k in keys}
+    tau = TAU_RATIO * max_rel
 
     uf = _UnionFind(keys)
     for i, key in enumerate(keys):
         # pairs (i, j > i) at or above tau, in the nested loop's order
         for j in (np.flatnonzero(rel[i, i + 1 :] >= tau) + (i + 1)).tolist():
-            if conflate(candidates[key], candidates[keys[j]], space, tau, norm_pairs):
+            if merge_guard(candidates[key], candidates[keys[j]], norm_pairs):
                 uf.union(key, keys[j])
 
     groups: dict[str, list[str]] = {}

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 bad input (config file, event file or saved state),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -62,12 +61,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_tagger(args) -> int:
-    data = []
-    with open(args.data, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                data.append(nertag.LabeledSentence(obj["tokens"], obj["labels"]))
+    data = nertag.read_tagger_data(args.data)
     cfg = nertag.TrainConfig(
         gamma=args.gamma, epochs=args.epochs, learning_rate=args.lr, seed=args.seed or 0
     )

@@ -88,6 +88,24 @@ def parse_document(obj) -> Document:
     )
 
 
+def read_records(path: str | Path, parse, what: str) -> Iterator:
+    """parse(record) for each non-blank line of a JSONL file, in file order.
+    A line that is not JSON, or whose record parse rejects with ValueError,
+    raises ValueError '<what> line N: <reason>'; records before it have
+    already been yielded."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                item = parse(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{what} line {lineno}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:
+                raise ValueError(f"{what} line {lineno}: {exc}") from None
+            yield item
+
+
 def read_jsonl(path: str | Path) -> Iterator[Document | IngestError]:
     """Stream documents from a JSONL file in file order.
 

@@ -248,9 +248,9 @@ class LinearClassifier:
     def load(cls, path: str | Path) -> "LinearClassifier":
         """ValueError names the file and what is wrong with it."""
         data = read_npz(path, ("weights", "hash_dim"), "classifier model")
-        hash_dim = int(data["hash_dim"])
-        check_weights(path, data["weights"], (hash_dim, len(CATEGORIES)), "classifier model")
-        return cls(weights=data["weights"], hash_dim=hash_dim)
+        shape = (data["hash_dim"], len(CATEGORIES))
+        check_weights(path, data["weights"], shape, "classifier model")
+        return cls(weights=data["weights"], hash_dim=data["hash_dim"])
 
 
 def train_sentence_classifier(
@@ -412,13 +412,18 @@ def _pattern_entry(i: int, item) -> DefinitionPattern:
 
 
 def load_training_csv(path: str | Path) -> list[tuple[str, DefinitionCategory]]:
-    """Classifier training data: CSV 'category,text' (text may contain commas)."""
+    """Classifier training data: CSV 'category,text' (text may contain
+    commas). A row with an unknown category raises ValueError naming the
+    file and the line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             cat, _, text = line.partition(",")
-            rows.append((text, DefinitionCategory(cat)))
+            try:
+                rows.append((text, DefinitionCategory(cat)))
+            except ValueError as exc:
+                raise ValueError(f"classifier data {path} line {lineno}: {exc}") from None
     return rows

@@ -8,13 +8,14 @@ from an external file (see load_external_scores).
 
 from __future__ import annotations
 
-import json
 import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import read_records
 
 DEFAULT_ENTITY_TYPES = (
     "person",
@@ -252,19 +253,26 @@ class TaggerModel:
         """ValueError names the file and what is wrong with it."""
         data = read_npz(path, ("weights", "entity_types", "gamma", "hash_dim"), "tagger model")
         labelset = LabelSet(tuple(str(t) for t in data["entity_types"]))
-        hash_dim = int(data["hash_dim"])
-        check_weights(path, data["weights"], (hash_dim, len(labelset)), "tagger model")
+        check_weights(path, data["weights"], (data["hash_dim"], len(labelset)), "tagger model")
         return cls(
             weights=data["weights"],
             labelset=labelset,
-            gamma=float(data["gamma"]),
-            hash_dim=hash_dim,
+            gamma=data["gamma"],
+            hash_dim=data["hash_dim"],
         )
 
 
-def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict[str, np.ndarray]:
-    """The named arrays of an .npz model file, read without pickle;
-    ValueError names the file and the first missing key."""
+# scalar keys of model files -> (dtype kinds, least value, Python type, what it must be)
+_NPZ_SCALARS = {
+    "hash_dim": ("iu", 1, int, "an integer >= 1"),
+    "gamma": ("iuf", -np.inf, float, "a number"),
+}
+
+
+def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
+    """The named arrays of an .npz model file, read without pickle, with
+    hash_dim and gamma as Python scalars; ValueError names the file and the
+    first missing key or the scalar that is not one."""
     try:
         data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -273,7 +281,14 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict[str, np
             missing = [k for k in keys if k not in data.files]
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")
-            return {k: data[k] for k in keys}
+            out = {k: data[k] for k in keys}
+        for key in _NPZ_SCALARS.keys() & out.keys():
+            kinds, least, cast, rule = _NPZ_SCALARS[key]
+            value = out[key]
+            if value.ndim != 0 or value.dtype.kind not in kinds or not value >= least:
+                raise ValueError(f"{key} is not {rule}")
+            out[key] = cast(value)
+        return out
     except (ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{what} {path}: {exc}") from None
 
@@ -296,6 +311,33 @@ class TrainConfig:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     return z - np.log(np.exp(z).sum())
+
+
+def read_tagger_data(
+    path: str | Path, entity_types=DEFAULT_ENTITY_TYPES
+) -> list[LabeledSentence]:
+    """Tagger training data: JSONL of {"tokens": [...], "labels": [...]}
+    rows, two equally long lists of strings, the labels a BIO-valid sequence
+    of the label set. A bad row raises ValueError naming the file and line."""
+    labelset = LabelSet(entity_types)
+
+    def parse(obj) -> LabeledSentence:
+        if not isinstance(obj, dict):
+            raise ValueError("record is not a JSON object")
+        missing = [k for k in ("tokens", "labels") if k not in obj]
+        if missing:
+            raise ValueError(f"missing keys: {', '.join(missing)}")
+        for key in ("tokens", "labels"):
+            if not (isinstance(obj[key], list) and all(isinstance(x, str) for x in obj[key])):
+                raise ValueError(f"{key} is not a list of strings")
+        unknown = [lab for lab in obj["labels"] if lab not in labelset.labels]
+        if unknown:
+            raise ValueError(f"label {unknown[0]!r} is not in the label set")
+        if not labelset.is_valid_sequence([labelset.index(lab) for lab in obj["labels"]]):
+            raise ValueError(f"labels are not a BIO-valid sequence: {obj['labels']}")
+        return LabeledSentence(obj["tokens"], obj["labels"])
+
+    return list(read_records(path, parse, f"tagger data {path}"))
 
 
 def train_tagger(
@@ -521,17 +563,7 @@ def load_external_scores(
     """Scorer bypass: JSONL of {doc_id, sentence_index, labels, scores},
     scores being tokens x n_labels. A bad line raises ValueError naming its
     line number."""
-    table: dict[tuple[str, int], np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                key, scores = _parse_score_row(json.loads(line), n_labels)
-            except ValueError as exc:  # json.JSONDecodeError included
-                raise ValueError(f"score file line {lineno}: {exc}") from None
-            table[key] = scores
-    return table
+    return dict(read_records(path, lambda obj: _parse_score_row(obj, n_labels), "score file"))
 
 
 def _parse_score_row(obj, n_labels: int) -> tuple[tuple[str, int], np.ndarray]:

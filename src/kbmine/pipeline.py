@@ -53,14 +53,9 @@ class PipelineConfig:
     final_top_k: int = 100
     min_topic_score: float = 0.0
     card_k: int = 5
-    conflation_tau: float | None = None
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
     svd_rank: int = 16
     svd_oversampling: int = 8
-    svd_power_iterations: int = 1
-    svd_batch_size: int = 1024
-    memory_budget: int = 512 * 1024 * 1024
+    memory_budget: int = 512 * 1024 * 1024  # also picks the SVD batch size
     seed: int = 0
 
     def __post_init__(self):
@@ -69,11 +64,11 @@ class PipelineConfig:
         cross-field rule; ConfigError names the first bad field."""
         if isinstance(self.entity_types, list):
             self.entity_types = tuple(self.entity_types)
-        for name, allowed in _CONFIG_TYPES.items():
+        for name, hint in _CONFIG_TYPES.items():
             value = getattr(self, name)
-            if not _has_type(value, allowed):
-                names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in allowed)
-                raise ConfigError(f"{name} must be {names}, not {value!r}")
+            if not _has_type(value, hint):
+                kind = "list" if hint is tuple else hint.__name__
+                raise ConfigError(f"{name} must be {kind}, not {value!r}")
         if not all(isinstance(t, str) for t in self.entity_types):
             raise ConfigError(f"entity_types must be a list of strings, not {self.entity_types!r}")
         if self.shortlist_n < self.final_top_k:
@@ -103,19 +98,15 @@ class PipelineConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-# field name -> the types its declaration allows
-_CONFIG_TYPES = {
-    name: typing.get_args(hint) or (hint,)
-    for name, hint in typing.get_type_hints(PipelineConfig).items()
-}
-_JSON_NAMES = {tuple: "list", type(None): "null"}
+# field name -> the type its declaration gives
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
-def _has_type(value, allowed: tuple) -> bool:
+def _has_type(value, hint: type) -> bool:
     """isinstance, where an int is also a float and a bool is neither."""
     if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        return hint is bool
+    return isinstance(value, hint) or (hint is float and isinstance(value, int))
 
 
 @dataclass
@@ -313,19 +304,16 @@ class PipelineState:
             raise ValueError(f"corrupt state: ledger.json: {exc}") from None
         state.store = topicrank.CandidateStore.from_ledger(ledger)
         state.definitions = {doc_id: [] for doc_id in state.documents}
-        with open(state_dir / "definitions.jsonl", "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = defmine.DefinitionRecord.from_dict(json.loads(line))
-                    if rec.doc_id not in state.definitions:
-                        raise ValueError(f"unknown doc_id {rec.doc_id!r}")
-                except ValueError as exc:  # json.JSONDecodeError included
-                    raise ValueError(
-                        f"corrupt state: definitions.jsonl line {lineno}: {exc}"
-                    ) from None
-                state.definitions[rec.doc_id].append(rec)
+
+        def parse_definition(obj) -> defmine.DefinitionRecord:
+            rec = defmine.DefinitionRecord.from_dict(obj)
+            if rec.doc_id not in state.definitions:
+                raise ValueError(f"unknown doc_id {rec.doc_id!r}")
+            return rec
+
+        path = state_dir / "definitions.jsonl"
+        for rec in corpus.read_records(path, parse_definition, "corrupt state: definitions.jsonl"):
+            state.definitions[rec.doc_id].append(rec)
         return state
 
 
@@ -422,8 +410,7 @@ def build_knowledge_base(
     if not ranked.entries or not state.documents:
         return KnowledgeBase(cards=[], manifest=manifest)
 
-    params = cardbuild.Bm25Params(k1=config.bm25_k1, b=config.bm25_b)
-    matrix = cardbuild.build_matrix(ranked.keys(), _doc_tf_stats(state), params)
+    matrix = cardbuild.build_matrix(ranked.keys(), _doc_tf_stats(state))
     if matrix.n_topics == 0 or matrix.n_docs == 0:
         return KnowledgeBase(cards=[], manifest=manifest)
 
@@ -432,12 +419,7 @@ def build_knowledge_base(
     rank = max(1, min(config.svd_rank, limit))
     oversampling = min(config.svd_oversampling, limit - rank)
     svd_config = cardbuild.SvdConfig(
-        rank=rank,
-        oversampling=oversampling,
-        power_iterations=config.svd_power_iterations,
-        batch_size=config.svd_batch_size,
-        memory_budget=config.memory_budget,
-        seed=config.seed,
+        rank=rank, oversampling=oversampling, memory_budget=config.memory_budget, seed=config.seed
     )
     topic_vecs, doc_vecs, sigma, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
     manifest["svd_peak_bytes"] = peak
@@ -461,7 +443,7 @@ def build_knowledge_base(
 
     acronym_pairs = state.acronym_pairs()
     conflation = cardbuild.conflate_all(
-        matrix.topic_keys, state.store.candidates, space, acronym_pairs, config.conflation_tau
+        matrix.topic_keys, state.store.candidates, space, acronym_pairs
     )
 
     definitions_by_key: dict[str, list] = {}
@@ -558,17 +540,7 @@ def read_events(path: str | Path):
     """JSONL event stream: {"kind": "upsert", "document": {...}} or
     {"kind": "delete", "doc_id": "..."}. A bad line raises ValueError
     naming its line number; events before it have already been yielded."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                event = _parse_event(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"events line {lineno}: invalid JSON: {exc.msg}") from None
-            except ValueError as exc:
-                raise ValueError(f"events line {lineno}: {exc}") from None
-            yield event
+    return corpus.read_records(path, _parse_event, "events")
 
 
 def _parse_event(obj) -> UpdateEvent:

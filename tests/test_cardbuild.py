@@ -18,11 +18,10 @@ from kbmine.cardbuild import (
     bm25_weight,
     build_matrix,
     build_user_vectors,
-    conflate,
     conflate_all,
     extract_acronym_aliases,
+    merge_guard,
     read_embeddings,
-    relatedness,
     rerank_related_docs,
     top_k_related,
     trigram_jaccard,
@@ -69,6 +68,33 @@ def traced_svd(m, cfg):
     finally:
         tracemalloc.stop()
     return working, peak
+
+
+def svd_run(m, cfg):
+    """(factors, returned working bytes, batch size used) of an SVD run. The
+    batch used is the column count of the first Gaussian test block."""
+    widths = []
+    real = cardbuild._omega_block
+
+    def spy(seed, cols, l):
+        widths.append(len(cols))
+        return real(seed, cols, l)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cardbuild, "_omega_block", spy)
+        tv, dv, sig, working = batched_randomized_svd(m, cfg)
+    return (tv, dv, sig), working, widths[0]
+
+
+def scanned_batch(m, cfg):
+    """The largest batch up to the cap whose _working_bytes fits the budget,
+    found by trying each one; None if not even batch 1 fits."""
+    l = cfg.rank + cfg.oversampling
+    for batch in range(min(cfg.batch_size, m.n_docs), 0, -1):
+        need = cardbuild._working_bytes(m.matrix, l, cfg.rank, batch, cfg.power_iterations)
+        if need <= cfg.memory_budget:
+            return batch
+    return None
 
 
 # n_topics, n_docs, rank, oversampling, batch_size, power_iterations
@@ -228,8 +254,52 @@ class TestBatchedSvd:
         )
         working, peak = traced_svd(m, cfg)
         assert peak <= working <= 2 * peak
-        with pytest.raises(MemoryBudgetError):
-            batched_randomized_svd(m, replace(cfg, memory_budget=working - 1))
+        # one byte less: a smaller batch within the budget, or batch 1 does not fit
+        tighter = replace(cfg, memory_budget=working - 1)
+        minimum = cardbuild._working_bytes(m.matrix, rank + oversampling, rank, 1, q)
+        if minimum > working - 1:
+            with pytest.raises(MemoryBudgetError) as exc:
+                batched_randomized_svd(m, tighter)
+            assert exc.value.minimum == minimum
+        else:
+            _, used, used_batch = svd_run(m, tighter)
+            assert used <= working - 1
+            assert used_batch < min(batch, n_docs)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [SVD_GRID[i] for i in (0, 2, 3, 5, 8)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_budget_picks_the_largest_fitting_batch(self, shape):
+        n_topics, n_docs, rank, oversampling, batch, q = shape
+        m = random_sparse(n_topics, n_docs)
+        cfg = SvdConfig(
+            rank=rank, oversampling=oversampling, power_iterations=q, batch_size=batch
+        )
+        factors, at_cap, cap_batch = svd_run(m, cfg)
+        assert cap_batch == min(batch, n_docs)
+        minimum = cardbuild._working_bytes(m.matrix, rank + oversampling, rank, 1, q)
+        assert minimum <= at_cap
+        for budget in (at_cap - 1, (minimum + at_cap) // 2, minimum):
+            tighter = replace(cfg, memory_budget=budget)
+            got, used, used_batch = svd_run(m, tighter)
+            assert used <= budget
+            assert used_batch == scanned_batch(m, tighter)
+            for a, b in zip(got, factors):
+                assert np.abs(a - b).max() <= 1e-8
+
+    def test_smaller_batch_can_need_more(self):
+        # columns 2 and 3 are dense: batch 2 holds both in one window, batch 3 splits them
+        dense = np.zeros((400, 6))
+        for j, nnz in enumerate([1, 1, 200, 200, 1, 1]):
+            dense[:nnz, j] = 1.0 + j
+        m = sparse(dense)
+        need = {b: cardbuild._working_bytes(m.matrix, 3, 2, b, 1) for b in (1, 2, 3)}
+        assert need[1] < need[3] < need[2]
+        cfg = SvdConfig(rank=2, oversampling=1, batch_size=3, memory_budget=need[3])
+        _, used, used_batch = svd_run(m, cfg)
+        assert (used, used_batch) == (need[3], 3)
 
     def test_budget_too_small_reports_minimum(self):
         m = sparse(np.eye(40))
@@ -270,28 +340,6 @@ class TestEmbeddings:
         assert vecs.shape == (1, 2)
 
 
-class TestRelatedness:
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        assert relatedness(a, b) == relatedness(b, a)
-
-    def test_orthogonal_zero(self):
-        assert relatedness([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_value(self):
-        assert relatedness([1.0, 2.0], [3.0, -1.0]) == 1.0
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert relatedness(2.5 * a, b) == pytest.approx(2.5 * relatedness(a, b))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            relatedness([1.0], [1.0, 2.0])
-
-
 def make_space():
     tv = np.array(
         [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5], [-1.0, 0.0]]
@@ -308,6 +356,51 @@ def make_space():
         user_vectors=uv,
         singular_values=np.array([2.0, 1.0]),
     )
+
+
+def related_score(a, b) -> float:
+    """The relatedness top_k_related reports from topic a to topic b."""
+    vectors = np.array([a, b], dtype=np.float64)
+    d = vectors.shape[1]
+    space = EmbeddingSpace(
+        dimension=d,
+        topic_keys=["a", "b"],
+        topic_vectors=vectors,
+        doc_ids=[],
+        doc_vectors=np.zeros((0, d)),
+        user_ids=[],
+        user_vectors=np.zeros((0, d)),
+        singular_values=np.ones(d),
+    )
+    [(key, score)] = top_k_related("a", space, "topic", 1)
+    assert key == "b"
+    return score
+
+
+class TestRelatedness:
+    """Relatedness, the score of every related-item list, is the dot product
+    of two embeddings."""
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        assert related_score(a, b) == related_score(b, a)
+
+    def test_orthogonal_zero(self):
+        assert related_score([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_hand_value(self):
+        assert related_score([1.0, 2.0], [3.0, -1.0]) == 1.0
+
+    def test_bilinearity(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=5), rng.normal(size=5)
+        assert related_score(2.5 * a, b) == pytest.approx(2.5 * related_score(a, b))
+
+    def test_dimension_mismatch(self):
+        space = replace(make_space(), doc_vectors=np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            top_k_related("t0", space, "doc", 2)
 
 
 class TestTopKRelated:
@@ -481,34 +574,31 @@ class TestConflation:
         }
 
     def test_acronym_pair_merges(self):
-        space = self.conflation_space()
         cands = self.candidates()
-        pairs = {("managed virtual testbed", "mvt")}
-        assert conflate(
-            cands["managed virtual testbed||product"], cands["mvt||product"], space, 0.6, pairs
-        )
+        lf, acro = cands["managed virtual testbed||product"], cands["mvt||product"]
+        assert merge_guard(lf, acro, {("managed virtual testbed", "mvt")})
+        assert merge_guard(acro, lf, {("managed virtual testbed", "mvt")})
+        assert not merge_guard(lf, acro, set())
 
     def test_high_relatedness_without_checks_stays_separate(self):
         space = self.conflation_space()
         cands = self.candidates()
-        assert not conflate(
-            cands["managed virtual testbed||product"],
-            cands["fabrikam cloud||product"],
-            space,
-            0.6,
-            set(),
-        )
+        keys = ["managed virtual testbed||product", "fabrikam cloud||product"]
+        a, b = space.topic_vectors[0], space.topic_vectors[2]
+        assert a @ b / (np.linalg.norm(a) * np.linalg.norm(b)) > 0.99
+        assert not merge_guard(cands[keys[0]], cands[keys[1]], set())
+        assert conflate_all(keys, cands, space, []) == {keys[0]: [], keys[1]: []}
 
     def test_below_threshold_stays_separate(self):
         space = self.conflation_space()
         cands = self.candidates()
-        assert not conflate(
-            cands["managed virtual testbed||product"],
-            cands["zebra||product"],
-            space,
-            0.6,
-            {("managed virtual testbed", "zebra")},
-        )
+        pairs = [("Managed Virtual Testbed", "Zebra")]
+        lf, zebra = cands["managed virtual testbed||product"], cands["zebra||product"]
+        assert merge_guard(lf, zebra, {("managed virtual testbed", "zebra")})
+        # the guard passes, but zebra's relatedness to every topic is below tau
+        groups = conflate_all(list(cands), cands, space, pairs)
+        assert groups["zebra||product"] == []
+        assert "zebra||product" not in groups["managed virtual testbed||product"]
 
     def test_conflate_all_partition(self):
         space = self.conflation_space()
@@ -525,8 +615,10 @@ class TestConflation:
         assert groups["managed virtual testbed||product"] == ["mvt||product"]
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("tau", [None, 0.5])
-    def test_conflate_all_matches_nested_loop(self, seed, tau):
+    @pytest.mark.parametrize("tau_ratio", [None, 0.5])  # None: the module's TAU_RATIO
+    def test_conflate_all_matches_nested_loop(self, seed, tau_ratio, monkeypatch):
+        if tau_ratio is not None:
+            monkeypatch.setattr(cardbuild, "TAU_RATIO", tau_ratio)
         rng = np.random.default_rng(seed)
         n = 30
         # a few directions with jitter, so many pairs clear tau; short
@@ -559,9 +651,19 @@ class TestConflation:
         units = np.vstack([v / np.linalg.norm(v) for v in vectors])
         rel = units @ units.T
         off_diagonal = rel[~np.eye(n, dtype=bool)]
-        threshold = tau if tau is not None else cardbuild.TAU_RATIO * float(off_diagonal.max())
+        threshold = cardbuild.TAU_RATIO * float(off_diagonal.max())
         norm_pairs = {(normalize_key(lf), normalize_key(a)) for lf, a in pairs}
         parent = {k: k for k in keys}
+
+        def guard(ca, cb):
+            na, nb = ca.norm_surface, cb.norm_surface
+            shared = len(ca.doc_ids & cb.doc_ids) / len(ca.doc_ids | cb.doc_ids)
+            return (
+                (na, nb) in norm_pairs
+                or (nb, na) in norm_pairs
+                or trigram_jaccard(na, nb) >= cardbuild.TRIGRAM_THRESHOLD
+                or shared >= cardbuild.DOC_JACCARD_THRESHOLD
+            )
 
         def find(x):
             while parent[x] != x:
@@ -570,9 +672,7 @@ class TestConflation:
 
         for a in range(n):
             for b in range(a + 1, n):
-                if rel[a, b] >= threshold and conflate(
-                    cands[keys[a]], cands[keys[b]], space, threshold, norm_pairs
-                ):
+                if rel[a, b] >= threshold and guard(cands[keys[a]], cands[keys[b]]):
                     ra, rb = find(keys[a]), find(keys[b])
                     if ra != rb:
                         parent[rb] = ra
@@ -585,7 +685,7 @@ class TestConflation:
             expected[canonical] = sorted(m for m in members if m != canonical)
 
         assert any(expected.values())  # some pairs merge
-        assert conflate_all(keys, cands, space, pairs, tau) == expected
+        assert conflate_all(keys, cands, space, pairs) == expected
 
     def test_trigram_jaccard(self):
         assert trigram_jaccard("abc", "abc") == 1.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbmine import cardbuild, cli, corpus, defmine, pipeline
+from kbmine import cardbuild, cli, corpus, defmine, nertag, pipeline
 from kbmine.corpus import Document
 from kbmine.pipeline import (
     KnowledgeBase,
@@ -115,11 +115,9 @@ class TestConfig:
 
     def test_json_types_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(
-            {"min_topic_score": 1, "conflation_tau": None, "entity_types": ["product"]}
-        ))
+        path.write_text(json.dumps({"min_topic_score": 1, "entity_types": ["product"]}))
         cfg = PipelineConfig.from_file(path)
-        assert cfg.min_topic_score == 1 and cfg.conflation_tau is None
+        assert cfg.min_topic_score == 1
         assert cfg.entity_types == ("product",)
 
     @pytest.mark.parametrize(
@@ -185,8 +183,7 @@ class TestRunFull:
             }
             for d in state.documents
         }
-        params = cardbuild.Bm25Params(k1=config.bm25_k1, b=config.bm25_b)
-        matrix = cardbuild.build_matrix(space.topic_keys, doc_stats, params)
+        matrix = cardbuild.build_matrix(space.topic_keys, doc_stats)
         csr = matrix.matrix.tocsr()
         assert len(kb.cards) > 1
         for card in kb.cards:
@@ -208,23 +205,18 @@ class TestRunFull:
             expected = cardbuild.rerank_related_docs(recalled, signals)[: config.card_k]
             assert card.related_docs == expected
 
-    def test_budget_error_names_what_the_batch_size_needs(self, config):
+    def test_named_minimum_budget_suffices(self, config):
         with pytest.raises(StageError) as exc:
             run_full(replace(config, memory_budget=1000))
-        minimum = exc.value.cause.minimum
-        # the minimum is what batch size 1 needs, not the configured batch size
-        with pytest.raises(StageError) as exc:
-            run_full(replace(config, memory_budget=minimum))
         err = exc.value.cause
         assert isinstance(err, cardbuild.MemoryBudgetError)
-        assert err.needed > minimum
-        assert (
-            f"memory budget {minimum} bytes too small for batch size {config.svd_batch_size} "
-            f"(needs {err.needed} bytes); minimum feasible budget is {minimum} bytes"
-        ) in str(err)
-        _, kb = run_full(replace(config, memory_budget=minimum, svd_batch_size=1))
+        assert str(err) == (
+            f"memory budget 1000 bytes too small; minimum feasible budget is {err.minimum} bytes"
+        )
+        # the default config at exactly that budget runs, at a batch that fits it
+        _, kb = run_full(replace(config, memory_budget=err.minimum))
         assert kb.cards
-        assert kb.manifest["svd_peak_bytes"] == minimum
+        assert kb.manifest["svd_peak_bytes"] <= err.minimum
 
     def test_missing_models_is_stage_error(self, tmp_path):
         cfg = PipelineConfig(corpus_path=str(tmp_path / "x.jsonl"))
@@ -434,9 +426,9 @@ class TestSplitOnce:
         used = []
         conflate_all = cardbuild.conflate_all
 
-        def capture(keys, candidates, space, acronym_pairs, tau=None):
+        def capture(keys, candidates, space, acronym_pairs):
             used.append(list(acronym_pairs))
-            return conflate_all(keys, candidates, space, acronym_pairs, tau)
+            return conflate_all(keys, candidates, space, acronym_pairs)
 
         monkeypatch.setattr(cardbuild, "conflate_all", capture)
         cfg = PipelineConfig(**{**config.__dict__, "min_topic_score": 0.0})
@@ -908,7 +900,6 @@ class TestCli:
             ("card_k", "5"),
             ("seed", True),
             ("min_topic_score", "high"),
-            ("conflation_tau", [0.5]),
             ("entity_types", "product"),
             ("corpus_path", 7),
         ],
@@ -921,6 +912,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"config error: {key} must be ")
+        assert not (tmp_path / "kb").exists()
+
+    # keys PipelineConfig no longer has, with the values they used to default to
+    REMOVED_KEYS = {
+        "svd_batch_size": 1024,
+        "svd_power_iterations": 1,
+        "bm25_k1": 1.2,
+        "bm25_b": 0.75,
+        "conflation_tau": None,
+    }
+
+    @pytest.mark.parametrize("key", list(REMOVED_KEYS))
+    def test_removed_key_exits_2(self, config, tmp_path, capsys, key):
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"), **{key: self.REMOVED_KEYS[key]}
+        )
+        rc = cli.main(["mine", "--config", str(cfg_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: unknown config keys: [{key!r}]\n"
         assert not (tmp_path / "kb").exists()
 
     def test_flags_without_config_file_are_checked(self, config, capsys):
@@ -966,9 +976,31 @@ class TestCli:
                 "tree node feature is 'ner_freq', not a feature index",
             ),
             (
+                "export", "tagger_model",
+                lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
+                                   gamma=1.6, hash_dim=np.array([4, 4])),
+                "hash_dim is not an integer >= 1",
+            ),
+            (
+                "refresh", "tagger_model",
+                lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
+                                   gamma=np.array([1.6, 2.0]), hash_dim=4),
+                "gamma is not a number",
+            ),
+            (
                 "update", "def_classifier",
                 lambda p: np.savez(p, weights=np.zeros((8, 5))),
                 "missing key 'hash_dim'",
+            ),
+            (
+                "export", "def_classifier",
+                lambda p: np.savez(p, weights=np.zeros((0, 5)), hash_dim=0),
+                "hash_dim is not an integer >= 1",
+            ),
+            (
+                "update", "def_classifier",
+                lambda p: np.savez(p, weights=np.zeros((8, 5)), hash_dim=8.0),
+                "hash_dim is not an integer >= 1",
             ),
             (
                 "export", "patterns_file",
@@ -978,8 +1010,9 @@ class TestCli:
         ],
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
-            "tagger_truncated_zip",
+            "tagger_truncated_zip", "tagger_hash_dim_not_scalar", "tagger_gamma_not_scalar",
             "ranker_without_learning_rate", "ranker_bad_feature", "classifier_without_hash_dim",
+            "classifier_hash_dim_zero", "classifier_hash_dim_float",
             "pattern_without_priority",
         ],
     )
@@ -1074,3 +1107,60 @@ class TestCli:
         )
         assert rc == cli.EXIT_OK
         assert model_path.exists()
+
+    def test_train_defclassifier_bad_category_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "rows.csv"
+        data.write_text("Sufficient,Statistics is a branch of mathematics.\n\nBogus,Foo.\n")
+        model_path = tmp_path / "clf.npz"
+        rc = cli.main(["train-defclassifier", "--data", str(data), "--model", str(model_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: classifier data {data} line 3: 'Bogus' is not a valid DefinitionCategory\n"
+        )
+        assert not model_path.exists()
+
+    def test_train_tagger_reads_every_row(self, tmp_path, capsys):
+        from helpers import make_tagger_training_data
+
+        rows = make_tagger_training_data()
+        data = tmp_path / "tagged.jsonl"
+        data.write_text("".join(
+            json.dumps({"tokens": r.tokens, "labels": r.labels}) + "\n\n" for r in rows
+        ))
+        assert nertag.read_tagger_data(data) == rows
+        model_path = tmp_path / "tagger.npz"
+        rc = cli.main(
+            ["train-tagger", "--data", str(data), "--model", str(model_path), "--epochs", "1"]
+        )
+        assert rc == cli.EXIT_OK
+        assert f"trained on {len(rows)} sentences" in capsys.readouterr().out
+        assert nertag.TaggerModel.load(model_path).hash_dim == nertag.TrainConfig().hash_dim
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ({"tokens": ["Ada"]}, "missing keys: labels"),
+            (["Ada", "B-person"], "record is not a JSON object"),
+            ({"tokens": "Ada", "labels": ["B-person"]}, "tokens is not a list of strings"),
+            ({"tokens": ["Ada"], "labels": ["B-wizard"]}, "label 'B-wizard' is not in the label set"),
+            ({"tokens": ["Ada"], "labels": ["I-person"]}, "labels are not a BIO-valid sequence"),
+            ({"tokens": ["Ada", "Lovelace"], "labels": ["B-person"]}, "tokens and labels must align"),
+            ("{not json", "invalid JSON"),
+        ],
+        ids=[
+            "missing_labels", "list_row", "text_tokens", "unknown_label", "bio_invalid",
+            "misaligned", "invalid_json",
+        ],
+    )
+    def test_bad_tagger_data_exits_2(self, tmp_path, capsys, row, reason):
+        data = tmp_path / "tagged.jsonl"
+        good = {"tokens": ["Ada", "shipped", "it"], "labels": ["B-person", "O", "O"]}
+        line = row if isinstance(row, str) else json.dumps(row)
+        data.write_text(json.dumps(good) + "\n\n" + line + "\n")
+        model_path = tmp_path / "tagger.npz"
+        rc = cli.main(["train-tagger", "--data", str(data), "--model", str(model_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: tagger data {data} line 3: ") and reason in err
+        assert not model_path.exists()
