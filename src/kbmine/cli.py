@@ -21,15 +21,19 @@ EXIT_STAGE = 3
 logger = logging.getLogger("kbmine")
 
 
+# flag -> (the PipelineConfig field it overrides, type, help)
+_CONFIG_FLAGS = {
+    "--corpus": ("corpus_path", str, "JSONL corpus path"),
+    "--out": ("output_dir", str, "output directory"),
+    "--seed": ("seed", int, None),
+    "--top-n": ("final_top_k", int, "final topic count"),
+    "--card-k": ("card_k", int, "related items per card"),
+    "--mem-budget": ("memory_budget", int, "SVD memory budget in bytes"),
+}
+
+
 def _load_config(args) -> pipeline.PipelineConfig:
-    overrides = {
-        "corpus_path": getattr(args, "corpus", None),
-        "output_dir": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-        "final_top_k": getattr(args, "top_n", None),
-        "card_k": getattr(args, "card_k", None),
-        "memory_budget": getattr(args, "mem_budget", None),
-    }
+    overrides = {field: getattr(args, field, None) for field, _, _ in _CONFIG_FLAGS.values()}
     return pipeline.PipelineConfig.from_file(args.config, **overrides)
 
 
@@ -39,16 +43,12 @@ def _load_state(args):
     return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
 
 
-def _add_common(parser):
+def _add_config(parser, *flags):
+    """--config plus the given config-overriding flags: the ones the command reads."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--corpus", help="JSONL corpus path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--top-n", dest="top_n", type=int, help="final topic count")
-    parser.add_argument("--card-k", dest="card_k", type=int, help="related items per card")
-    parser.add_argument(
-        "--mem-budget", dest="mem_budget", type=int, help="SVD memory budget in bytes"
-    )
+    for flag in flags:
+        field, kind, help_text = _CONFIG_FLAGS[flag]
+        parser.add_argument(flag, dest=field, type=kind, help=help_text)
 
 
 def cmd_ingest(args) -> int:
@@ -63,7 +63,7 @@ def cmd_ingest(args) -> int:
 def cmd_train_tagger(args) -> int:
     data = nertag.read_tagger_data(args.data)
     cfg = nertag.TrainConfig(
-        gamma=args.gamma, epochs=args.epochs, learning_rate=args.lr, seed=args.seed or 0
+        gamma=args.gamma, epochs=args.epochs, learning_rate=args.lr, seed=args.seed
     )
     model = nertag.train_tagger(data, cfg)
     model.save(args.model)
@@ -91,7 +91,7 @@ def cmd_train_ranker(args) -> int:
 def cmd_train_defclassifier(args) -> int:
     rows = defmine.load_training_csv(args.data)
     model = defmine.train_sentence_classifier(
-        rows, defmine.ClassifierConfig(seed=args.seed or 0)
+        rows, defmine.ClassifierConfig(seed=args.seed)
     )
     model.save(args.model)
     print(f"trained on {len(rows)} sentences")
@@ -140,7 +140,7 @@ def cmd_export(args) -> int:
 
 def cmd_eval(args) -> int:
     """Quick self-checks of the decoding, ranking and definition stages."""
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     labelset = nertag.LabelSet(("person", "creative_work"))
     ok = 0
     trials = 200
@@ -180,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and count a corpus file")
-    _add_common(p)
+    _add_config(p, "--corpus")
 
     p = sub.add_parser("train-tagger", help="train the token tagger")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", required=True, help="JSONL of {tokens, labels}")
     p.add_argument("--model", required=True, help="output model path (.npz)")
     p.add_argument("--gamma", type=float, default=1.6)
@@ -191,35 +191,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.5)
 
     p = sub.add_parser("train-ranker", help="train the GBDT topic ranker")
-    _add_common(p)
+    _add_config(p, "--seed")
     p.add_argument("--state", required=True, help="pipeline state directory")
     p.add_argument("--labels", required=True, help="CSV key,label")
     p.add_argument("--model", required=True, help="output model path (.json)")
 
     p = sub.add_parser("train-defclassifier", help="train the sentence classifier")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", required=True, help="CSV category,text")
     p.add_argument("--model", required=True, help="output model path (.npz)")
 
     p = sub.add_parser("mine", help="full batch run")
-    _add_common(p)
+    _add_config(p, *_CONFIG_FLAGS)
     p.add_argument("--state", help="directory to persist pipeline state")
 
     p = sub.add_parser("update", help="apply a JSONL event stream")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--state", required=True)
     p.add_argument("--events", required=True)
 
     p = sub.add_parser("refresh", help="recompute the ranked topic list")
-    _add_common(p)
+    _add_config(p, "--top-n")
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("export", help="rebuild and export the knowledge base")
-    _add_common(p)
+    _add_config(p, "--out", "--seed", "--top-n", "--card-k", "--mem-budget")
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("eval", help="print decoder/ranker/definition self-checks")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

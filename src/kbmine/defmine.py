@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import re
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -16,7 +15,7 @@ import numpy as np
 
 # split_sentences is unused here, but bench/tracing.py patches this binding
 from .corpus import Sentence, split_sentences  # noqa: F401
-from .nertag import check_weights, read_npz
+from .nertag import check_weights, hash_features, read_npz
 from .topicrank import normalize_key
 
 
@@ -208,12 +207,6 @@ def _ngram_features(text: str) -> list[str]:
     return feats
 
 
-def _feature_index(text: str, hash_dim: int) -> np.ndarray:
-    """Sorted distinct hash buckets of a sentence's n-gram features."""
-    buckets = {zlib.crc32(f.encode("utf-8")) % hash_dim for f in _ngram_features(text)}
-    return np.array(sorted(buckets))
-
-
 @dataclass
 class ClassifierConfig:
     epochs: int = 20
@@ -232,7 +225,7 @@ class LinearClassifier:
         self.hash_dim = hash_dim
 
     def _logits(self, text: str) -> np.ndarray:
-        return self.weights[_feature_index(text, self.hash_dim)].sum(axis=0)
+        return self.weights[hash_features(_ngram_features(text), self.hash_dim)].sum(axis=0)
 
     def classify(self, text: str) -> tuple[DefinitionCategory, float]:
         logits = self._logits(text)
@@ -264,7 +257,10 @@ def train_sentence_classifier(
     cat_index = {c: i for i, c in enumerate(CATEGORIES)}
     rng = np.random.default_rng(config.seed)
 
-    examples = [(_feature_index(text, config.hash_dim), cat_index[cat]) for text, cat in rows]
+    examples = [
+        (hash_features(_ngram_features(text), config.hash_dim), cat_index[cat])
+        for text, cat in rows
+    ]
 
     weights = np.zeros((config.hash_dim, len(CATEGORIES)))
     order = np.arange(len(examples))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_records
+from .corpus import parse_doc_id, read_records
 
 DEFAULT_ENTITY_TYPES = (
     "person",
@@ -579,4 +579,5 @@ def _parse_score_row(obj, n_labels: int) -> tuple[tuple[str, int], np.ndarray]:
         raise ValueError("scores is not a 2-D numeric array")
     if scores.shape[1] != n_labels:
         raise ValueError(f"scores rows have {scores.shape[1]} columns, not {n_labels} labels")
-    return (str(obj["doc_id"]), obj["sentence_index"]), scores.astype(np.float64, copy=False)
+    key = parse_doc_id(obj["doc_id"]), obj["sentence_index"]
+    return key, scores.astype(np.float64, copy=False)

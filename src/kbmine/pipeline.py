@@ -1,10 +1,12 @@
 """End-to-end orchestration: batch runs, semi-streaming updates and
 deletions, ranking refresh, and knowledge-base export.
 
-Deletion is exact: the candidate store keeps per-document contribution
-ledgers, and definitions and acronym pairs are indexed by source document,
-so removing a document restores the state a batch run on the reduced corpus
-would produce, and no deleted text survives in exports.
+Deletion is exact: every fact in the state belongs to one document (its
+text, token length, topic-counter contribution, acronym pairs and
+definitions), the topic candidates are derived from the contributions, and
+a saved state is one line per document. Removing a document drops its facts
+and restores the state a batch run on the reduced corpus would produce, and
+no deleted text survives in exports.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ class UpdateEvent:
             raise ValueError(f"unknown event kind: {self.kind}")
 
 
-LEDGER_KEYS = ("ledger", "doc_length", "acronyms")
+STATE_FILE = "documents.jsonl"
+STATE_KEYS = (*corpus.REQUIRED_KEYS, "length", "ledger", "acronyms", "definitions")
 
 
 class PipelineState:
@@ -253,68 +256,68 @@ class PipelineState:
         return list(dict.fromkeys(p for d in sorted(self.acronyms) for p in self.acronyms[d]))
 
     # -- persistence ---------------------------------------------------------
-    # A state directory holds documents.jsonl, ledger.json (one object per
-    # LEDGER_KEYS entry, each keyed by doc_id) and definitions.jsonl; the
-    # topic candidates are rebuilt from the ledger on load.
+    # A state directory holds one file, STATE_FILE: one JSON line per live
+    # document, sorted by doc_id, with the STATE_KEYS fields. The topic
+    # candidates are not saved; the store derives them from the ledger.
 
     def save(self, state_dir: str | Path) -> None:
         def write(staging: Path) -> None:
-            with open(staging / "documents.jsonl", "w", encoding="utf-8") as fh:
+            with open(staging / STATE_FILE, "w", encoding="utf-8") as fh:
                 for doc_id in sorted(self.documents):
                     d = self.documents[doc_id]
-                    fh.write(json.dumps({k: getattr(d, k) for k in corpus.REQUIRED_KEYS}) + "\n")
-            with open(staging / "ledger.json", "w", encoding="utf-8") as fh:
-                per_doc = (self.store.ledger, self.doc_length, self.acronyms)
-                json.dump(dict(zip(LEDGER_KEYS, per_doc)), fh)
-            with open(staging / "definitions.jsonl", "w", encoding="utf-8") as fh:
-                for doc_id in sorted(self.definitions):
-                    for rec in self.definitions[doc_id]:
-                        fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                    line = {k: getattr(d, k) for k in corpus.REQUIRED_KEYS}
+                    line["length"] = self.doc_length[doc_id]
+                    line["ledger"] = self.store.ledger[doc_id]
+                    line["acronyms"] = self.acronyms[doc_id]
+                    line["definitions"] = [r.to_dict() for r in self.definitions[doc_id]]
+                    fh.write(json.dumps(line) + "\n")
 
         _write_dir_atomically(Path(state_dir), write)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "PipelineState":
-        state_dir = Path(state_dir)
         state = cls()
-        docs, errors = corpus.ingest_jsonl(state_dir / "documents.jsonl")
-        if errors:
-            raise ValueError(f"corrupt state: {errors[0].reason}")
-        state.documents = {d.doc_id: d for d in docs}
-        with open(state_dir / "ledger.json", "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            ledger, state.doc_length, acronyms = (data[k] for k in LEDGER_KEYS)
-            if not all(isinstance(data[k], dict) for k in LEDGER_KEYS):
-                raise TypeError
-            state.acronyms = {d: [_acronym_pair(p) for p in ps] for d, ps in acronyms.items()}
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"corrupt state: ledger.json needs the objects {', '.join(LEDGER_KEYS)}, "
-                "with acronyms as lists of [long form, acronym] pairs"
-            ) from None
-        ids = state.documents.keys()
-        if not ledger.keys() == state.doc_length.keys() == state.acronyms.keys() == ids:
-            raise ValueError(
-                "corrupt state: ledger.json and documents.jsonl list different documents"
-            )
-        try:
-            _check_ledger(ledger, state.doc_length)
-        except ValueError as exc:
-            raise ValueError(f"corrupt state: ledger.json: {exc}") from None
+        ledger = {}
+        # read_records is lazy: each line is added before the next is parsed
+        parse = functools.partial(_parse_state_record, seen=state.documents)
+        path = Path(state_dir) / STATE_FILE
+        for doc, length, contrib, pairs, records in corpus.read_records(
+            path, parse, f"corrupt state: {STATE_FILE}"
+        ):
+            state.documents[doc.doc_id] = doc
+            state.doc_length[doc.doc_id] = length
+            ledger[doc.doc_id] = contrib
+            state.acronyms[doc.doc_id] = pairs
+            state.definitions[doc.doc_id] = records
         state.store = topicrank.CandidateStore.from_ledger(ledger)
-        state.definitions = {doc_id: [] for doc_id in state.documents}
-
-        def parse_definition(obj) -> defmine.DefinitionRecord:
-            rec = defmine.DefinitionRecord.from_dict(obj)
-            if rec.doc_id not in state.definitions:
-                raise ValueError(f"unknown doc_id {rec.doc_id!r}")
-            return rec
-
-        path = state_dir / "definitions.jsonl"
-        for rec in corpus.read_records(path, parse_definition, "corrupt state: definitions.jsonl"):
-            state.definitions[rec.doc_id].append(rec)
         return state
+
+
+def _parse_state_record(obj, seen) -> tuple:
+    """One state line as (document, length, ledger entry, acronym pairs,
+    definitions); ValueError names the first value that is not of the kind
+    save writes."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    wrong = sorted(obj.keys() ^ set(STATE_KEYS))
+    if wrong:
+        raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+    doc = corpus.parse_document(obj)
+    if doc.doc_id in seen:
+        raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
+    if not _is_count(obj["length"], 1):
+        raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
+    _check_contribution(obj["ledger"])
+    if not isinstance(obj["acronyms"], list):
+        raise ValueError("acronyms is not a list")
+    pairs = [_acronym_pair(p) for p in obj["acronyms"]]
+    if not isinstance(obj["definitions"], list):
+        raise ValueError("definitions is not a list")
+    records = [defmine.DefinitionRecord.from_dict(d) for d in obj["definitions"]]
+    for rec in records:
+        if rec.doc_id != doc.doc_id:
+            raise ValueError(f"definition of doc_id {rec.doc_id!r} on the line of {doc.doc_id!r}")
+    return doc, obj["length"], obj["ledger"], pairs, records
 
 
 def _is_count(x, least: int) -> bool:
@@ -322,27 +325,23 @@ def _is_count(x, least: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= least
 
 
-def _check_ledger(ledger: dict, doc_length: dict) -> None:
-    """Raise ValueError naming the first saved per-document value that is not
-    of the kind process_document and CandidateStore.accumulate write."""
-    for doc_id, n in doc_length.items():
-        if not _is_count(n, 1):
-            raise ValueError(f"doc_length of {doc_id!r} is {n!r}, not an int >= 1")
-    for doc_id, contrib in ledger.items():
-        if not isinstance(contrib, dict):
-            raise ValueError(f"ledger entry of {doc_id!r} is not an object")
-        for key, c in contrib.items():
-            surfaces = c.get("surfaces") if isinstance(c, dict) else None
-            if not (
-                isinstance(surfaces, dict)
-                and _is_count(c.get("mentions"), 1)
-                and _is_count(c.get("titles"), 0)
-                and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
-            ):
-                raise ValueError(
-                    f"ledger entry of {doc_id!r} for {key!r} needs int mentions >= 1, "
-                    "int titles >= 0 and surfaces mapping str to int >= 1"
-                )
+def _check_contribution(contrib) -> None:
+    """Raise ValueError unless contrib is a ledger entry of the kind
+    CandidateStore.accumulate writes."""
+    if not isinstance(contrib, dict):
+        raise ValueError("ledger is not an object")
+    for key, c in contrib.items():
+        surfaces = c.get("surfaces") if isinstance(c, dict) else None
+        if not (
+            isinstance(surfaces, dict)
+            and _is_count(c.get("mentions"), 1)
+            and _is_count(c.get("titles"), 0)
+            and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
+        ):
+            raise ValueError(
+                f"ledger entry for {key!r} needs int mentions >= 1, "
+                "int titles >= 0 and surfaces mapping str to int >= 1"
+            )
 
 
 def _acronym_pair(pair) -> tuple[str, str]:

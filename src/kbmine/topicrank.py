@@ -2,8 +2,9 @@
 
 Candidates are keyed by normalized surface plus entity type so that
 e.g. an organization and a location sharing a name stay separate until
-conflation. The store keeps a per-document contribution ledger so that
-document deletion is exact.
+conflation. The store's only state is a per-document contribution ledger,
+so deleting a document drops one entry and is exact; the candidates are
+aggregated from the ledger when they are read.
 """
 
 from __future__ import annotations
@@ -107,26 +108,34 @@ def compute_features(candidate: TopicCandidate) -> RankFeatures:
 
 
 class CandidateStore:
-    """Single-writer store of topic candidates with exact per-doc ledger.
+    """Single-writer per-document ledger of topic contributions.
 
-    The ledger is the only stored form of the counters: every accumulated
-    document has an entry (empty if it yielded no mentions), and the
-    candidates are derived from it.
+    The ledger is the only state: every accumulated document has an entry
+    (empty if it yielded no mentions), and deleting a document drops its
+    entry. The candidates are aggregated from the ledger on the first read
+    after a change, so writes never touch them.
     """
 
     def __init__(self):
-        self.candidates: dict[str, TopicCandidate] = {}
         # doc_id -> key -> {"mentions": n, "titles": n, "surfaces": {surface: n}}
         self.ledger: dict[str, dict[str, dict]] = {}
+        self._candidates: dict[str, TopicCandidate] | None = None
 
     @classmethod
     def from_ledger(cls, ledger: dict[str, dict[str, dict]]) -> "CandidateStore":
-        """Rebuild the candidates from a ledger, which the store adopts."""
+        """A store that adopts the given ledger."""
         store = cls()
         store.ledger = ledger
-        for doc_id, contrib in ledger.items():
-            store._apply(doc_id, contrib, 1)
         return store
+
+    @property
+    def candidates(self) -> dict[str, TopicCandidate]:
+        """The topic candidates the live ledger adds up to."""
+        if self._candidates is None:
+            self._candidates = {}
+            for doc_id, contrib in self.ledger.items():
+                self._apply(doc_id, contrib)
+        return self._candidates
 
     def accumulate(self, mentions: list[Mention], doc) -> None:
         """Idempotent per doc_id: a redelivered document is a no-op."""
@@ -145,40 +154,29 @@ class CandidateStore:
                 c["titles"] += 1
             c["surfaces"][m.surface] = c["surfaces"].get(m.surface, 0) + 1
         self.ledger[doc.doc_id] = contrib
-        self._apply(doc.doc_id, contrib, 1)
+        self._candidates = None
 
     def remove_doc(self, doc_id: str) -> bool:
         """Exact inverse of accumulate for one document."""
-        contrib = self.ledger.pop(doc_id, None)
-        if contrib is None:
+        if self.ledger.pop(doc_id, None) is None:
             return False
-        self._apply(doc_id, contrib, -1)
+        self._candidates = None
         return True
 
-    def _apply(self, doc_id: str, contrib: dict[str, dict], sign: int) -> None:
-        """Add (sign=1) or subtract (sign=-1) one document's contribution."""
+    def _apply(self, doc_id: str, contrib: dict[str, dict]) -> None:
+        """Add one document's contribution to the candidates."""
         for key, c in contrib.items():
-            cand = self.candidates.get(key)
+            cand = self._candidates.get(key)
             if cand is None:
                 # the type never contains KEY_SEP; the surface may
                 norm, _, entity_type = key.rpartition(KEY_SEP)
                 cand = TopicCandidate(key=key, norm_surface=norm, entity_type=entity_type)
-                self.candidates[key] = cand
-            cand.ner_frequency += sign * c["mentions"]
-            cand.title_frequency += sign * c["titles"]
-            cand.document_frequency += sign
-            if sign > 0:
-                cand.doc_ids.add(doc_id)
-            else:
-                cand.doc_ids.discard(doc_id)
-            for surface, n in c["surfaces"].items():
-                left = cand.surface_counts[surface] + sign * n
-                if left > 0:
-                    cand.surface_counts[surface] = left
-                else:
-                    del cand.surface_counts[surface]
-            if cand.document_frequency <= 0:
-                del self.candidates[key]
+                self._candidates[key] = cand
+            cand.ner_frequency += c["mentions"]
+            cand.title_frequency += c["titles"]
+            cand.document_frequency += 1
+            cand.doc_ids.add(doc_id)
+            cand.surface_counts.update(c["surfaces"])
 
     def snapshot(self) -> dict:
         """Canonical view of all counters, suitable for equality checks."""
@@ -438,13 +436,19 @@ def auc(scores, labels) -> float:
 
 
 def load_label_file(path: str | Path) -> dict[str, int]:
-    """Ranker training labels: CSV 'key,label' with optional header."""
+    """Ranker training labels: CSV 'key,label' lines, each label 0 or 1, with
+    an optional 'key,...' header. ValueError names the file and the line."""
     labels: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.lower().startswith("key,"):
                 continue
             key, _, lab = line.rpartition(",")
+            if not key or lab.strip() not in ("0", "1"):
+                raise ValueError(
+                    f"label file {path} line {lineno}: {line!r} is not 'key,label' "
+                    "with label 0 or 1"
+                )
             labels[key] = int(lab)
     return labels

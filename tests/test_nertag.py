@@ -532,6 +532,29 @@ class TestExternalScores:
         assert str(exc.value).startswith("score file line 2: ")
         assert reason in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "doc_id, reason",
+        [
+            (77, None),
+            (None, "doc_id is None, not a string or an integer"),
+            (True, "doc_id is True, not a string or an integer"),
+            (1.5, "doc_id is 1.5, not a string or an integer"),
+        ],
+        ids=["int", "null", "bool", "float"],
+    )
+    def test_doc_id_follows_the_corpus_rule(self, tmp_path, doc_id, reason):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            json.dumps(GOOD_SCORE_ROW) + "\n" + json.dumps({**GOOD_SCORE_ROW, "doc_id": doc_id})
+            + "\n"
+        )
+        if reason is None:
+            assert sorted(nertag.load_external_scores(path, 3)) == [("77", 0), ("d1", 0)]
+            return
+        with pytest.raises(ValueError) as exc:
+            nertag.load_external_scores(path, 3)
+        assert str(exc.value) == f"score file line 2: {reason}"
+
     def test_models_load_rejects_row_width(self, tmp_path):
         from kbmine.pipeline import Models, PipelineConfig
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import tempfile
 import urllib.parse
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -84,9 +85,21 @@ def _tree_bytes(root):
     }
 
 
-def _first_contribution(ledger_json: dict) -> dict:
-    """The first topic contribution of d1 in a saved ledger.json object."""
-    return next(iter(ledger_json["ledger"]["d1"].values()))
+def _edit_state(state_dir, edit):
+    """Call edit on {doc_id: decoded line} of a saved state, then write the
+    lines back in their order."""
+    path = Path(state_dir) / pipeline.STATE_FILE
+    lines = {}
+    for text in path.read_text().splitlines():
+        line = json.loads(text)
+        lines[line["doc_id"]] = line
+    edit(lines)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines.values()))
+
+
+def _first_contribution(lines: dict) -> dict:
+    """The first topic contribution in d1's ledger entry."""
+    return next(iter(lines["d1"]["ledger"].values()))
 
 
 class TestConfig:
@@ -298,6 +311,29 @@ class TestUpdates:
         assert "contoso falcon||product" not in state.store.candidates
         assert "atlas engine||product" in state.store.candidates
 
+    def test_apply_update_never_builds_candidates(self, models, tmp_path, monkeypatch):
+        state_dir = _saved_state(models, tmp_path / "state")
+        state = PipelineState.load(state_dir)
+
+        def boom(self, doc_id, contrib):
+            raise AssertionError("candidates aggregated during an update")
+
+        monkeypatch.setattr(pipeline.topicrank.CandidateStore, "_apply", boom)
+        for event in [
+            UpdateEvent(kind="upsert", document=make_doc("d3", "Quantum Mesh")),
+            UpdateEvent(kind="upsert", document=make_doc("d1", "Atlas Engine")),
+            UpdateEvent(kind="delete", doc_id="d2"),
+            UpdateEvent(kind="delete", doc_id="ghost"),
+        ]:
+            apply_update(state, event, models)
+        state.save(state_dir)
+        monkeypatch.undo()
+        fresh = PipelineState()
+        for doc_id in ("d1", "d3"):
+            fresh.process_document(state.documents[doc_id], models)
+        assert state.store.snapshot() == fresh.store.snapshot()
+        assert PipelineState.load(state_dir).store.snapshot() == fresh.store.snapshot()
+
     def test_delete_unknown_doc_warns(self, models, caplog):
         state = PipelineState()
         with caplog.at_level(logging.WARNING, logger="kbmine.pipeline"):
@@ -386,6 +422,32 @@ _acronym_ops = st.lists(
         st.tuples(st.just("delete"), st.integers(0, 4), st.none(), st.none()),
     ),
     max_size=12,
+)
+
+# upsert/delete events for the state round-trip property test: documents
+# with topics, definitions, acronym pairs, non-ASCII text and float times
+_state_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("upsert"),
+            st.integers(0, 4),
+            st.sampled_from(["", "Atlas Engine notes", "Café Nimbus (CN) notes"]),
+            st.lists(
+                st.sampled_from(
+                    [
+                        *_ACRONYM_SENTENCES[:3],
+                        "Contoso Falcon is defined as the telemetry ingestion service.",
+                        "The team shipped Atlas Engine last week.",
+                        "We migrated Contoso Falcon to prod.",
+                    ]
+                ),
+                max_size=3,
+            ),
+            st.floats(0, 2e9, allow_nan=False),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 4), st.none(), st.none(), st.none()),
+    ),
+    max_size=10,
 )
 
 
@@ -511,68 +573,59 @@ class TestStatePersistence:
         assert loaded.definitions == state.definitions
         assert loaded.doc_length == state.doc_length
         assert loaded.acronyms == state.acronyms == {"d1": [], "d2": [("Atlas Engine", "AE")]}
-        assert sorted(p.name for p in (tmp_path / "state").iterdir()) == [
-            "definitions.jsonl",
-            "documents.jsonl",
-            "ledger.json",
-        ]
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["documents.jsonl"]
         # ledger is functional after reload
         loaded.remove_document("d1")
         state.remove_document("d1")
         assert loaded.store.snapshot() == state.store.snapshot()
 
     def test_ledger_missing_a_document_is_corrupt(self, models, tmp_path):
-        state = PipelineState()
-        state.process_document(make_doc("d1", "Contoso Falcon"), models)
-        state.process_document(make_doc("d2", "Atlas Engine"), models)
-        state.save(tmp_path / "state")
-        path = tmp_path / "state" / "ledger.json"
-        data = json.loads(path.read_text())
-        del data["ledger"]["d2"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="corrupt state"):
-            PipelineState.load(tmp_path / "state")
-
-    @pytest.mark.parametrize(
-        "acronyms",
-        [None, [], {"d1": [], "d2": [["Atlas Engine"]]}, {"d1": [], "d2": ["AE"]}],
-        ids=["missing", "not_a_dict", "short_pair", "not_a_pair"],
-    )
-    def test_bad_acronyms_are_corrupt(self, models, tmp_path, acronyms):
-        path = _saved_state(models, tmp_path / "state") / "ledger.json"
-        data = json.loads(path.read_text())
-        if acronyms is None:
-            del data["acronyms"]
-        else:
-            data["acronyms"] = acronyms
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="corrupt state: ledger.json"):
-            PipelineState.load(path.parent)
-
-    @pytest.mark.parametrize("key", ["ledger", "doc_length"])
-    def test_ledger_value_not_an_object_is_corrupt(self, models, tmp_path, key):
-        path = _saved_state(models, tmp_path / "state") / "ledger.json"
-        data = json.loads(path.read_text())
-        data[key] = []
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="corrupt state: ledger.json"):
-            PipelineState.load(path.parent)
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, lambda lines: lines["d2"].pop("ledger"))
+        with pytest.raises(
+            ValueError,
+            match="^corrupt state: documents.jsonl line 2: missing or unknown keys: ledger$",
+        ):
+            PipelineState.load(state_dir)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda data: data["ledger"].update(d1=5),
-            lambda data: _first_contribution(data).update(mentions="2"),
-            lambda data: _first_contribution(data).update(titles=1.0),
-            lambda data: _first_contribution(data).update(titles=True),
-            lambda data: _first_contribution(data).pop("mentions"),
-            lambda data: _first_contribution(data).update(surfaces=["Atlas Engine"]),
-            lambda data: _first_contribution(data).update(surfaces={"Atlas Engine": "1"}),
-            lambda data: data["ledger"]["d2"].update(x=7),
-            lambda data: data["doc_length"].update(d1="ten"),
-            lambda data: data["doc_length"].update(d1=0),
-            lambda data: data["doc_length"].update(d1=True),
-            lambda data: data["doc_length"].update(d1=12.0),
+            lambda line: line.pop("acronyms"),
+            lambda line: line.update(acronyms={"Atlas Engine": "AE"}),
+            lambda line: line.update(acronyms=[["Atlas Engine"]]),
+            lambda line: line.update(acronyms=["AE"]),
+        ],
+        ids=["missing", "not_a_list", "short_pair", "not_a_pair"],
+    )
+    def test_bad_acronyms_are_corrupt(self, models, tmp_path, edit):
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, lambda lines: edit(lines["d2"]))
+        with pytest.raises(ValueError, match="^corrupt state: documents.jsonl line 2: "):
+            PipelineState.load(state_dir)
+
+    @pytest.mark.parametrize("key", ["ledger", "length"], ids=["ledger", "doc_length"])
+    def test_ledger_value_not_an_object_is_corrupt(self, models, tmp_path, key):
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, lambda lines: lines["d1"].update({key: []}))
+        with pytest.raises(ValueError, match=f"^corrupt state: documents.jsonl line 1: {key} is "):
+            PipelineState.load(state_dir)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines["d1"].update(ledger=5),
+            lambda lines: _first_contribution(lines).update(mentions="2"),
+            lambda lines: _first_contribution(lines).update(titles=1.0),
+            lambda lines: _first_contribution(lines).update(titles=True),
+            lambda lines: _first_contribution(lines).pop("mentions"),
+            lambda lines: _first_contribution(lines).update(surfaces=["Atlas Engine"]),
+            lambda lines: _first_contribution(lines).update(surfaces={"Atlas Engine": "1"}),
+            lambda lines: lines["d2"]["ledger"].update(x=7),
+            lambda lines: lines["d1"].update(length="ten"),
+            lambda lines: lines["d1"].update(length=0),
+            lambda lines: lines["d1"].update(length=True),
+            lambda lines: lines["d1"].update(length=12.0),
         ],
         ids=[
             "entry_not_object",
@@ -590,31 +643,61 @@ class TestStatePersistence:
         ],
     )
     def test_ledger_contents_are_checked(self, config, models, tmp_path, capsys, edit):
-        path = _saved_state(models, tmp_path / "state") / "ledger.json"
-        data = json.loads(path.read_text())
-        edit(data)
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="corrupt state: ledger.json: "):
-            PipelineState.load(path.parent)
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, edit)
+        with pytest.raises(ValueError, match=r"^corrupt state: documents.jsonl line [12]: "):
+            PipelineState.load(state_dir)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             json.dumps({"tagger_model": config.tagger_model, "ranker_model": config.ranker_model})
         )
         capsys.readouterr()
-        rc = cli.main(["refresh", "--config", str(cfg_path), "--state", str(path.parent)])
+        rc = cli.main(["refresh", "--config", str(cfg_path), "--state", str(state_dir)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: corrupt state: ledger.json: ")
+        assert re.match(r"error: corrupt state: documents.jsonl line [12]: ", err)
 
     def test_definition_of_unknown_doc_is_corrupt(self, models, tmp_path):
-        path = _saved_state(models, tmp_path / "state") / "definitions.jsonl"
-        rec = json.loads(path.read_text())
-        path.write_text(json.dumps({**rec, "doc_id": "ghost"}) + "\n")
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, lambda lines: lines["d1"]["definitions"][0].update(doc_id="ghost"))
         with pytest.raises(
-            ValueError, match="corrupt state: definitions.jsonl line 1: unknown doc_id 'ghost'"
+            ValueError,
+            match="^corrupt state: documents.jsonl line 1: "
+            "definition of doc_id 'ghost' on the line of 'd1'$",
         ):
-            PipelineState.load(path.parent)
+            PipelineState.load(state_dir)
+
+    def test_duplicate_doc_id_is_corrupt(self, models, tmp_path):
+        state_dir = _saved_state(models, tmp_path / "state")
+        path = state_dir / pipeline.STATE_FILE
+        first = path.read_text().splitlines()[0]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        with pytest.raises(
+            ValueError,
+            match="^corrupt state: documents.jsonl line 3: doc_id 'd1' is on an earlier line too$",
+        ):
+            PipelineState.load(state_dir)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_state_ops)
+    def test_round_trip_after_random_events(self, models, ops):
+        state = PipelineState()
+        for kind, i, title, sentences, ts in ops:
+            if kind == "upsert":
+                doc = Document(f"d{i}", title, " ".join(sentences), f"u{i % 2}", ts)
+                apply_update(state, UpdateEvent(kind="upsert", document=doc), models)
+            else:
+                apply_update(state, UpdateEvent(kind="delete", doc_id=f"d{i}"), models)
+        with tempfile.TemporaryDirectory() as tmp:
+            state.save(Path(tmp) / "state")
+            loaded = PipelineState.load(Path(tmp) / "state")
+        assert loaded.documents == state.documents
+        assert loaded.store.snapshot() == state.store.snapshot()
+        assert loaded.definitions == state.definitions
+        assert loaded.doc_length == state.doc_length
+        assert loaded.acronyms == state.acronyms
 
     def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
         state = PipelineState()
@@ -841,18 +924,81 @@ class TestCli:
     )
     def test_malformed_definition_exits_2(self, config, models, tmp_path, capsys, edit, reason):
         state_dir = _saved_state(models, tmp_path / "state")
-        path = state_dir / "definitions.jsonl"
-        rec = json.loads(path.read_text())
-        path.write_text("\n" + json.dumps(edit(rec)) + "\n")
+        path = state_dir / pipeline.STATE_FILE
+        d1, d2 = path.read_text().splitlines()
+        line = json.loads(d1)
+        line["definitions"] = [edit(line["definitions"][0])]
+        path.write_text("\n" + json.dumps(line) + "\n" + d2 + "\n")
         cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
         capsys.readouterr()
         rc = cli.main(["export", "--config", str(cfg_path), "--state", str(state_dir)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: corrupt state: definitions.jsonl line 2: ")
+        assert err.startswith("error: corrupt state: documents.jsonl line 2: ")
         assert reason in err
         assert not (tmp_path / "kb").exists()
+
+    def test_parent_format_state_exits_2(self, config, models, tmp_path, capsys):
+        """A directory in the earlier three-file layout (documents.jsonl with
+        the corpus fields only, ledger.json, definitions.jsonl) fails to load."""
+        saved = PipelineState.load(_saved_state(models, tmp_path / "saved"))
+        old = tmp_path / "old_state"
+        old.mkdir()
+        with open(old / "documents.jsonl", "w", encoding="utf-8") as fh:
+            for doc_id, d in saved.documents.items():
+                fh.write(json.dumps({k: getattr(d, k) for k in corpus.REQUIRED_KEYS}) + "\n")
+        (old / "ledger.json").write_text(json.dumps({
+            "ledger": saved.store.ledger, "doc_length": saved.doc_length,
+            "acronyms": saved.acronyms,
+        }))
+        (old / "definitions.jsonl").write_text("".join(
+            json.dumps(r.to_dict()) + "\n" for recs in saved.definitions.values() for r in recs
+        ))
+        cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
+        capsys.readouterr()
+        rc = cli.main(["export", "--config", str(cfg_path), "--state", str(old)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: corrupt state: documents.jsonl line 1: "
+            "missing or unknown keys: acronyms, definitions, ledger, length\n"
+        )
+        assert not (tmp_path / "kb").exists()
+
+    def test_train_ranker_bad_label_exits_2(self, models, tmp_path, capsys):
+        """A label of 2 used to train a model with an infinite base score and
+        save it before failing."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("key,label\ncontoso falcon||product,1\natlas engine||product,2\n")
+        model_path = tmp_path / "ranker.json"
+        capsys.readouterr()
+        rc = cli.main(
+            ["train-ranker", "--state", str(state_dir), "--labels", str(labels),
+             "--model", str(model_path)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: label file {labels} line 3: 'atlas engine||product,2' "
+            "is not 'key,label' with label 0 or 1\n"
+        )
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-tagger", "--data", "rows.jsonl", "--model", "model.npz"],
+            ["train-defclassifier", "--data", "rows.csv", "--model", "model.npz"],
+            ["eval"],
+        ],
+        ids=["train_tagger", "train_defclassifier", "eval"],
+    )
+    def test_unread_config_flag_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", str(tmp_path / "no_such.json")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_patterns_file_can_add_a_connective(self, config, tmp_path):
         sentence = "Contoso Falcon is known as the telemetry ingestion service."

@@ -351,3 +351,23 @@ class TestLedgerRebuild:
         assert fresh.snapshot() == store.snapshot()
         assert sorted(store.ledger) == sorted(surviving)
 
+
+
+class TestLabelFile:
+    def test_reads_keys_and_labels(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("key,label\n\ncontoso||product,1\na, b||organization, 0\n")
+        assert topicrank.load_label_file(path) == {
+            "contoso||product": 1,
+            "a, b||organization": 0,
+        }
+
+    @pytest.mark.parametrize("line", ["x||product,abc", "x||product,2", "x||product,", "1"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"contoso||product,1\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            topicrank.load_label_file(path)
+        assert str(exc.value) == (
+            f"label file {path} line 2: {line!r} is not 'key,label' with label 0 or 1"
+        )
