@@ -1,10 +1,15 @@
 """Topic card construction: BM25 topic-document matrix, batched
 randomized SVD embeddings, relatedness, conflation and card assembly.
 
-The SVD streams the matrix by batches of document columns. One bound,
-_working_bytes, accounts for its memory: the SVD runs at the largest batch
-(up to SvdConfig.batch_size) whose bound fits the memory budget, and a test
-checks that bound against what tracemalloc sees NumPy and SciPy allocate.
+The matrix is a small in-repo CSC (CscMatrix). Its products sum each
+output entry sequentially, columns ascending and rows ascending within a
+column, which is the order of SciPy's csc kernels, so the factors are
+bitwise-equal to SciPy-backed ones; a test holds them to that while SciPy is
+installed. The SVD streams the matrix by windows of document columns, which
+are views. One bound, _working_bytes, accounts for its memory: the SVD runs
+at the largest batch (up to SvdConfig.batch_size) whose bound fits the memory
+budget, and a test checks that bound against what tracemalloc sees NumPy
+allocate.
 
 Card assembly stays off O(K*D) Python loops: each related list is a partial
 top-k over one score vector, the rerank signals are asked for the recalled
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .topicrank import normalize_key
 
@@ -55,9 +59,100 @@ def bm25_weight(
     return idf * tf * (params.k1 + 1.0) / denom
 
 
+@dataclass(frozen=True, eq=False)
+class CscMatrix:
+    """A compressed sparse column matrix. Column j holds the values
+    data[indptr[j]:indptr[j + 1]] at the rows in the same slice of indices,
+    rows ascending, and no position twice.
+
+    Each product adds every output entry's terms one at a time, from 0.0,
+    columns ascending and rows ascending within a column: the order of
+    SciPy's csc_matvecs and csr_matvecs, so the results equal SciPy's bit
+    for bit. np.bincount adds its weights in input order, which is that
+    order; np.add.reduceat is not sequential and differs in the last bit.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_coo(cls, data, rows, cols, shape: tuple[int, int]) -> "CscMatrix":
+        """The matrix holding data[k] at (rows[k], cols[k])."""
+        data = np.asarray(data, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        n_rows, n_cols = shape
+        if data.ndim != 1 or not data.shape == rows.shape == cols.shape:
+            raise ValueError("data, rows and cols must be 1-D and equally long")
+        if data.size and not (
+            0 <= rows.min() and rows.max() < n_rows and 0 <= cols.min() and cols.max() < n_cols
+        ):
+            raise ValueError(f"an entry lies outside the shape {shape}")
+        # rows ascending within each column, as SciPy's COO -> CSC sorts them:
+        # the products add in this order
+        order = np.lexsort((rows, cols))
+        rows, cols = rows[order], cols[order]
+        if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+            raise ValueError("an entry position repeats")
+        indptr = np.zeros(n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+        return cls(indptr, rows, data[order], (n_rows, n_cols))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def columns(self, start: int, stop: int) -> "CscMatrix":
+        """Columns start up to stop (clamped to the shape); indices and data
+        are views into this matrix's."""
+        stop = min(stop, self.shape[1])
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CscMatrix(
+            self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi],
+            self.data[lo:hi],
+            (self.shape[0], stop - start),
+        )
+
+    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values) of column j's entries, rows ascending."""
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
+
+    def transpose(self) -> "CscMatrix":
+        """The transpose, as a new CscMatrix: its column i is row i of this
+        matrix, so column() reads rows."""
+        return CscMatrix.from_coo(self.data, self._column_ids(), self.indices, self.shape[::-1])
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """self @ X for a dense X."""
+        return _sum_products(self.data, self.indices, self._column_ids(), X, self.shape[0])
+
+    def tmatmul(self, Q: np.ndarray) -> np.ndarray:
+        """self.T @ Q for a dense Q. Q.T @ self is tmatmul(Q).T, bit for
+        bit, since SciPy computes that product as this one transposed."""
+        return _sum_products(self.data, self._column_ids(), self.indices, Q, self.shape[1])
+
+    def _column_ids(self) -> np.ndarray:
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+
+def _sum_products(data, into, take, X: np.ndarray, n: int) -> np.ndarray:
+    """out[i, c] = the sum, in entry order, of data[k] * X[take[k], c] over
+    the entries k with into[k] == i. One output column at a time, so the
+    temporaries are a few arrays of one value per entry."""
+    out = np.empty((n, X.shape[1]))
+    for c in range(X.shape[1]):
+        out[:, c] = np.bincount(into, weights=data * X[take, c], minlength=n)
+    return out
+
+
 @dataclass
 class SparseTopicDocMatrix:
-    matrix: sp.csc_matrix  # topics x docs, grouped by document column
+    matrix: CscMatrix  # topics x docs
     topic_keys: list[str]
     doc_ids: list[str]
 
@@ -108,9 +203,7 @@ def build_matrix(
             rows.append(i)
             cols.append(j)
             vals.append(bm25_weight(tf, dl, avgdl, df[k], n_docs, params))
-    matrix = sp.csc_matrix(
-        (vals, (rows, cols)), shape=(len(kept), n_docs), dtype=np.float64
-    )
+    matrix = CscMatrix.from_coo(vals, rows, cols, (len(kept), n_docs))
     return SparseTopicDocMatrix(matrix=matrix, topic_keys=kept, doc_ids=doc_ids)
 
 
@@ -148,20 +241,25 @@ class MemoryBudgetError(RuntimeError):
         self.minimum = minimum
 
 
-# Bytes of Python objects (sparse slice objects, the per-column generators
+# Bytes of Python objects (column window objects, the per-column generators
 # in _omega_block, array headers) that tracemalloc sees on top of the arrays
 # counted in _working_bytes.
 _PY_OVERHEAD = 16 * 1024
 
 
-def _working_bytes(M: sp.csc_matrix, l: int, r: int, batch: int, q: int) -> int:
+def _working_bytes(M: CscMatrix, l: int, r: int, batch: int, q: int) -> int:
     """Most bytes batched_randomized_svd holds at once: the maximum over its
-    phases of the arrays live in that phase. Buffers NumPy and SciPy take
-    outside Python's allocators (LAPACK workspace) are not counted."""
+    phases of the arrays live in that phase. Buffers NumPy takes outside
+    Python's allocators (LAPACK workspace) are not counted."""
     n_topics, n_docs = M.shape
     nnz = int(np.diff(M.indptr[np.r_[0:n_docs:batch, n_docs]]).max())
-    # a batch: its column slice (scipy copies it, <= 16 B a nonzero) and a batch x l block
-    per_batch = 16 * nnz + 8 * (batch + 1) + 8 * batch * l
+    # a batch: its window (a view but for its own indptr), a batch x l block
+    # and one product's temporaries: the column id of each nonzero with the
+    # arange and diff it is built from, then, for one output column at a
+    # time, the gathered factors, their weights and the bincount of those
+    per_batch = (
+        8 * (batch + 1) + 8 * batch * l + 8 * (2 * batch + 3 * nnz + max(n_topics, batch))
+    )
     tl = 8 * n_topics * l
     # sketch and power iterations: Y, Q, a batch and its topics x l product
     sketch = (3 if q else 2) * tl + per_batch
@@ -218,16 +316,16 @@ def batched_randomized_svd(
         raise MemoryBudgetError(config.memory_budget, working)
 
     def accumulate(out, term):
-        # out += term(first column, column slice); each slice dies with its batch
+        # out += term(first column, column window); each window dies with its batch
         for start in range(0, n_docs, batch):
-            out += term(start, M[:, start : start + batch])
+            out += term(start, M.columns(start, start + batch))
         return out
 
     def sketch(start, Mb):
         return Mb @ _omega_block(config.seed, range(start, start + Mb.shape[1]), l)
 
     def gram(_, Mb):
-        Bb = Q.T @ Mb
+        Bb = Mb.tmatmul(Q).T  # Q^T Mb
         return Bb @ Bb.T
 
     # sketch Y = M @ Omega, then q power iterations Y = M M^T Q
@@ -235,7 +333,7 @@ def batched_randomized_svd(
     for _ in range(q):
         Q = np.linalg.qr(Y)[0]
         Y[:] = 0.0
-        accumulate(Y, lambda _, Mb: Mb @ (Mb.T @ Q))
+        accumulate(Y, lambda _, Mb: Mb @ Mb.tmatmul(Q))
         del Q
     Q = np.linalg.qr(Y)[0]
     del Y
@@ -254,7 +352,7 @@ def batched_randomized_svd(
     # pass 3: doc-side factor V = B^T W batch-wise, divided by sigma below
     V = np.zeros((n_docs, r))
     for start in range(0, n_docs, batch):
-        V[start : start + batch] = (Q.T @ M[:, start : start + batch]).T @ W
+        V[start : start + batch] = M.columns(start, start + batch).tmatmul(Q) @ W
     del Q
 
     # scale column by column: in-place ufuncs on 1-D views allocate nothing

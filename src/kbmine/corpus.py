@@ -88,22 +88,31 @@ def parse_document(obj) -> Document:
     )
 
 
-def read_records(path: str | Path, parse, what: str) -> Iterator:
-    """parse(record) for each non-blank line of a JSONL file, in file order.
-    A line that is not JSON, or whose record parse rejects with ValueError,
-    raises ValueError '<what> line N: <reason>'; records before it have
-    already been yielded."""
+def _parse_lines(path: str | Path, parse) -> Iterator[tuple[int, object, str | None]]:
+    """The one JSONL line loop: (line number, parse(record), None) for each
+    non-blank line, in file order, or (line number, None, reason) for a line
+    that is not JSON or whose record parse rejects with ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                item = parse(json.loads(line))
+                yield lineno, parse(json.loads(line)), None
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{what} line {lineno}: invalid JSON: {exc.msg}") from None
+                yield lineno, None, f"invalid JSON: {exc.msg}"
             except ValueError as exc:
-                raise ValueError(f"{what} line {lineno}: {exc}") from None
-            yield item
+                yield lineno, None, str(exc)
+
+
+def read_records(path: str | Path, parse, what: str) -> Iterator:
+    """parse(record) for each non-blank line of a JSONL file, in file order.
+    A line that is not JSON, or whose record parse rejects with ValueError,
+    raises ValueError '<what> line N: <reason>'; records before it have
+    already been yielded."""
+    for lineno, item, reason in _parse_lines(path, parse):
+        if reason is not None:
+            raise ValueError(f"{what} line {lineno}: {reason}")
+        yield item
 
 
 def read_jsonl(path: str | Path) -> Iterator[Document | IngestError]:
@@ -112,17 +121,8 @@ def read_jsonl(path: str | Path) -> Iterator[Document | IngestError]:
     Malformed lines and invalid records become IngestError records; the
     stream continues past them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                item = parse_document(json.loads(line))
-            except json.JSONDecodeError as exc:
-                item = IngestError(lineno, f"invalid JSON: {exc.msg}")
-            except ValueError as exc:
-                item = IngestError(lineno, str(exc))
-            yield item
+    for lineno, doc, reason in _parse_lines(path, parse_document):
+        yield doc if reason is None else IngestError(lineno, reason)
 
 
 def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:

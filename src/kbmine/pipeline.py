@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import shutil
+import sys
 import time
 import typing
 import urllib.parse
@@ -317,7 +318,18 @@ def _parse_state_record(obj, seen) -> tuple:
     for rec in records:
         if rec.doc_id != doc.doc_id:
             raise ValueError(f"definition of doc_id {rec.doc_id!r} on the line of {doc.doc_id!r}")
-    return doc, obj["length"], obj["ledger"], pairs, records
+    # json.loads shares equal strings within one line only. Interning shares
+    # each topic key and surface across the lines that repeat it, and the
+    # literal field names are shared constants, as in accumulate's entries.
+    ledger = {
+        sys.intern(key): {
+            "mentions": c["mentions"],
+            "titles": c["titles"],
+            "surfaces": {sys.intern(s): n for s, n in c["surfaces"].items()},
+        }
+        for key, c in obj["ledger"].items()
+    }
+    return doc, obj["length"], ledger, pairs, records
 
 
 def _is_count(x, least: int) -> bool:
@@ -334,13 +346,14 @@ def _check_contribution(contrib) -> None:
         surfaces = c.get("surfaces") if isinstance(c, dict) else None
         if not (
             isinstance(surfaces, dict)
+            and len(c) == 3
             and _is_count(c.get("mentions"), 1)
             and _is_count(c.get("titles"), 0)
             and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
         ):
             raise ValueError(
                 f"ledger entry for {key!r} needs int mentions >= 1, "
-                "int titles >= 0 and surfaces mapping str to int >= 1"
+                "int titles >= 0 and surfaces mapping str to int >= 1, and no other key"
             )
 
 
@@ -352,11 +365,15 @@ def _acronym_pair(pair) -> tuple[str, str]:
 
 
 def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> PipelineState:
-    if event.kind == "upsert":
-        state.process_document(event.document, models)
-    else:
+    """Apply one event. An upsert of a document marked deleted removes that
+    document, as a batch run skips a corpus record marked deleted."""
+    if event.kind == "delete":
         if not state.remove_document(event.doc_id):
             logger.warning("delete of unknown doc_id %r ignored", event.doc_id)
+    elif event.document.deleted:
+        state.remove_document(event.document.doc_id)
+    else:
+        state.process_document(event.document, models)
     return state
 
 
@@ -454,7 +471,7 @@ def build_knowledge_base(
     for long_form, acro in acronym_pairs:
         acro_by_norm.setdefault(topicrank.normalize_key(long_form), []).append(acro)
 
-    csr = matrix.matrix.tocsr()
+    by_topic = matrix.matrix.transpose()  # column i is topic i's row
     cards = []
     for canonical in sorted(conflation):
         cand = state.store.candidates[canonical]
@@ -470,8 +487,8 @@ def build_knowledge_base(
         for ns in sorted(norm_surfaces):
             acronyms.extend(acro_by_norm.get(ns, []))
 
-        row = csr.getrow(space.topic_index[canonical])
-        bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in row.indices), row.data))
+        docs, weights = by_topic.column(space.topic_index[canonical])
+        bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in docs), weights))
         cards.append(
             cardbuild.build_card(
                 cand,

@@ -8,8 +8,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from kbmine import defmine, nertag, topicrank
+from kbmine import cardbuild, defmine, nertag, topicrank
 from kbmine.defmine import DefinitionCategory
+
+# ---------------------------------------------------------------------------
+# Dense <-> CSC
+# ---------------------------------------------------------------------------
+
+
+def csc_of(dense) -> cardbuild.CscMatrix:
+    """The nonzero entries of a dense array as a CscMatrix, the entries
+    scipy.sparse.csc_matrix(dense) stores."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(dense)
+    return cardbuild.CscMatrix.from_coo(dense[rows, cols], rows, cols, dense.shape)
+
+
+def dense_of(m: cardbuild.CscMatrix) -> np.ndarray:
+    out = np.zeros(m.shape)
+    for j in range(m.shape[1]):
+        rows, values = m.column(j)
+        out[rows, j] = values
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Brute-force Viterbi oracle

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from helpers import (
     AUTHORS,
@@ -18,6 +17,8 @@ from helpers import (
     PLANTED_TOPICS,
     binary_rows,
     brute_force_decode,
+    csc_of,
+    dense_of,
     make_definition_rows,
     make_ranker_rows,
 )
@@ -149,7 +150,7 @@ def test_criterion_4_randomized_svd():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(500, 8)) @ rng.normal(size=(8, 5000))
     m = cardbuild.SparseTopicDocMatrix(
-        sp.csc_matrix(A),
+        csc_of(A),
         [f"t{i}" for i in range(500)],
         [f"d{j}" for j in range(5000)],
     )
@@ -197,7 +198,7 @@ def test_criterion_5_bm25():
         return idf * tf * 2.2 / (tf + 1.2 * (1.0 - 0.75 + 0.75 * dl / 15.0))
 
     m = cardbuild.build_matrix(["alpha", "beta", "gamma"], doc_stats)
-    dense = m.matrix.toarray()
+    dense = dense_of(m.matrix)
     expected = np.zeros((3, 3))
     cells = [
         ("alpha", "d1", hand(2, 10, 2)),

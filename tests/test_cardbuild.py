@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from helpers import csc_of, dense_of
 from kbmine import cardbuild
 from kbmine.cardbuild import (
     Bm25Params,
+    CscMatrix,
     EmbeddingSpace,
     MemoryBudgetError,
     SparseTopicDocMatrix,
@@ -34,7 +35,7 @@ from kbmine.topicrank import TopicCandidate, normalize_key
 def sparse(arr, prefix=("t", "d")):
     arr = np.asarray(arr, dtype=np.float64)
     return SparseTopicDocMatrix(
-        sp.csc_matrix(arr),
+        csc_of(arr),
         [f"{prefix[0]}{i}" for i in range(arr.shape[0])],
         [f"{prefix[1]}{j}" for j in range(arr.shape[1])],
     )
@@ -47,7 +48,7 @@ def random_sparse(n_topics, n_docs, seed=0):
     rows = np.concatenate([rng.choice(n_topics, c, replace=False) for c in counts])
     cols = np.repeat(np.arange(n_docs), counts)
     return SparseTopicDocMatrix(
-        sp.csc_matrix((rng.random(len(rows)) + 0.1, (rows, cols)), shape=(n_topics, n_docs)),
+        CscMatrix.from_coo(rng.random(len(rows)) + 0.1, rows, cols, (n_topics, n_docs)),
         [f"t{i}" for i in range(n_topics)],
         [f"d{j}" for j in range(n_docs)],
     )
@@ -139,6 +140,78 @@ class TestBm25:
             Bm25Params(b=1.5)
 
 
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestCscMatrix:
+    @staticmethod
+    def random_entries(rng, n_rows, n_cols):
+        """COO entries, shuffled, of a random matrix with empty columns, a
+        fully dense block and stored -0.0 values."""
+        dense = rng.normal(size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.3)
+        dense[:, rng.random(n_cols) < 0.2] = 0.0
+        r0, c0 = rng.integers(0, n_rows), rng.integers(0, n_cols)
+        dense[r0 : r0 + 4, c0 : c0 + 4] = rng.normal(size=dense[r0 : r0 + 4, c0 : c0 + 4].shape)
+        rows, cols = np.nonzero(dense)
+        data = np.where(rng.random(len(rows)) < 0.1, -0.0, dense[rows, cols])
+        order = rng.permutation(len(rows))
+        return data[order], rows[order], cols[order]
+
+    def test_products_equal_scipy_bitwise(self):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n_rows, n_cols = (int(x) for x in rng.integers(1, 50, size=2))
+            data, rows, cols = self.random_entries(rng, n_rows, n_cols)
+            m = CscMatrix.from_coo(data, rows, cols, (n_rows, n_cols))
+            ref = sp.csc_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+            assert np.array_equal(m.indptr, ref.indptr)
+            assert np.array_equal(m.indices, ref.indices)
+            assert np.array_equal(_bits(m.data), _bits(ref.data))
+            l = int(rng.integers(1, 10))
+            X = rng.normal(size=(n_cols, l))
+            Q = rng.normal(size=(n_rows, l))
+            start, stop = sorted(int(x) for x in rng.integers(0, n_cols + 1, size=2))
+            window, ref_window = m.columns(start, stop), ref[:, start:stop]
+            Xb = rng.normal(size=(stop - start, l))
+            for got, want in [
+                (m @ X, ref @ X),
+                (m.tmatmul(Q), ref.T @ Q),
+                (m.tmatmul(Q).T, Q.T @ ref),
+                (window @ Xb, ref_window @ Xb),
+                (window.tmatmul(Q), ref_window.T @ Q),
+            ]:
+                assert np.array_equal(_bits(got), _bits(want))
+            by_row, ref_rows = m.transpose(), ref.tocsr()
+            for i in range(n_rows):
+                cols_i, values_i = by_row.column(i)
+                want = ref_rows.getrow(i)
+                assert np.array_equal(cols_i, want.indices)
+                assert np.array_equal(_bits(values_i), _bits(want.data))
+
+    def test_window_shares_the_entries(self):
+        m = csc_of(np.arange(12.0).reshape(3, 4))
+        window = m.columns(1, 10)
+        assert window.shape == (3, 3) and window.nnz == 9
+        assert np.shares_memory(window.data, m.data)
+        assert np.shares_memory(window.indices, m.indices)
+        assert np.array_equal(dense_of(window), np.arange(12.0).reshape(3, 4)[:, 1:])
+
+    def test_from_coo_rejects_bad_entries(self):
+        with pytest.raises(ValueError, match="repeats"):
+            CscMatrix.from_coo([1.0, 2.0], [0, 0], [1, 1], (2, 2))
+        with pytest.raises(ValueError, match="outside"):
+            CscMatrix.from_coo([1.0], [2], [0], (2, 2))
+        with pytest.raises(ValueError, match="outside"):
+            CscMatrix.from_coo([1.0], [0], [-1], (2, 2))
+        with pytest.raises(ValueError, match="equally long"):
+            CscMatrix.from_coo([1.0], [0, 1], [0], (2, 2))
+        empty = CscMatrix.from_coo([], [], [], (2, 3))
+        assert empty.nnz == 0 and list(empty.indptr) == [0, 0, 0, 0]
+        assert np.array_equal(empty @ np.ones((3, 2)), np.zeros((2, 2)))
+
+
 class TestBuildMatrix:
     DOC_STATS = {
         "d1": {"length": 10, "tf": {"alpha": 2, "gamma": 1}},
@@ -155,7 +228,7 @@ class TestBuildMatrix:
 
     def test_matches_hand_table(self):
         m = build_matrix(["alpha", "beta", "gamma"], self.DOC_STATS)
-        dense = m.matrix.toarray()
+        dense = dense_of(m.matrix)
         expected = np.zeros((3, 3))
         expected[m.topic_keys.index("alpha"), m.doc_ids.index("d1")] = self.hand_bm25(2, 10, 2)
         expected[m.topic_keys.index("alpha"), m.doc_ids.index("d2")] = self.hand_bm25(1, 20, 2)

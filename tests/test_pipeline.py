@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import urllib.parse
 from dataclasses import asdict, replace
@@ -197,11 +200,11 @@ class TestRunFull:
             for d in state.documents
         }
         matrix = cardbuild.build_matrix(space.topic_keys, doc_stats)
-        csr = matrix.matrix.tocsr()
+        by_topic = matrix.matrix.transpose()
         assert len(kb.cards) > 1
         for card in kb.cards:
-            row = csr.getrow(space.topic_index[card.key])
-            bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in row.indices), row.data))
+            docs, weights = by_topic.column(space.topic_index[card.key])
+            bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in docs), weights))
             signals = {
                 d: {
                     "bm25": bm25_by_doc.get(d, 0.0),
@@ -398,6 +401,28 @@ class TestIncrementalEquivalence:
         r2 = rank_refresh(batch_state, config, models)
         assert r1.entries == r2.entries
 
+    def test_deleted_upsert_replay_matches_batch(self, config, models, tmp_path):
+        # a record marked deleted drops a live document, is a no-op for an
+        # unknown one, and a later live record brings its document back
+        records = [
+            make_doc("d1", "Contoso Falcon"),
+            make_doc("d2", "Atlas Engine"),
+            replace(make_doc("d1", "Contoso Falcon"), deleted=True),
+            replace(make_doc("d3", "Quantum Mesh"), deleted=True),
+            replace(make_doc("d2", "Atlas Engine"), deleted=True),
+            make_doc("d2", "Atlas Engine", ts=5.0),
+        ]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(asdict(d)) + "\n" for d in records))
+        batch_state, _ = run_full(replace(config, corpus_path=str(path)))
+        streamed = PipelineState()
+        for doc in records:
+            apply_update(streamed, UpdateEvent(kind="upsert", document=doc), models)
+        assert sorted(streamed.documents) == sorted(batch_state.documents) == ["d2"]
+        assert streamed.documents == batch_state.documents
+        assert streamed.store.snapshot() == batch_state.store.snapshot()
+        assert streamed.definitions == batch_state.definitions
+
 
 # sentences for the acronym property test: pairs repeated across documents
 # and within one, a pair in the title, and a parenthesized capital run that
@@ -549,6 +574,22 @@ class TestRankRefresh:
 
 
 class TestStatePersistence:
+    def test_load_shares_repeated_strings(self, models, tmp_path):
+        state = PipelineState()
+        for doc_id in ("d1", "d2"):
+            state.process_document(make_doc(doc_id, "Contoso Falcon"), models)
+        state.save(tmp_path / "state")
+        ledger = PipelineState.load(tmp_path / "state").store.ledger
+        shared = ledger["d1"].keys() & ledger["d2"].keys()
+        assert shared
+        for key in shared:
+            (k1,) = [k for k in ledger["d1"] if k == key]
+            (k2,) = [k for k in ledger["d2"] if k == key]
+            assert k1 is k2
+            s1, s2 = ledger["d1"][key]["surfaces"], ledger["d2"][key]["surfaces"]
+            for surface in s1.keys() & s2.keys():
+                assert [s for s in s1 if s == surface][0] is [s for s in s2 if s == surface][0]
+
     def test_round_trip(self, models, tmp_path):
         state = PipelineState()
         state.process_document(
@@ -621,6 +662,7 @@ class TestStatePersistence:
             lambda lines: _first_contribution(lines).pop("mentions"),
             lambda lines: _first_contribution(lines).update(surfaces=["Atlas Engine"]),
             lambda lines: _first_contribution(lines).update(surfaces={"Atlas Engine": "1"}),
+            lambda lines: _first_contribution(lines).update(extra=1),
             lambda lines: lines["d2"]["ledger"].update(x=7),
             lambda lines: lines["d1"].update(length="ten"),
             lambda lines: lines["d1"].update(length=0),
@@ -635,6 +677,7 @@ class TestStatePersistence:
             "mentions_missing",
             "surfaces_list",
             "surface_count_str",
+            "entry_extra_key",
             "contribution_not_object",
             "doc_length_str",
             "doc_length_zero",
@@ -799,6 +842,22 @@ class TestExport:
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # a fresh process, since this one may have imported SciPy already
+        src = Path(pipeline.__file__).resolve().parents[1]
+        code = (
+            "import sys, kbmine.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def write_config(self, tmp_path, config, **extra):
         cfg = {
             "corpus_path": config.corpus_path,
