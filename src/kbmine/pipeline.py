@@ -1,12 +1,14 @@
 """End-to-end orchestration: batch runs, semi-streaming updates and
 deletions, ranking refresh, and knowledge-base export.
 
-Deletion is exact: every fact in the state belongs to one document (its
-text, token length, topic-counter contribution, acronym pairs and
-definitions), the topic candidates are derived from the contributions, and
-a saved state is one line per document. Removing a document drops its facts
-and restores the state a batch run on the reduced corpus would produce, and
-no deleted text survives in exports.
+Deletion is exact: every fact in the state belongs to one document, in that
+document's one frozen DocRecord (its text, token length, topic-counter
+contribution, acronym pairs and definitions). A saved state line is that
+record as written by DocRecord.to_line, and the topic candidates are derived
+from the records' contributions. An upsert runs extract to completion and
+then swaps the new record in, so a failed extraction leaves the state as it
+was. Removing a document drops its record and restores the state a batch run
+on the reduced corpus would produce, and no deleted text survives in exports.
 """
 
 from __future__ import annotations
@@ -190,146 +192,139 @@ STATE_FILE = "documents.jsonl"
 STATE_KEYS = (*corpus.REQUIRED_KEYS, "length", "ledger", "acronyms", "definitions")
 
 
+@dataclass(frozen=True, slots=True)
+class DocRecord:
+    """Everything the state knows about one live document, and the state
+    line that saves it."""
+
+    document: corpus.Document
+    length: int  # token count, at least 1
+    ledger: dict[str, dict]  # topic key -> {"mentions", "titles", "surfaces"}
+    acronyms: tuple[tuple[str, str], ...]  # (long form, acronym)
+    definitions: tuple[defmine.DefinitionRecord, ...]
+
+    def to_line(self) -> str:
+        """The state line: one JSON object with the STATE_KEYS fields."""
+        line = {k: getattr(self.document, k) for k in corpus.REQUIRED_KEYS}
+        line["length"] = self.length
+        line["ledger"] = self.ledger
+        line["acronyms"] = self.acronyms
+        line["definitions"] = [r.to_dict() for r in self.definitions]
+        return json.dumps(line)
+
+    @classmethod
+    def from_line(cls, obj, seen=()) -> "DocRecord":
+        """Inverse of to_line on a decoded line; ValueError names the first
+        value that is not of the kind to_line writes, or a doc_id in seen."""
+        if not isinstance(obj, dict):
+            raise ValueError("record is not a JSON object")
+        wrong = sorted(obj.keys() ^ set(STATE_KEYS))
+        if wrong:
+            raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+        doc = corpus.parse_document(obj)
+        if doc.doc_id in seen:
+            raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
+        if not _is_count(obj["length"], 1):
+            raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
+        ledger = _parse_ledger(obj["ledger"])
+        if not isinstance(obj["acronyms"], list):
+            raise ValueError("acronyms is not a list")
+        pairs = tuple(_acronym_pair(p) for p in obj["acronyms"])
+        if not isinstance(obj["definitions"], list):
+            raise ValueError("definitions is not a list")
+        records = tuple(defmine.DefinitionRecord.from_dict(d) for d in obj["definitions"])
+        stray = [r.doc_id for r in records if r.doc_id != doc.doc_id]
+        if stray:
+            raise ValueError(f"definition of doc_id {stray[0]!r} on the line of {doc.doc_id!r}")
+        return cls(doc, obj["length"], ledger, pairs, records)
+
+
+def extract(doc: corpus.Document, models: Models) -> DocRecord:
+    """The document's record; reads no state and writes none. The only
+    reader of document text: one sentence split feeds the tagger, the
+    definition miner and the acronym extractor."""
+    sentences = corpus.split_sentences(doc, models.abbreviations)
+    mentions: list[nertag.Mention] = []
+    token_count = 0
+    for sent in sentences:
+        tokens = corpus.tokenize(sent)
+        if not tokens:
+            continue
+        token_count += len(tokens)
+        if models.external_scores is not None:
+            scores = models.external_scores.get((doc.doc_id, sent.index))
+            if scores is None:
+                continue
+        else:
+            surfaces = [t.surface for t in tokens]
+            scores = nertag.score_tokens(models.tagger, surfaces, sent.from_title)
+        labels = nertag.viterbi_decode(scores, models.labelset)
+        mentions += nertag.extract_mentions(
+            tokens, labels, models.labelset, doc_id=doc.doc_id, sentence_index=sent.index,
+            scores=scores, from_title=sent.from_title,
+        )
+    return DocRecord(
+        document=doc,
+        length=max(1, token_count),
+        ledger=topicrank.contribution(mentions),
+        acronyms=tuple(cardbuild.extract_acronym_aliases(s.text for s in sentences)),
+        definitions=tuple(
+            defmine.mine_definitions(sentences, models.classifier, models.patterns, models.lexicon)
+        ),
+    )
+
+
 class PipelineState:
-    """Everything needed to serve updates and rebuild the KB."""
+    """Everything needed to serve updates and rebuild the KB: one DocRecord
+    per live document, keyed by doc_id."""
 
     def __init__(self):
-        self.documents: dict[str, corpus.Document] = {}
-        self.store = topicrank.CandidateStore()
-        self.definitions: dict[str, list[defmine.DefinitionRecord]] = {}
-        self.doc_length: dict[str, int] = {}  # doc_id -> token count (at least 1)
-        self.acronyms: dict[str, list[tuple[str, str]]] = {}  # doc_id -> (long form, acronym)
+        self.documents: dict[str, DocRecord] = {}
 
-    # -- per-document processing -------------------------------------------
+    @functools.cached_property
+    def store(self) -> topicrank.CandidateStore:
+        """The candidate store over the records' ledger entries, built on
+        the first read after a write; each write below drops it."""
+        return topicrank.CandidateStore.from_ledger(
+            {doc_id: rec.ledger for doc_id, rec in self.documents.items()}
+        )
 
     def process_document(self, doc: corpus.Document, models: Models) -> None:
-        """The only reader of document text: one sentence split feeds the
-        tagger, the definition miner and the acronym extractor."""
-        if doc.doc_id in self.documents:
-            self.remove_document(doc.doc_id)
-        sentences = corpus.split_sentences(doc, models.abbreviations)
-        mentions: list[nertag.Mention] = []
-        token_count = 0
-        for sent in sentences:
-            tokens = corpus.tokenize(sent)
-            if not tokens:
-                continue
-            token_count += len(tokens)
-            surfaces = [t.surface for t in tokens]
-            if models.external_scores is not None:
-                scores = models.external_scores.get((doc.doc_id, sent.index))
-                if scores is None:
-                    continue
-            else:
-                scores = nertag.score_tokens(models.tagger, surfaces, sent.from_title)
-            labels = nertag.viterbi_decode(scores, models.labelset)
-            mentions.extend(
-                nertag.extract_mentions(
-                    tokens,
-                    labels,
-                    models.labelset,
-                    doc_id=doc.doc_id,
-                    sentence_index=sent.index,
-                    scores=scores,
-                    from_title=sent.from_title,
-                )
-            )
-        self.store.accumulate(mentions, doc)
-        self.definitions[doc.doc_id] = defmine.mine_definitions(
-            sentences, models.classifier, models.patterns, models.lexicon
-        )
-        self.acronyms[doc.doc_id] = cardbuild.extract_acronym_aliases(s.text for s in sentences)
-        self.documents[doc.doc_id] = doc
-        self.doc_length[doc.doc_id] = max(1, token_count)
+        """Upsert: extract runs to completion before the record is swapped
+        in, so a failed extraction leaves the state as it was."""
+        self.documents[doc.doc_id] = extract(doc, models)
+        self.__dict__.pop("store", None)
 
     def remove_document(self, doc_id: str) -> bool:
-        known = doc_id in self.documents
-        self.store.remove_doc(doc_id)
-        self.definitions.pop(doc_id, None)
-        self.doc_length.pop(doc_id, None)
-        self.acronyms.pop(doc_id, None)
-        self.documents.pop(doc_id, None)
-        return known
+        self.__dict__.pop("store", None)
+        return self.documents.pop(doc_id, None) is not None
 
     def acronym_pairs(self) -> list[tuple[str, str]]:
         """Every document's acronym pairs in doc-id order, first occurrence
         kept: the list one pass over the whole live corpus would give."""
-        return list(dict.fromkeys(p for d in sorted(self.acronyms) for p in self.acronyms[d]))
+        return list(dict.fromkeys(p for _, r in sorted(self.documents.items()) for p in r.acronyms))
 
     # -- persistence ---------------------------------------------------------
-    # A state directory holds one file, STATE_FILE: one JSON line per live
-    # document, sorted by doc_id, with the STATE_KEYS fields. The topic
-    # candidates are not saved; the store derives them from the ledger.
+    # A state directory holds one file, STATE_FILE: each live document's
+    # DocRecord.to_line, sorted by doc_id. The topic candidates are not
+    # saved; the store derives them from the ledger entries.
 
     def save(self, state_dir: str | Path) -> None:
         def write(staging: Path) -> None:
             with open(staging / STATE_FILE, "w", encoding="utf-8") as fh:
-                for doc_id in sorted(self.documents):
-                    d = self.documents[doc_id]
-                    line = {k: getattr(d, k) for k in corpus.REQUIRED_KEYS}
-                    line["length"] = self.doc_length[doc_id]
-                    line["ledger"] = self.store.ledger[doc_id]
-                    line["acronyms"] = self.acronyms[doc_id]
-                    line["definitions"] = [r.to_dict() for r in self.definitions[doc_id]]
-                    fh.write(json.dumps(line) + "\n")
+                fh.writelines(rec.to_line() + "\n" for _, rec in sorted(self.documents.items()))
 
         _write_dir_atomically(Path(state_dir), write)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "PipelineState":
         state = cls()
-        ledger = {}
-        # read_records is lazy: each line is added before the next is parsed
-        parse = functools.partial(_parse_state_record, seen=state.documents)
+        # read_records is lazy: each record is added before the next line is parsed
+        parse = functools.partial(DocRecord.from_line, seen=state.documents)
         path = Path(state_dir) / STATE_FILE
-        for doc, length, contrib, pairs, records in corpus.read_records(
-            path, parse, f"corrupt state: {STATE_FILE}"
-        ):
-            state.documents[doc.doc_id] = doc
-            state.doc_length[doc.doc_id] = length
-            ledger[doc.doc_id] = contrib
-            state.acronyms[doc.doc_id] = pairs
-            state.definitions[doc.doc_id] = records
-        state.store = topicrank.CandidateStore.from_ledger(ledger)
+        for rec in corpus.read_records(path, parse, f"corrupt state: {STATE_FILE}"):
+            state.documents[rec.document.doc_id] = rec
         return state
-
-
-def _parse_state_record(obj, seen) -> tuple:
-    """One state line as (document, length, ledger entry, acronym pairs,
-    definitions); ValueError names the first value that is not of the kind
-    save writes."""
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    wrong = sorted(obj.keys() ^ set(STATE_KEYS))
-    if wrong:
-        raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
-    doc = corpus.parse_document(obj)
-    if doc.doc_id in seen:
-        raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
-    if not _is_count(obj["length"], 1):
-        raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
-    _check_contribution(obj["ledger"])
-    if not isinstance(obj["acronyms"], list):
-        raise ValueError("acronyms is not a list")
-    pairs = [_acronym_pair(p) for p in obj["acronyms"]]
-    if not isinstance(obj["definitions"], list):
-        raise ValueError("definitions is not a list")
-    records = [defmine.DefinitionRecord.from_dict(d) for d in obj["definitions"]]
-    for rec in records:
-        if rec.doc_id != doc.doc_id:
-            raise ValueError(f"definition of doc_id {rec.doc_id!r} on the line of {doc.doc_id!r}")
-    # json.loads shares equal strings within one line only. Interning shares
-    # each topic key and surface across the lines that repeat it, and the
-    # literal field names are shared constants, as in accumulate's entries.
-    ledger = {
-        sys.intern(key): {
-            "mentions": c["mentions"],
-            "titles": c["titles"],
-            "surfaces": {sys.intern(s): n for s, n in c["surfaces"].items()},
-        }
-        for key, c in obj["ledger"].items()
-    }
-    return doc, obj["length"], ledger, pairs, records
 
 
 def _is_count(x, least: int) -> bool:
@@ -337,11 +332,15 @@ def _is_count(x, least: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= least
 
 
-def _check_contribution(contrib) -> None:
-    """Raise ValueError unless contrib is a ledger entry of the kind
-    CandidateStore.accumulate writes."""
+def _parse_ledger(contrib) -> dict[str, dict]:
+    """A saved ledger entry, checked to be of the kind topicrank.contribution
+    builds. json.loads shares equal strings within one line only, so each
+    topic key and surface is interned to share it across the lines that
+    repeat it, and the literal field names are shared constants, as in
+    contribution's entries."""
     if not isinstance(contrib, dict):
         raise ValueError("ledger is not an object")
+    ledger = {}
     for key, c in contrib.items():
         surfaces = c.get("surfaces") if isinstance(c, dict) else None
         if not (
@@ -355,6 +354,12 @@ def _check_contribution(contrib) -> None:
                 f"ledger entry for {key!r} needs int mentions >= 1, "
                 "int titles >= 0 and surfaces mapping str to int >= 1, and no other key"
             )
+        ledger[sys.intern(key)] = {
+            "mentions": c["mentions"],
+            "titles": c["titles"],
+            "surfaces": {sys.intern(s): n for s, n in surfaces.items()},
+        }
+    return ledger
 
 
 def _acronym_pair(pair) -> tuple[str, str]:
@@ -398,14 +403,10 @@ class KnowledgeBase:
 
 
 def _doc_tf_stats(state: PipelineState) -> dict[str, dict]:
-    stats = {}
-    for doc_id in state.documents:
-        contrib = state.store.ledger[doc_id]
-        stats[doc_id] = {
-            "length": state.doc_length[doc_id],
-            "tf": {key: c["mentions"] for key, c in contrib.items()},
-        }
-    return stats
+    return {
+        doc_id: {"length": rec.length, "tf": {key: c["mentions"] for key, c in rec.ledger.items()}}
+        for doc_id, rec in state.documents.items()
+    }
 
 
 def build_knowledge_base(
@@ -413,12 +414,11 @@ def build_knowledge_base(
 ) -> KnowledgeBase:
     """Ranking through card assembly on the current state."""
     ranked = rank_refresh(state, config, models)
+    config_hash, snapshot_id = config.config_hash(), _corpus_snapshot_id(state)
     manifest = {
-        "run_id": hashlib.sha256(
-            (config.config_hash() + _corpus_snapshot_id(state)).encode()
-        ).hexdigest()[:16],
-        "config_hash": config.config_hash(),
-        "corpus_snapshot_id": _corpus_snapshot_id(state),
+        "run_id": hashlib.sha256((config_hash + snapshot_id).encode()).hexdigest()[:16],
+        "config_hash": config_hash,
+        "corpus_snapshot_id": snapshot_id,
         "n_documents": len(state.documents),
         "n_topics": len(ranked.entries),
         "timestamp": time.time(),
@@ -442,7 +442,7 @@ def build_knowledge_base(
 
     authorship: dict[str, list[str]] = {}
     for doc_id in matrix.doc_ids:
-        authorship.setdefault(state.documents[doc_id].author_id, []).append(doc_id)
+        authorship.setdefault(state.documents[doc_id].document.author_id, []).append(doc_id)
     user_ids, user_vecs = cardbuild.build_user_vectors(
         authorship, matrix.doc_ids, doc_vecs
     )
@@ -463,9 +463,9 @@ def build_knowledge_base(
     )
 
     definitions_by_key: dict[str, list] = {}
-    for recs in state.definitions.values():
-        for rec in recs:
-            definitions_by_key.setdefault(rec.topic_key, []).append(rec)
+    for record in state.documents.values():
+        for definition in record.definitions:
+            definitions_by_key.setdefault(definition.topic_key, []).append(definition)
 
     acro_by_norm: dict[str, list[str]] = {}
     for long_form, acro in acronym_pairs:
@@ -511,8 +511,8 @@ def _doc_signals(
     return {
         doc_id: {
             "bm25": bm25_by_doc.get(doc_id, 0.0),
-            "title": state.store.ledger[doc_id].get(key, {}).get("titles", 0) > 0,
-            "timestamp": state.documents[doc_id].timestamp,
+            "title": state.documents[doc_id].ledger.get(key, {}).get("titles", 0) > 0,
+            "timestamp": state.documents[doc_id].document.timestamp,
         }
         for doc_id in doc_ids
     }
@@ -521,7 +521,7 @@ def _doc_signals(
 def _corpus_snapshot_id(state: PipelineState) -> str:
     h = hashlib.sha256()
     for doc_id in sorted(state.documents):
-        d = state.documents[doc_id]
+        d = state.documents[doc_id].document
         h.update(f"{doc_id}\x00{d.timestamp}\x00{len(d.body)}\x00".encode())
     return h.hexdigest()[:16]
 

@@ -42,6 +42,23 @@ def candidate_key(surface: str, entity_type: str) -> str:
     return f"{normalize_key(surface)}{KEY_SEP}{entity_type}"
 
 
+def contribution(mentions: list[Mention]) -> dict[str, dict]:
+    """One document's ledger entry: per candidate key, its mention count,
+    title-mention count and surface counts, keys in first-mention order."""
+    contrib: dict[str, dict] = {}
+    for m in mentions:
+        try:
+            key = candidate_key(m.surface, m.entity_type)
+        except ValueError:
+            continue  # surface normalizes to empty: reject the mention
+        c = contrib.setdefault(key, {"mentions": 0, "titles": 0, "surfaces": {}})
+        c["mentions"] += 1
+        if m.from_title:
+            c["titles"] += 1
+        c["surfaces"][m.surface] = c["surfaces"].get(m.surface, 0) + 1
+    return contrib
+
+
 @dataclass
 class TopicCandidate:
     key: str
@@ -141,19 +158,7 @@ class CandidateStore:
         """Idempotent per doc_id: a redelivered document is a no-op."""
         if doc.doc_id in self.ledger:
             return
-        contrib: dict[str, dict] = {}
-        for m in mentions:
-            try:
-                norm = normalize_key(m.surface)
-            except ValueError:
-                continue  # surface normalizes to empty: reject the mention
-            key = f"{norm}{KEY_SEP}{m.entity_type}"
-            c = contrib.setdefault(key, {"mentions": 0, "titles": 0, "surfaces": {}})
-            c["mentions"] += 1
-            if m.from_title:
-                c["titles"] += 1
-            c["surfaces"][m.surface] = c["surfaces"].get(m.surface, 0) + 1
-        self.ledger[doc.doc_id] = contrib
+        self.ledger[doc.doc_id] = contribution(mentions)
         self._candidates = None
 
     def remove_doc(self, doc_id: str) -> bool:

@@ -193,11 +193,8 @@ class TestRunFull:
         state, kb = full_run
         space = kb.space
         doc_stats = {
-            d: {
-                "length": state.doc_length[d],
-                "tf": {key: c["mentions"] for key, c in state.store.ledger[d].items()},
-            }
-            for d in state.documents
+            d: {"length": rec.length, "tf": {key: c["mentions"] for key, c in rec.ledger.items()}}
+            for d, rec in state.documents.items()
         }
         matrix = cardbuild.build_matrix(space.topic_keys, doc_stats)
         by_topic = matrix.matrix.transpose()
@@ -208,8 +205,8 @@ class TestRunFull:
             signals = {
                 d: {
                     "bm25": bm25_by_doc.get(d, 0.0),
-                    "title": state.store.ledger[d].get(card.key, {}).get("titles", 0) > 0,
-                    "timestamp": state.documents[d].timestamp,
+                    "title": state.documents[d].ledger.get(card.key, {}).get("titles", 0) > 0,
+                    "timestamp": state.documents[d].document.timestamp,
                 }
                 for d in matrix.doc_ids
             }
@@ -333,9 +330,29 @@ class TestUpdates:
         monkeypatch.undo()
         fresh = PipelineState()
         for doc_id in ("d1", "d3"):
-            fresh.process_document(state.documents[doc_id], models)
+            fresh.process_document(state.documents[doc_id].document, models)
         assert state.store.snapshot() == fresh.store.snapshot()
         assert PipelineState.load(state_dir).store.snapshot() == fresh.store.snapshot()
+
+    def test_failed_upsert_leaves_state_unchanged(self, models, tmp_path, monkeypatch):
+        state_dir = _saved_state(models, tmp_path / "state")
+        state = PipelineState.load(state_dir)
+        records, snapshot = dict(state.documents), state.store.snapshot()
+        before = _tree_bytes(state_dir)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("mining failed")
+
+        monkeypatch.setattr(pipeline.defmine, "mine_definitions", boom)
+        with pytest.raises(RuntimeError, match="mining failed"):
+            apply_update(
+                state, UpdateEvent(kind="upsert", document=make_doc("d1", "Atlas Engine")), models
+            )
+        monkeypatch.undo()
+        assert state.documents == records
+        assert state.store.snapshot() == snapshot
+        state.save(state_dir)
+        assert _tree_bytes(state_dir) == before
 
     def test_delete_unknown_doc_warns(self, models, caplog):
         state = PipelineState()
@@ -354,12 +371,14 @@ class TestUpdates:
             ),
             models,
         )
-        assert any(r.topic_key == "contoso falcon" for r in state.definitions["defdoc"])
+        assert any(
+            r.topic_key == "contoso falcon" for r in state.documents["defdoc"].definitions
+        )
         apply_update(state, UpdateEvent(kind="delete", doc_id="defdoc"), models)
         assert all(
             r.topic_key != "contoso falcon"
-            for recs in state.definitions.values()
-            for r in recs
+            for rec in state.documents.values()
+            for r in rec.definitions
         )
 
     def test_read_events(self, tmp_path):
@@ -396,7 +415,7 @@ class TestIncrementalEquivalence:
         for doc in docs:
             apply_update(streamed, UpdateEvent(kind="upsert", document=doc), models)
         assert streamed.store.snapshot() == batch_state.store.snapshot()
-        assert streamed.definitions == batch_state.definitions
+        assert streamed.documents == batch_state.documents
         r1 = rank_refresh(streamed, config, models)
         r2 = rank_refresh(batch_state, config, models)
         assert r1.entries == r2.entries
@@ -421,7 +440,6 @@ class TestIncrementalEquivalence:
         assert sorted(streamed.documents) == sorted(batch_state.documents) == ["d2"]
         assert streamed.documents == batch_state.documents
         assert streamed.store.snapshot() == batch_state.store.snapshot()
-        assert streamed.definitions == batch_state.definitions
 
 
 # sentences for the acronym property test: pairs repeated across documents
@@ -481,7 +499,7 @@ def _fresh_acronym_pairs(state):
     return cardbuild.extract_acronym_aliases(
         s.text
         for doc_id in sorted(state.documents)
-        for s in corpus.split_sentences(state.documents[doc_id])
+        for s in corpus.split_sentences(state.documents[doc_id].document)
     )
 
 
@@ -537,7 +555,11 @@ class TestSplitOnce:
             else:
                 state.remove_document(f"d{i}")
             assert state.acronym_pairs() == _fresh_acronym_pairs(state)
-        assert state.acronyms.keys() == state.documents.keys()
+        for rec in state.documents.values():
+            fresh = cardbuild.extract_acronym_aliases(
+                s.text for s in corpus.split_sentences(rec.document)
+            )
+            assert list(rec.acronyms) == fresh
 
     def test_deleting_only_defining_doc_drops_acronym(self, config, models):
         cfg = PipelineConfig(**{**config.__dict__, "min_topic_score": 0.0})
@@ -579,7 +601,8 @@ class TestStatePersistence:
         for doc_id in ("d1", "d2"):
             state.process_document(make_doc(doc_id, "Contoso Falcon"), models)
         state.save(tmp_path / "state")
-        ledger = PipelineState.load(tmp_path / "state").store.ledger
+        records = PipelineState.load(tmp_path / "state").documents
+        ledger = {doc_id: rec.ledger for doc_id, rec in records.items()}
         shared = ledger["d1"].keys() & ledger["d2"].keys()
         assert shared
         for key in shared:
@@ -611,9 +634,10 @@ class TestStatePersistence:
         loaded = PipelineState.load(tmp_path / "state")
         assert loaded.documents == state.documents
         assert loaded.store.snapshot() == state.store.snapshot()
-        assert loaded.definitions == state.definitions
-        assert loaded.doc_length == state.doc_length
-        assert loaded.acronyms == state.acronyms == {"d1": [], "d2": [("Atlas Engine", "AE")]}
+        assert {d: rec.acronyms for d, rec in loaded.documents.items()} == {
+            "d1": (),
+            "d2": (("Atlas Engine", "AE"),),
+        }
         assert [p.name for p in (tmp_path / "state").iterdir()] == ["documents.jsonl"]
         # ledger is functional after reload
         loaded.remove_document("d1")
@@ -736,11 +760,13 @@ class TestStatePersistence:
         with tempfile.TemporaryDirectory() as tmp:
             state.save(Path(tmp) / "state")
             loaded = PipelineState.load(Path(tmp) / "state")
+            loaded.save(Path(tmp) / "again")
+            saved, resaved = (
+                (Path(tmp) / name / pipeline.STATE_FILE).read_bytes() for name in ("state", "again")
+            )
         assert loaded.documents == state.documents
         assert loaded.store.snapshot() == state.store.snapshot()
-        assert loaded.definitions == state.definitions
-        assert loaded.doc_length == state.doc_length
-        assert loaded.acronyms == state.acronyms
+        assert resaved == saved
 
     def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
         state = PipelineState()
@@ -1005,14 +1031,18 @@ class TestCli:
         old = tmp_path / "old_state"
         old.mkdir()
         with open(old / "documents.jsonl", "w", encoding="utf-8") as fh:
-            for doc_id, d in saved.documents.items():
-                fh.write(json.dumps({k: getattr(d, k) for k in corpus.REQUIRED_KEYS}) + "\n")
+            for rec in saved.documents.values():
+                fields = {k: getattr(rec.document, k) for k in corpus.REQUIRED_KEYS}
+                fh.write(json.dumps(fields) + "\n")
         (old / "ledger.json").write_text(json.dumps({
-            "ledger": saved.store.ledger, "doc_length": saved.doc_length,
-            "acronyms": saved.acronyms,
+            "ledger": {d: rec.ledger for d, rec in saved.documents.items()},
+            "doc_length": {d: rec.length for d, rec in saved.documents.items()},
+            "acronyms": {d: rec.acronyms for d, rec in saved.documents.items()},
         }))
         (old / "definitions.jsonl").write_text("".join(
-            json.dumps(r.to_dict()) + "\n" for recs in saved.definitions.values() for r in recs
+            json.dumps(r.to_dict()) + "\n"
+            for rec in saved.documents.values()
+            for r in rec.definitions
         ))
         cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
         capsys.readouterr()

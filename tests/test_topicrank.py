@@ -345,6 +345,7 @@ class TestLedgerRebuild:
             else:
                 assert store.remove_doc(doc_id) == (surviving.pop(doc_id, None) is not None)
         assert CandidateStore.from_ledger(store.ledger).snapshot() == store.snapshot()
+        assert store.ledger == {d: topicrank.contribution(ms) for d, ms in surviving.items()}
         fresh = CandidateStore()
         for doc_id, ms in surviving.items():
             fresh.accumulate(ms, doc(doc_id))
