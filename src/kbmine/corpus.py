@@ -65,6 +65,18 @@ def parse_doc_id(value) -> str:
     return str(value)
 
 
+def parse_source(obj: dict) -> tuple[str, str, float]:
+    """(doc_id, author_id, timestamp) of a record that has those keys, by
+    the rules of every document record; ValueError says what is wrong."""
+    try:
+        ts = float(obj["timestamp"])
+    except (TypeError, ValueError):
+        raise ValueError("timestamp is not numeric") from None
+    if ts < 0:
+        raise ValueError("timestamp is negative")
+    return parse_doc_id(obj["doc_id"]), str(obj["author_id"]), ts
+
+
 def parse_document(obj) -> Document:
     """Validate one JSON-decoded document record; ValueError says what is wrong."""
     if not isinstance(obj, dict):
@@ -72,17 +84,12 @@ def parse_document(obj) -> Document:
     missing = [k for k in REQUIRED_KEYS if k not in obj]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
-    try:
-        ts = float(obj["timestamp"])
-    except (TypeError, ValueError):
-        raise ValueError("timestamp is not numeric") from None
-    if ts < 0:
-        raise ValueError("timestamp is negative")
+    doc_id, author_id, ts = parse_source(obj)
     return Document(
-        doc_id=parse_doc_id(obj["doc_id"]),
+        doc_id=doc_id,
         title=str(obj["title"]),
         body=str(obj["body"]),
-        author_id=str(obj["author_id"]),
+        author_id=author_id,
         timestamp=ts,
         deleted=bool(obj.get("deleted", False)),
     )
@@ -138,15 +145,22 @@ def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
     return list(docs.values()), errors
 
 
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Abbreviation list file: one entry per line, '#' comments allowed."""
-    entries = set()
+def read_word_list(path) -> set[str]:
+    """The one word-list format: one entry per line, stripped and
+    lowercased; blank lines and lines starting with '#' or ';' are skipped."""
+    words = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             word = line.strip()
-            if word and not word.startswith("#"):
-                entries.add(word.rstrip(".").lower())
-    return frozenset(entries)
+            if word and not word.startswith(("#", ";")):
+                words.add(word.lower())
+    return words
+
+
+def load_abbreviations(path: str | Path) -> frozenset[str]:
+    """Abbreviation list file: a word list (see read_word_list) whose
+    entries may end in '.'."""
+    return frozenset(word.rstrip(".") for word in read_word_list(path))
 
 
 def _is_abbreviation(body: str, dot_pos: int, abbreviations: frozenset[str]) -> bool:

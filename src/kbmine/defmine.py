@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 # split_sentences is unused here, but bench/tracing.py patches this binding
-from .corpus import Sentence, split_sentences  # noqa: F401
+from .corpus import Sentence, read_word_list, split_sentences  # noqa: F401
 from .nertag import check_weights, hash_features, read_npz
 from .topicrank import normalize_key
 
@@ -128,19 +128,11 @@ class OpinionLexicon:
 
     @classmethod
     def load(cls, negative_path=None, positive_path=None) -> "OpinionLexicon":
-        def read(path):
-            words = set()
-            for line in Path(path).read_text(encoding="utf-8").splitlines():
-                w = line.strip()
-                if w and not w.startswith(("#", ";")):
-                    words.add(w.lower())
-            return words
-
         if negative_path is None or positive_path is None:
             data = resources.files("kbmine") / "data"
             negative_path = negative_path or data / "negative_words.txt"
             positive_path = positive_path or data / "positive_words.txt"
-        return cls(read(negative_path), read(positive_path))
+        return cls(read_word_list(negative_path), read_word_list(positive_path))
 
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
@@ -326,16 +318,18 @@ def mine_definitions(
     patterns=DEFAULT_PATTERNS,
     lexicon: OpinionLexicon | None = None,
 ) -> list[DefinitionRecord]:
-    """One document's sentences -> classify (keep Sufficient) -> extract
-    topic -> opinion filter."""
+    """One document's sentences -> extract topic -> classify (keep
+    Sufficient) -> opinion filter. Both of the first two checks are pure and
+    must pass, so extracting first only spares the classifier every sentence
+    without a topic."""
     lexicon = lexicon or OpinionLexicon.load()
     records = []
     for sentence in sentences:
-        category, confidence = classifier.classify(sentence.text)
-        if category is not DefinitionCategory.SUFFICIENT:
-            continue
         extracted = extract_topic(sentence.text, patterns)
         if extracted is None:
+            continue
+        category, confidence = classifier.classify(sentence.text)
+        if category is not DefinitionCategory.SUFFICIENT:
             continue
         topic_surface, _, pattern = extracted
         keep, _ = opinion_filter(sentence.text, lexicon)

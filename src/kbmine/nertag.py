@@ -274,10 +274,11 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
     hash_dim and gamma as Python scalars; ValueError names the file and the
     first missing key or the scalar that is not one."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
+        # np.load leaks the file it opens when a zip is truncated; this one closes
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
             missing = [k for k in keys if k not in data.files]
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")

@@ -2,13 +2,16 @@
 deletions, ranking refresh, and knowledge-base export.
 
 Deletion is exact: every fact in the state belongs to one document, in that
-document's one frozen DocRecord (its text, token length, topic-counter
-contribution, acronym pairs and definitions). A saved state line is that
-record as written by DocRecord.to_line, and the topic candidates are derived
-from the records' contributions. An upsert runs extract to completion and
-then swaps the new record in, so a failed extraction leaves the state as it
-was. Removing a document drops its record and restores the state a batch run
-on the reduced corpus would produce, and no deleted text survives in exports.
+document's one frozen DocRecord. The record keeps only what a rebuild reads,
+each fact once: the doc_id, author and timestamp, the token length, the
+topic-counter contribution (title-mention and surface counts per topic key),
+the acronym pairs and the definitions. The document's title and body are
+read by extract alone and are not kept. A saved state line is that record as
+written by DocRecord.to_line, and the topic candidates are derived from the
+records' contributions. An upsert runs extract to completion and then swaps
+the new record in, so a failed extraction leaves the state as it was.
+Removing a document drops its record and restores the state a batch run on
+the reduced corpus would produce, and no deleted text survives in exports.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import shutil
 import sys
 import time
@@ -76,6 +80,11 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be {kind}, not {value!r}")
         if not all(isinstance(t, str) for t in self.entity_types):
             raise ConfigError(f"entity_types must be a list of strings, not {self.entity_types!r}")
+        for name, least in _CONFIG_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
+        if not math.isfinite(self.min_topic_score):
+            raise ConfigError(f"min_topic_score must be finite, not {self.min_topic_score!r}")
         if self.shortlist_n < self.final_top_k:
             raise ConfigError("shortlist_n must be >= final_top_k")
 
@@ -105,6 +114,11 @@ class PipelineConfig:
 
 # field name -> the type its declaration gives
 _CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
+# count field -> the least value it may take
+_CONFIG_MINIMA = {
+    "shortlist_n": 1, "final_top_k": 1, "card_k": 1, "svd_rank": 1, "memory_budget": 1,
+    "svd_oversampling": 0,
+}
 
 
 def _has_type(value, hint: type) -> bool:
@@ -189,7 +203,6 @@ class UpdateEvent:
 
 
 STATE_FILE = "documents.jsonl"
-STATE_KEYS = (*corpus.REQUIRED_KEYS, "length", "ledger", "acronyms", "definitions")
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,18 +210,17 @@ class DocRecord:
     """Everything the state knows about one live document, and the state
     line that saves it."""
 
-    document: corpus.Document
+    doc_id: str
+    author_id: str
+    timestamp: float
     length: int  # token count, at least 1
-    ledger: dict[str, dict]  # topic key -> {"mentions", "titles", "surfaces"}
+    ledger: dict[str, dict]  # topic key -> {"titles": n, "surfaces": {surface: n}}
     acronyms: tuple[tuple[str, str], ...]  # (long form, acronym)
     definitions: tuple[defmine.DefinitionRecord, ...]
 
     def to_line(self) -> str:
         """The state line: one JSON object with the STATE_KEYS fields."""
-        line = {k: getattr(self.document, k) for k in corpus.REQUIRED_KEYS}
-        line["length"] = self.length
-        line["ledger"] = self.ledger
-        line["acronyms"] = self.acronyms
+        line = {k: getattr(self, k) for k in STATE_KEYS}
         line["definitions"] = [r.to_dict() for r in self.definitions]
         return json.dumps(line)
 
@@ -221,9 +233,9 @@ class DocRecord:
         wrong = sorted(obj.keys() ^ set(STATE_KEYS))
         if wrong:
             raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
-        doc = corpus.parse_document(obj)
-        if doc.doc_id in seen:
-            raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
+        doc_id, author_id, timestamp = corpus.parse_source(obj)
+        if doc_id in seen:
+            raise ValueError(f"doc_id {doc_id!r} is on an earlier line too")
         if not _is_count(obj["length"], 1):
             raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
         ledger = _parse_ledger(obj["ledger"])
@@ -233,10 +245,14 @@ class DocRecord:
         if not isinstance(obj["definitions"], list):
             raise ValueError("definitions is not a list")
         records = tuple(defmine.DefinitionRecord.from_dict(d) for d in obj["definitions"])
-        stray = [r.doc_id for r in records if r.doc_id != doc.doc_id]
+        stray = [r.doc_id for r in records if r.doc_id != doc_id]
         if stray:
-            raise ValueError(f"definition of doc_id {stray[0]!r} on the line of {doc.doc_id!r}")
-        return cls(doc, obj["length"], ledger, pairs, records)
+            raise ValueError(f"definition of doc_id {stray[0]!r} on the line of {doc_id!r}")
+        return cls(doc_id, author_id, timestamp, obj["length"], ledger, pairs, records)
+
+
+# the state line's keys, in the order to_line writes them
+STATE_KEYS = tuple(DocRecord.__dataclass_fields__)
 
 
 def extract(doc: corpus.Document, models: Models) -> DocRecord:
@@ -264,7 +280,9 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
             scores=scores, from_title=sent.from_title,
         )
     return DocRecord(
-        document=doc,
+        doc_id=doc.doc_id,
+        author_id=doc.author_id,
+        timestamp=doc.timestamp,
         length=max(1, token_count),
         ledger=topicrank.contribution(mentions),
         acronyms=tuple(cardbuild.extract_acronym_aliases(s.text for s in sentences)),
@@ -323,7 +341,7 @@ class PipelineState:
         parse = functools.partial(DocRecord.from_line, seen=state.documents)
         path = Path(state_dir) / STATE_FILE
         for rec in corpus.read_records(path, parse, f"corrupt state: {STATE_FILE}"):
-            state.documents[rec.document.doc_id] = rec
+            state.documents[rec.doc_id] = rec
         return state
 
 
@@ -345,17 +363,17 @@ def _parse_ledger(contrib) -> dict[str, dict]:
         surfaces = c.get("surfaces") if isinstance(c, dict) else None
         if not (
             isinstance(surfaces, dict)
-            and len(c) == 3
-            and _is_count(c.get("mentions"), 1)
+            and surfaces
+            and len(c) == 2
             and _is_count(c.get("titles"), 0)
             and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
+            and c["titles"] <= topicrank.mention_count(c)
         ):
             raise ValueError(
-                f"ledger entry for {key!r} needs int mentions >= 1, "
-                "int titles >= 0 and surfaces mapping str to int >= 1, and no other key"
+                f"ledger entry for {key!r} needs a non-empty surfaces mapping str to "
+                "int >= 1, int titles from 0 to the sum of those counts, and no other key"
             )
         ledger[sys.intern(key)] = {
-            "mentions": c["mentions"],
             "titles": c["titles"],
             "surfaces": {sys.intern(s): n for s, n in surfaces.items()},
         }
@@ -404,7 +422,10 @@ class KnowledgeBase:
 
 def _doc_tf_stats(state: PipelineState) -> dict[str, dict]:
     return {
-        doc_id: {"length": rec.length, "tf": {key: c["mentions"] for key, c in rec.ledger.items()}}
+        doc_id: {
+            "length": rec.length,
+            "tf": {key: topicrank.mention_count(c) for key, c in rec.ledger.items()},
+        }
         for doc_id, rec in state.documents.items()
     }
 
@@ -442,7 +463,7 @@ def build_knowledge_base(
 
     authorship: dict[str, list[str]] = {}
     for doc_id in matrix.doc_ids:
-        authorship.setdefault(state.documents[doc_id].document.author_id, []).append(doc_id)
+        authorship.setdefault(state.documents[doc_id].author_id, []).append(doc_id)
     user_ids, user_vecs = cardbuild.build_user_vectors(
         authorship, matrix.doc_ids, doc_vecs
     )
@@ -512,7 +533,7 @@ def _doc_signals(
         doc_id: {
             "bm25": bm25_by_doc.get(doc_id, 0.0),
             "title": state.documents[doc_id].ledger.get(key, {}).get("titles", 0) > 0,
-            "timestamp": state.documents[doc_id].document.timestamp,
+            "timestamp": state.documents[doc_id].timestamp,
         }
         for doc_id in doc_ids
     }
@@ -520,9 +541,8 @@ def _doc_signals(
 
 def _corpus_snapshot_id(state: PipelineState) -> str:
     h = hashlib.sha256()
-    for doc_id in sorted(state.documents):
-        d = state.documents[doc_id].document
-        h.update(f"{doc_id}\x00{d.timestamp}\x00{len(d.body)}\x00".encode())
+    for doc_id, rec in sorted(state.documents.items()):
+        h.update(f"{doc_id}\x00{rec.timestamp}\x00{rec.length}\x00".encode())
     return h.hexdigest()[:16]
 
 
@@ -597,9 +617,9 @@ def _write_dir_atomically(out_dir: Path, write) -> None:
         staging.rename(out_dir)
 
 
-def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> list[Path]:
+def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
     """Write manifest, one JSON file per card, and the embedding files,
-    atomically (see _write_dir_atomically)."""
+    atomically (see _write_dir_atomically); the directory is the result."""
 
     def write(staging: Path) -> None:
         cards_dir = staging / "cards"
@@ -625,6 +645,4 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> list[Path]:
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
 
-    out_dir = Path(out_dir)
-    _write_dir_atomically(out_dir, write)
-    return sorted(out_dir.rglob("*"))
+    _write_dir_atomically(Path(out_dir), write)

@@ -43,20 +43,26 @@ def candidate_key(surface: str, entity_type: str) -> str:
 
 
 def contribution(mentions: list[Mention]) -> dict[str, dict]:
-    """One document's ledger entry: per candidate key, its mention count,
-    title-mention count and surface counts, keys in first-mention order."""
+    """One document's ledger entry: per candidate key, its title-mention
+    count and surface counts, keys in first-mention order. The key's mention
+    count is the sum of its surface counts (see mention_count)."""
     contrib: dict[str, dict] = {}
     for m in mentions:
         try:
             key = candidate_key(m.surface, m.entity_type)
         except ValueError:
             continue  # surface normalizes to empty: reject the mention
-        c = contrib.setdefault(key, {"mentions": 0, "titles": 0, "surfaces": {}})
-        c["mentions"] += 1
+        c = contrib.setdefault(key, {"titles": 0, "surfaces": {}})
         if m.from_title:
             c["titles"] += 1
         c["surfaces"][m.surface] = c["surfaces"].get(m.surface, 0) + 1
     return contrib
+
+
+def mention_count(entry: dict) -> int:
+    """How often one document mentions a key: the sum of the surface counts
+    of its ledger entry for that key."""
+    return sum(entry["surfaces"].values())
 
 
 @dataclass
@@ -134,7 +140,7 @@ class CandidateStore:
     """
 
     def __init__(self):
-        # doc_id -> key -> {"mentions": n, "titles": n, "surfaces": {surface: n}}
+        # doc_id -> key -> {"titles": n, "surfaces": {surface: n}}
         self.ledger: dict[str, dict[str, dict]] = {}
         self._candidates: dict[str, TopicCandidate] | None = None
 
@@ -177,7 +183,7 @@ class CandidateStore:
                 norm, _, entity_type = key.rpartition(KEY_SEP)
                 cand = TopicCandidate(key=key, norm_surface=norm, entity_type=entity_type)
                 self._candidates[key] = cand
-            cand.ner_frequency += c["mentions"]
+            cand.ner_frequency += mention_count(c)
             cand.title_frequency += c["titles"]
             cand.document_frequency += 1
             cand.doc_ids.add(doc_id)

@@ -136,6 +136,14 @@ class TestSplitSentences:
         assert corpus.split_sentences(doc) == corpus.split_sentences(doc)
 
 
+class TestWordList:
+    def test_one_reader_for_every_word_list(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("# comment\n; comment too\n\n  Dr.  \nE.G\nvs\n")
+        assert corpus.read_word_list(path) == {"dr.", "e.g", "vs"}
+        assert corpus.load_abbreviations(path) == frozenset({"dr", "e.g", "vs"})
+
+
 class TestTokenize:
     def make_sentence(self, text):
         return Sentence("d1", 0, 0, len(text), text)

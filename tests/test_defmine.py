@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import binary_rows, make_definition_rows
 from kbmine import defmine
-from kbmine.corpus import Document, split_sentences
+from kbmine.corpus import Document, read_word_list, split_sentences
 from kbmine.defmine import (
     DEFAULT_PATTERNS,
     ClassifierConfig,
@@ -213,6 +213,15 @@ class TestOpinionFilter:
         assert opinion_filter("a dire outcome", lex)[0] is False
         assert opinion_filter("the biggest win", lex)[0] is True
 
+    def test_lexicon_files_are_word_lists(self, tmp_path):
+        neg = tmp_path / "neg.txt"
+        pos = tmp_path / "pos.txt"
+        neg.write_text("; opinion words\n# negative\n\n  Dire \n")
+        pos.write_text("Shiny\n")
+        lex = OpinionLexicon.load(neg, pos)
+        assert (lex.negative, lex.positive) == ({"dire"}, {"shiny"})
+        assert lex.negative == read_word_list(neg)
+
 
 class TestLinearClassifier:
     def test_holdout_accuracy(self):
@@ -267,7 +276,8 @@ class TestMineDefinitions:
             defmine, "_find_connective", lambda *args: calls.append(args) or search(*args)
         )
         records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
-        # one search per sentence to classify it, one per kept sentence to extract
+        # one search per sentence to extract a topic, one per sentence with a
+        # topic to classify it
         assert len(calls) == 5
         assert [r.to_dict() for r in records] == [
             {
@@ -291,6 +301,22 @@ class TestMineDefinitions:
                 "confidence": 1.0,
             },
         ]
+
+    def test_classifier_sees_only_sentences_with_a_topic(self, lexicon):
+        sentences = split_sentences(
+            self.make_doc("Contoso Falcon is a cloud platform. We met on Monday. It is a tool.")
+        )
+        seen = []
+
+        class Spy(RuleClassifier):
+            def classify(self, text):
+                seen.append(text)
+                return super().classify(text)
+
+        records = mine_definitions(sentences, Spy(), lexicon=lexicon)
+        assert seen == ["Contoso Falcon is a cloud platform."]
+        assert records == mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
+        assert [r.topic_key for r in records] == ["contoso falcon"]
 
     def test_opinion_hard_negative_dropped(self, lexicon):
         doc = self.make_doc(CATERPILLAR)

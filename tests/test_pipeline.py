@@ -63,18 +63,23 @@ def make_doc(doc_id, topic, body_extra="", author="u_ada", ts=0.0):
     return Document(doc_id, f"{topic} notes", body, author, ts)
 
 
-def _saved_state(models, state_dir):
-    """Save a two-document state whose d1 holds one definition; returns state_dir."""
-    state = PipelineState()
-    state.process_document(
+def _saved_docs():
+    """The two documents of _saved_state; d1 holds one definition."""
+    return [
         make_doc(
             "d1",
             "Contoso Falcon",
             body_extra="Contoso Falcon is defined as the telemetry ingestion service.",
         ),
-        models,
-    )
-    state.process_document(make_doc("d2", "Atlas Engine"), models)
+        make_doc("d2", "Atlas Engine"),
+    ]
+
+
+def _saved_state(models, state_dir):
+    """Save a state of the _saved_docs; returns state_dir."""
+    state = PipelineState()
+    for doc in _saved_docs():
+        state.process_document(doc, models)
     state.save(state_dir)
     return state_dir
 
@@ -145,6 +150,36 @@ class TestConfig:
         with pytest.raises(pipeline.ConfigError):
             PipelineConfig(**data)
 
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("shortlist_n", 0, ">= 1"),
+            ("final_top_k", -3, ">= 1"),
+            ("card_k", -1, ">= 1"),
+            ("card_k", 0, ">= 1"),
+            ("svd_rank", 0, ">= 1"),
+            ("memory_budget", 0, ">= 1"),
+            ("svd_oversampling", -2, ">= 0"),
+            ("min_topic_score", float("nan"), "finite"),
+            ("min_topic_score", float("-inf"), "finite"),
+        ],
+        ids=[
+            "shortlist_n_zero", "final_top_k_negative", "card_k_negative", "card_k_zero",
+            "svd_rank_zero", "memory_budget_zero", "svd_oversampling_negative",
+            "min_topic_score_nan", "min_topic_score_minus_inf",
+        ],
+    )
+    def test_out_of_range_count_is_rejected(self, name, value, rule):
+        with pytest.raises(pipeline.ConfigError, match=f"^{name} must be {rule}, not "):
+            PipelineConfig(**{name: value})
+
+    def test_range_edges_are_accepted(self):
+        cfg = PipelineConfig(
+            shortlist_n=1, final_top_k=1, card_k=1, svd_rank=1, memory_budget=1,
+            svd_oversampling=0, min_topic_score=-1.5,
+        )
+        assert (cfg.card_k, cfg.svd_oversampling) == (1, 0)
+
     def test_hash_stable_and_sensitive(self, config):
         assert config.config_hash() == config.config_hash()
         other = PipelineConfig(**{**config.__dict__, "seed": 99})
@@ -192,8 +227,12 @@ class TestRunFull:
         # them for each card, and a full sort in place of the partial top-k
         state, kb = full_run
         space = kb.space
+        ingested = {doc.doc_id: doc for doc in corpus.ingest_jsonl(config.corpus_path)[0]}
         doc_stats = {
-            d: {"length": rec.length, "tf": {key: c["mentions"] for key, c in rec.ledger.items()}}
+            d: {
+                "length": rec.length,
+                "tf": {key: sum(c["surfaces"].values()) for key, c in rec.ledger.items()},
+            }
             for d, rec in state.documents.items()
         }
         matrix = cardbuild.build_matrix(space.topic_keys, doc_stats)
@@ -206,7 +245,7 @@ class TestRunFull:
                 d: {
                     "bm25": bm25_by_doc.get(d, 0.0),
                     "title": state.documents[d].ledger.get(card.key, {}).get("titles", 0) > 0,
-                    "timestamp": state.documents[d].document.timestamp,
+                    "timestamp": ingested[d].timestamp,
                 }
                 for d in matrix.doc_ids
             }
@@ -319,9 +358,9 @@ class TestUpdates:
             raise AssertionError("candidates aggregated during an update")
 
         monkeypatch.setattr(pipeline.topicrank.CandidateStore, "_apply", boom)
+        upserted = [make_doc("d3", "Quantum Mesh"), make_doc("d1", "Atlas Engine")]
         for event in [
-            UpdateEvent(kind="upsert", document=make_doc("d3", "Quantum Mesh")),
-            UpdateEvent(kind="upsert", document=make_doc("d1", "Atlas Engine")),
+            *(UpdateEvent(kind="upsert", document=doc) for doc in upserted),
             UpdateEvent(kind="delete", doc_id="d2"),
             UpdateEvent(kind="delete", doc_id="ghost"),
         ]:
@@ -329,8 +368,8 @@ class TestUpdates:
         state.save(state_dir)
         monkeypatch.undo()
         fresh = PipelineState()
-        for doc_id in ("d1", "d3"):
-            fresh.process_document(state.documents[doc_id].document, models)
+        for doc in sorted(upserted, key=lambda d: d.doc_id):
+            fresh.process_document(doc, models)
         assert state.store.snapshot() == fresh.store.snapshot()
         assert PipelineState.load(state_dir).store.snapshot() == fresh.store.snapshot()
 
@@ -494,24 +533,25 @@ _state_ops = st.lists(
 )
 
 
-def _fresh_acronym_pairs(state):
-    """The acronym pairs of one pass over a fresh split of the live corpus."""
+def _fresh_acronym_pairs(live):
+    """The acronym pairs of one pass over a fresh split of the live
+    documents, given as {doc_id: Document}."""
     return cardbuild.extract_acronym_aliases(
-        s.text
-        for doc_id in sorted(state.documents)
-        for s in corpus.split_sentences(state.documents[doc_id].document)
+        s.text for doc_id in sorted(live) for s in corpus.split_sentences(live[doc_id])
     )
 
 
 class TestSplitOnce:
+    ACRONYM_DOCS = (
+        make_doc("d0", "Contoso Falcon"),
+        make_doc("d1", "Atlas Engine"),
+        make_doc("d2", "Quantum Mesh"),
+        make_doc("d3", "Contoso Falcon", body_extra="Contoso Falcon (CF) handles telemetry."),
+    )
+
     def acronym_state(self, models):
         state = PipelineState()
-        for doc in [
-            make_doc("d0", "Contoso Falcon"),
-            make_doc("d1", "Atlas Engine"),
-            make_doc("d2", "Quantum Mesh"),
-            make_doc("d3", "Contoso Falcon", body_extra="Contoso Falcon (CF) handles telemetry."),
-        ]:
+        for doc in self.ACRONYM_DOCS:
             state.process_document(doc, models)
         return state
 
@@ -541,23 +581,26 @@ class TestSplitOnce:
         assert kb.cards
         assert calls == ["d0", "d1", "d2", "d3"]
         monkeypatch.undo()
-        assert used == [_fresh_acronym_pairs(state)] == [[("Contoso Falcon", "CF")]]
+        live = {doc.doc_id: doc for doc in self.ACRONYM_DOCS}
+        assert sorted(state.documents) == sorted(live)
+        assert used == [_fresh_acronym_pairs(live)] == [[("Contoso Falcon", "CF")]]
 
     @settings(max_examples=100, deadline=None)
     @given(_acronym_ops)
     def test_stored_pairs_match_fresh_split(self, models, ops):
-        state = PipelineState()
+        state, live = PipelineState(), {}
         for kind, i, title, sentences in ops:
             if kind == "upsert":
-                state.process_document(
-                    Document(f"d{i}", title, " ".join(sentences), "u1", 0.0), models
-                )
+                live[f"d{i}"] = Document(f"d{i}", title, " ".join(sentences), "u1", 0.0)
+                state.process_document(live[f"d{i}"], models)
             else:
+                live.pop(f"d{i}", None)
                 state.remove_document(f"d{i}")
-            assert state.acronym_pairs() == _fresh_acronym_pairs(state)
-        for rec in state.documents.values():
+            assert sorted(state.documents) == sorted(live)
+            assert state.acronym_pairs() == _fresh_acronym_pairs(live)
+        for doc_id, rec in state.documents.items():
             fresh = cardbuild.extract_acronym_aliases(
-                s.text for s in corpus.split_sentences(rec.document)
+                s.text for s in corpus.split_sentences(live[doc_id])
             )
             assert list(rec.acronyms) == fresh
 
@@ -680,10 +723,11 @@ class TestStatePersistence:
         "edit",
         [
             lambda lines: lines["d1"].update(ledger=5),
-            lambda lines: _first_contribution(lines).update(mentions="2"),
+            lambda lines: _first_contribution(lines).update(surfaces={}),
             lambda lines: _first_contribution(lines).update(titles=1.0),
             lambda lines: _first_contribution(lines).update(titles=True),
-            lambda lines: _first_contribution(lines).pop("mentions"),
+            lambda lines: _first_contribution(lines).update(mentions=2),
+            lambda lines: _first_contribution(lines).update(titles=9),
             lambda lines: _first_contribution(lines).update(surfaces=["Atlas Engine"]),
             lambda lines: _first_contribution(lines).update(surfaces={"Atlas Engine": "1"}),
             lambda lines: _first_contribution(lines).update(extra=1),
@@ -695,10 +739,11 @@ class TestStatePersistence:
         ],
         ids=[
             "entry_not_object",
-            "mentions_str",
+            "surfaces_empty",
             "titles_float",
             "titles_bool",
-            "mentions_missing",
+            "entry_mentions_key",
+            "titles_above_mentions",
             "surfaces_list",
             "surface_count_str",
             "entry_extra_key",
@@ -768,6 +813,37 @@ class TestStatePersistence:
         assert loaded.store.snapshot() == state.store.snapshot()
         assert resaved == saved
 
+    @settings(max_examples=40, deadline=None)
+    @given(_state_ops)
+    def test_saved_state_holds_no_document_text(self, models, ops):
+        state, texts = PipelineState(), []
+        for n, (kind, i, title, sentences, ts) in enumerate(ops):
+            if kind == "upsert":
+                # a closing sentence of its own makes each body a string that
+                # no single stored definition sentence equals
+                body = " ".join([*sentences, f"Event {n} closes the note."])
+                texts += [t for t in (title, body) if t]
+                doc = Document(f"d{i}", title, body, f"u{i % 2}", ts)
+                apply_update(state, UpdateEvent(kind="upsert", document=doc), models)
+            else:
+                apply_update(state, UpdateEvent(kind="delete", doc_id=f"d{i}"), models)
+        with tempfile.TemporaryDirectory() as tmp:
+            state.save(Path(tmp) / "state")
+            saved = (Path(tmp) / "state" / pipeline.STATE_FILE).read_text(encoding="utf-8")
+            loaded = PipelineState.load(Path(tmp) / "state")
+        for text in texts:
+            assert text not in saved and json.dumps(text)[1:-1] not in saved
+        for line in map(json.loads, saved.splitlines()):
+            assert tuple(line) == pipeline.STATE_KEYS == (
+                "doc_id", "author_id", "timestamp", "length", "ledger", "acronyms", "definitions"
+            )
+            assert all(list(c) == ["titles", "surfaces"] for c in line["ledger"].values())
+        for rec in state.documents.values():
+            assert not any(isinstance(getattr(rec, k), Document) for k in pipeline.STATE_KEYS)
+        for current in (state, loaded):
+            for cand in current.store.candidates.values():
+                assert cand.ner_frequency == sum(cand.surface_counts.values())
+
     def test_failed_save_leaves_old_state(self, models, tmp_path, monkeypatch):
         state = PipelineState()
         # d1 has a definition, so the patched to_dict below is reached
@@ -799,7 +875,7 @@ class TestExport:
     def test_layout(self, full_run, tmp_path):
         _, kb = full_run
         out = tmp_path / "kb"
-        export_kb(kb, out)
+        assert export_kb(kb, out) is None
         assert (out / "manifest.json").exists()
         for name in ("topics.emb", "docs.emb", "users.emb"):
             assert (out / name).exists()
@@ -1024,18 +1100,19 @@ class TestCli:
         assert reason in err
         assert not (tmp_path / "kb").exists()
 
-    def test_parent_format_state_exits_2(self, config, models, tmp_path, capsys):
-        """A directory in the earlier three-file layout (documents.jsonl with
-        the corpus fields only, ledger.json, definitions.jsonl) fails to load."""
-        saved = PipelineState.load(_saved_state(models, tmp_path / "saved"))
-        old = tmp_path / "old_state"
-        old.mkdir()
+    @staticmethod
+    def _three_file_state(saved, docs, old):
+        """The three-file layout: documents.jsonl with the corpus fields
+        only, ledger.json and definitions.jsonl."""
         with open(old / "documents.jsonl", "w", encoding="utf-8") as fh:
-            for rec in saved.documents.values():
-                fields = {k: getattr(rec.document, k) for k in corpus.REQUIRED_KEYS}
+            for doc_id in saved.documents:
+                fields = {k: getattr(docs[doc_id], k) for k in corpus.REQUIRED_KEYS}
                 fh.write(json.dumps(fields) + "\n")
         (old / "ledger.json").write_text(json.dumps({
-            "ledger": {d: rec.ledger for d, rec in saved.documents.items()},
+            "ledger": {
+                d: {k: {"mentions": sum(c["surfaces"].values()), **c} for k, c in rec.ledger.items()}
+                for d, rec in saved.documents.items()
+            },
             "doc_length": {d: rec.length for d, rec in saved.documents.items()},
             "acronyms": {d: rec.acronyms for d, rec in saved.documents.items()},
         }))
@@ -1044,13 +1121,47 @@ class TestCli:
             for rec in saved.documents.values()
             for r in rec.definitions
         ))
+
+    @staticmethod
+    def _text_line_state(saved, docs, old):
+        """One line per document that also holds its title and body, with
+        ledger entries that also hold a mention count."""
+        with open(old / "documents.jsonl", "w", encoding="utf-8") as fh:
+            for doc_id, rec in saved.documents.items():
+                line = {k: getattr(docs[doc_id], k) for k in corpus.REQUIRED_KEYS}
+                line["length"] = rec.length
+                line["ledger"] = {
+                    k: {"mentions": sum(c["surfaces"].values()), **c}
+                    for k, c in rec.ledger.items()
+                }
+                line["acronyms"] = rec.acronyms
+                line["definitions"] = [r.to_dict() for r in rec.definitions]
+                fh.write(json.dumps(line) + "\n")
+
+    @pytest.mark.parametrize(
+        "layout, wrong_keys",
+        [
+            ("_three_file_state", "acronyms, body, definitions, ledger, length, title"),
+            ("_text_line_state", "body, title"),
+        ],
+        ids=["three_files", "line_with_text"],
+    )
+    def test_parent_format_state_exits_2(
+        self, config, models, tmp_path, capsys, layout, wrong_keys
+    ):
+        """A directory in an earlier layout fails to load on its first line."""
+        saved = PipelineState.load(_saved_state(models, tmp_path / "saved"))
+        docs = {doc.doc_id: doc for doc in _saved_docs()}
+        assert sorted(saved.documents) == sorted(docs)
+        old = tmp_path / "old_state"
+        old.mkdir()
+        getattr(self, layout)(saved, docs, old)
         cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "kb"))
         capsys.readouterr()
         rc = cli.main(["export", "--config", str(cfg_path), "--state", str(old)])
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: corrupt state: documents.jsonl line 1: "
-            "missing or unknown keys: acronyms, definitions, ledger, length\n"
+            f"error: corrupt state: documents.jsonl line 1: missing or unknown keys: {wrong_keys}\n"
         )
         assert not (tmp_path / "kb").exists()
 
@@ -1167,6 +1278,16 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: unknown config keys: [{key!r}]\n"
         assert not (tmp_path / "kb").exists()
+
+    def test_negative_top_n_exits_2(self, config, models, tmp_path, capsys):
+        state_dir = _saved_state(models, tmp_path / "state")
+        cfg_path = self.write_config(tmp_path, config)
+        capsys.readouterr()
+        rc = cli.main(
+            ["refresh", "--config", str(cfg_path), "--state", str(state_dir), "--top-n", "-3"]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: final_top_k must be >= 1, not -3\n")
 
     def test_flags_without_config_file_are_checked(self, config, capsys):
         rc = cli.main(["mine", "--corpus", config.corpus_path, "--top-n", "5000"])
