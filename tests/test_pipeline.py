@@ -105,6 +105,12 @@ def _edit_state(state_dir, edit):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines.values()))
 
 
+def _ledger_with_mentions(rec) -> dict:
+    """A record's ledger entry as earlier formats saved it, with each key's
+    mention count stored beside its title and surface counts."""
+    return {k: {"mentions": sum(c["surfaces"].values()), **c} for k, c in rec.ledger.items()}
+
+
 def _first_contribution(lines: dict) -> dict:
     """The first topic contribution in d1's ledger entry."""
     return next(iter(lines["d1"]["ledger"].values()))
@@ -1109,10 +1115,7 @@ class TestCli:
                 fields = {k: getattr(docs[doc_id], k) for k in corpus.REQUIRED_KEYS}
                 fh.write(json.dumps(fields) + "\n")
         (old / "ledger.json").write_text(json.dumps({
-            "ledger": {
-                d: {k: {"mentions": sum(c["surfaces"].values()), **c} for k, c in rec.ledger.items()}
-                for d, rec in saved.documents.items()
-            },
+            "ledger": {d: _ledger_with_mentions(rec) for d, rec in saved.documents.items()},
             "doc_length": {d: rec.length for d, rec in saved.documents.items()},
             "acronyms": {d: rec.acronyms for d, rec in saved.documents.items()},
         }))
@@ -1130,10 +1133,7 @@ class TestCli:
             for doc_id, rec in saved.documents.items():
                 line = {k: getattr(docs[doc_id], k) for k in corpus.REQUIRED_KEYS}
                 line["length"] = rec.length
-                line["ledger"] = {
-                    k: {"mentions": sum(c["surfaces"].values()), **c}
-                    for k, c in rec.ledger.items()
-                }
+                line["ledger"] = _ledger_with_mentions(rec)
                 line["acronyms"] = rec.acronyms
                 line["definitions"] = [r.to_dict() for r in rec.definitions]
                 fh.write(json.dumps(line) + "\n")
