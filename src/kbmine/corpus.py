@@ -7,6 +7,7 @@ in parallel without coordination.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -55,10 +56,38 @@ class IngestError:
     reason: str
 
 
+def has_type(value, kind: type) -> bool:
+    """The scalar rule of every input: isinstance, where an int also counts
+    as a float, a bool counts as neither, and a float must be finite. An
+    int is never passed to math.isfinite, which overflows on a huge one."""
+    if isinstance(value, bool):
+        return kind is bool
+    if isinstance(value, kind):
+        return kind is not float or math.isfinite(value)
+    return kind is float and isinstance(value, int)
+
+
+def check_record(obj, keys, exact: bool = False) -> dict:
+    """The record rule of every input: obj is a JSON object holding every
+    key of keys and, if exact, no other; returns obj, or raises ValueError
+    saying what is wrong."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    if exact:
+        wrong = sorted(obj.keys() ^ keys)
+        if wrong:
+            raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+    else:
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            raise ValueError(f"missing keys: {', '.join(missing)}")
+    return obj
+
+
 def parse_doc_id(value) -> str:
     """The doc-id rule of every input record: a non-empty string, or an
     integer read as its decimal string, so 77 and "77" name one document."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+    if not (has_type(value, str) or has_type(value, int)):
         raise ValueError(f"doc_id is {value!r}, not a string or an integer")
     if value == "":
         raise ValueError("doc_id is empty")
@@ -70,8 +99,10 @@ def parse_source(obj: dict) -> tuple[str, str, float]:
     the rules of every document record; ValueError says what is wrong."""
     try:
         ts = float(obj["timestamp"])
-    except (TypeError, ValueError):
-        raise ValueError("timestamp is not numeric") from None
+    except (TypeError, ValueError, OverflowError):  # overflow: an int past float range
+        ts = None
+    if not has_type(ts, float):
+        raise ValueError("timestamp is not a finite number")
     if ts < 0:
         raise ValueError("timestamp is negative")
     return parse_doc_id(obj["doc_id"]), str(obj["author_id"]), ts
@@ -79,11 +110,7 @@ def parse_source(obj: dict) -> tuple[str, str, float]:
 
 def parse_document(obj) -> Document:
     """Validate one JSON-decoded document record; ValueError says what is wrong."""
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    missing = [k for k in REQUIRED_KEYS if k not in obj]
-    if missing:
-        raise ValueError(f"missing keys: {', '.join(missing)}")
+    check_record(obj, REQUIRED_KEYS)
     doc_id, author_id, ts = parse_source(obj)
     return Document(
         doc_id=doc_id,
@@ -95,53 +122,46 @@ def parse_document(obj) -> Document:
     )
 
 
-def _parse_lines(path: str | Path, parse) -> Iterator[tuple[int, object, str | None]]:
-    """The one JSONL line loop: (line number, parse(record), None) for each
+def _parse_lines(path: str | Path, parse, decode) -> Iterator[tuple[int, object, str | None]]:
+    """The one line loop: (line number, parse(decode(line)), None) for each
     non-blank line, in file order, or (line number, None, reason) for a line
-    that is not JSON or whose record parse rejects with ValueError."""
+    that decode or parse rejects with ValueError (json.JSONDecodeError is
+    one)."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield lineno, parse(json.loads(line)), None
+                yield lineno, parse(decode(line)), None
             except json.JSONDecodeError as exc:
                 yield lineno, None, f"invalid JSON: {exc.msg}"
             except ValueError as exc:
                 yield lineno, None, str(exc)
 
 
-def read_records(path: str | Path, parse, what: str) -> Iterator:
-    """parse(record) for each non-blank line of a JSONL file, in file order.
-    A line that is not JSON, or whose record parse rejects with ValueError,
-    raises ValueError '<what> line N: <reason>'; records before it have
-    already been yielded."""
-    for lineno, item, reason in _parse_lines(path, parse):
+def read_records(path: str | Path, parse, what: str, decode=json.loads) -> Iterator:
+    """parse(decode(line)) for each non-blank line of a file, in file order;
+    decode is json.loads for a JSONL file. A line that decode or parse
+    rejects with ValueError raises ValueError '<what> line N: <reason>';
+    records before it have already been yielded."""
+    for lineno, item, reason in _parse_lines(path, parse, decode):
         if reason is not None:
             raise ValueError(f"{what} line {lineno}: {reason}")
         yield item
 
 
-def read_jsonl(path: str | Path) -> Iterator[Document | IngestError]:
-    """Stream documents from a JSONL file in file order.
-
-    Malformed lines and invalid records become IngestError records; the
-    stream continues past them.
-    """
-    for lineno, doc, reason in _parse_lines(path, parse_document):
-        yield doc if reason is None else IngestError(lineno, reason)
-
-
 def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
-    """Load a corpus file; a later record with the same doc_id supersedes
-    an earlier one (the document keeps its original position)."""
+    """Load a corpus file. A malformed line or invalid record becomes an
+    IngestError and the load continues past it; a later record with the
+    same doc_id supersedes an earlier one (the document keeps its original
+    position)."""
     docs: dict[str, Document] = {}
     errors: list[IngestError] = []
-    for item in read_jsonl(path):
-        if isinstance(item, IngestError):
-            errors.append(item)
+    for lineno, doc, reason in _parse_lines(path, parse_document, json.loads):
+        if reason is None:
+            docs[doc.doc_id] = doc
         else:
-            docs[item.doc_id] = item
+            errors.append(IngestError(lineno, reason))
     return list(docs.values()), errors
 
 

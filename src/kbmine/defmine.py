@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import Sentence, check_record, has_type, read_records, read_word_list
 # split_sentences is unused here, but bench/tracing.py patches this binding
-from .corpus import Sentence, read_word_list, split_sentences  # noqa: F401
+from .corpus import split_sentences  # noqa: F401
 from .nertag import check_weights, hash_features, read_npz
 from .topicrank import normalize_key
 
@@ -56,9 +57,9 @@ class DefinitionPattern:
     regex: re.Pattern = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.template, str):
+        if not has_type(self.template, str):
             raise ValueError(f"pattern template is not a string: {self.template!r}")
-        if isinstance(self.priority, bool) or not isinstance(self.priority, int):
+        if not has_type(self.priority, int):
             raise ValueError(f"pattern priority is not an integer: {self.priority!r}")
         m = re.match(r"\{topic\}\s*(.+?)\s*\{description\}", self.template)
         connective = m.group(1) if m else ""
@@ -300,14 +301,9 @@ class DefinitionRecord:
     @classmethod
     def from_dict(cls, d) -> "DefinitionRecord":
         """Inverse of to_dict; ValueError says what is wrong with a bad record."""
-        if not isinstance(d, dict):
-            raise ValueError("record is not a JSON object")
-        wrong = sorted(d.keys() ^ cls.__dataclass_fields__.keys())
-        if wrong:
-            raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
-        types = {"sentence_index": (int,), "confidence": (int, float)}
-        for name, value in d.items():
-            if name != "category" and type(value) not in types.get(name, (str,)):
+        kinds = {"sentence_index": int, "confidence": float}  # every other value is a str
+        for name, value in check_record(d, cls.__dataclass_fields__, exact=True).items():
+            if not has_type(value, kinds.get(name, str)):
                 raise ValueError(f"wrong type for {name}: {value!r}")
         return cls(**{**d, "category": DefinitionCategory(d["category"])})
 
@@ -390,12 +386,8 @@ def load_patterns(path: str | Path) -> tuple[DefinitionPattern, ...]:
 
 
 def _pattern_entry(i: int, item) -> DefinitionPattern:
-    if not isinstance(item, dict):
-        raise ValueError(f"entry {i} is not a JSON object")
-    wrong = sorted(item.keys() ^ {"template", "priority"})
-    if wrong:
-        raise ValueError(f"entry {i} has missing or unknown keys: {', '.join(wrong)}")
     try:
+        check_record(item, ("template", "priority"), exact=True)
         return DefinitionPattern(item["template"], item["priority"])
     except ValueError as exc:
         raise ValueError(f"entry {i}: {exc}") from None
@@ -405,15 +397,8 @@ def load_training_csv(path: str | Path) -> list[tuple[str, DefinitionCategory]]:
     """Classifier training data: CSV 'category,text' (text may contain
     commas). A row with an unknown category raises ValueError naming the
     file and the line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cat, _, text = line.partition(",")
-            try:
-                rows.append((text, DefinitionCategory(cat)))
-            except ValueError as exc:
-                raise ValueError(f"classifier data {path} line {lineno}: {exc}") from None
-    return rows
+    def parse(line: str) -> tuple[str, DefinitionCategory]:
+        cat, _, text = line.rstrip("\n").partition(",")
+        return text, DefinitionCategory(cat)
+
+    return list(read_records(path, parse, f"classifier data {path}", decode=str))

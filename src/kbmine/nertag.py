@@ -8,6 +8,7 @@ from an external file (see load_external_scores).
 
 from __future__ import annotations
 
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import parse_doc_id, read_records
+from .corpus import check_record, has_type, parse_doc_id, read_records
 
 DEFAULT_ENTITY_TYPES = (
     "person",
@@ -262,10 +263,10 @@ class TaggerModel:
         )
 
 
-# scalar keys of model files -> (dtype kinds, least value, Python type, what it must be)
+# scalar keys of model files -> (type, least value, what it must be)
 _NPZ_SCALARS = {
-    "hash_dim": ("iu", 1, int, "an integer >= 1"),
-    "gamma": ("iuf", -np.inf, float, "a number"),
+    "hash_dim": (int, 1, "an integer >= 1"),
+    "gamma": (float, -np.inf, "a number"),
 }
 
 
@@ -284,11 +285,11 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
                 raise ValueError(f"missing key {missing[0]!r}")
             out = {k: data[k] for k in keys}
         for key in _NPZ_SCALARS.keys() & out.keys():
-            kinds, least, cast, rule = _NPZ_SCALARS[key]
-            value = out[key]
-            if value.ndim != 0 or value.dtype.kind not in kinds or not value >= least:
+            kind, least, rule = _NPZ_SCALARS[key]
+            value = out[key].item() if out[key].ndim == 0 else None
+            if not (has_type(value, kind) and value >= least):
                 raise ValueError(f"{key} is not {rule}")
-            out[key] = cast(value)
+            out[key] = kind(value)
         return out
     except (ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{what} {path}: {exc}") from None
@@ -323,11 +324,7 @@ def read_tagger_data(
     labelset = LabelSet(entity_types)
 
     def parse(obj) -> LabeledSentence:
-        if not isinstance(obj, dict):
-            raise ValueError("record is not a JSON object")
-        missing = [k for k in ("tokens", "labels") if k not in obj]
-        if missing:
-            raise ValueError(f"missing keys: {', '.join(missing)}")
+        check_record(obj, ("tokens", "labels"))
         for key in ("tokens", "labels"):
             if not (isinstance(obj[key], list) and all(isinstance(x, str) for x in obj[key])):
                 raise ValueError(f"{key} is not a list of strings")
@@ -562,23 +559,23 @@ def load_external_scores(
     path: str | Path, n_labels: int
 ) -> dict[tuple[str, int], np.ndarray]:
     """Scorer bypass: JSONL of {doc_id, sentence_index, labels, scores},
-    scores being tokens x n_labels. A bad line raises ValueError naming its
-    line number."""
+    scores being tokens x n_labels finite numbers; a label the scorer rules
+    out is a large negative number, as NEG_INF is. A bad line raises
+    ValueError naming its line number."""
     return dict(read_records(path, lambda obj: _parse_score_row(obj, n_labels), "score file"))
 
 
 def _parse_score_row(obj, n_labels: int) -> tuple[tuple[str, int], np.ndarray]:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    missing = [k for k in ("doc_id", "sentence_index", "scores") if k not in obj]
-    if missing:
-        raise ValueError(f"missing keys: {', '.join(missing)}")
-    if type(obj["sentence_index"]) is not int:
+    check_record(obj, ("doc_id", "sentence_index", "scores"))
+    if not has_type(obj["sentence_index"], int):
         raise ValueError("sentence_index is not an integer")
     scores = np.asarray(obj["scores"])  # ragged rows raise ValueError here
     if scores.ndim != 2 or scores.dtype.kind not in "iuf":
         raise ValueError("scores is not a 2-D numeric array")
     if scores.shape[1] != n_labels:
         raise ValueError(f"scores rows have {scores.shape[1]} columns, not {n_labels} labels")
-    key = parse_doc_id(obj["doc_id"]), obj["sentence_index"]
-    return key, scores.astype(np.float64, copy=False)
+    scores = scores.astype(np.float64, copy=False)
+    # a finite sum has finite terms; only a sum that overflows needs the full test
+    if not (math.isfinite(scores.sum()) or np.isfinite(scores).all()):
+        raise ValueError("scores hold a NaN or infinite value")
+    return (parse_doc_id(obj["doc_id"]), obj["sentence_index"]), scores

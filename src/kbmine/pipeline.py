@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import shutil
 import sys
 import time
@@ -69,22 +68,21 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Every construction path checks each field against its declared
-        type (an int passes as a float, a bool as neither) and the
-        cross-field rule; ConfigError names the first bad field."""
+        type by corpus.has_type (an int passes as a float, a bool as neither,
+        a float must be finite) and the range and cross-field rules;
+        ConfigError names the first bad field."""
         if isinstance(self.entity_types, list):
             self.entity_types = tuple(self.entity_types)
         for name, hint in _CONFIG_TYPES.items():
             value = getattr(self, name)
-            if not _has_type(value, hint):
-                kind = "list" if hint is tuple else hint.__name__
+            if not corpus.has_type(value, hint):
+                kind = {tuple: "list", float: "finite float"}.get(hint, hint.__name__)
                 raise ConfigError(f"{name} must be {kind}, not {value!r}")
         if not all(isinstance(t, str) for t in self.entity_types):
             raise ConfigError(f"entity_types must be a list of strings, not {self.entity_types!r}")
         for name, least in _CONFIG_MINIMA.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
-        if not math.isfinite(self.min_topic_score):
-            raise ConfigError(f"min_topic_score must be finite, not {self.min_topic_score!r}")
         if self.shortlist_n < self.final_top_k:
             raise ConfigError("shortlist_n must be >= final_top_k")
 
@@ -119,13 +117,6 @@ _CONFIG_MINIMA = {
     "shortlist_n": 1, "final_top_k": 1, "card_k": 1, "svd_rank": 1, "memory_budget": 1,
     "svd_oversampling": 0,
 }
-
-
-def _has_type(value, hint: type) -> bool:
-    """isinstance, where an int is also a float and a bool is neither."""
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, hint) or (hint is float and isinstance(value, int))
 
 
 @dataclass
@@ -228,15 +219,11 @@ class DocRecord:
     def from_line(cls, obj, seen=()) -> "DocRecord":
         """Inverse of to_line on a decoded line; ValueError names the first
         value that is not of the kind to_line writes, or a doc_id in seen."""
-        if not isinstance(obj, dict):
-            raise ValueError("record is not a JSON object")
-        wrong = sorted(obj.keys() ^ set(STATE_KEYS))
-        if wrong:
-            raise ValueError(f"missing or unknown keys: {', '.join(wrong)}")
+        corpus.check_record(obj, STATE_KEYS, exact=True)
         doc_id, author_id, timestamp = corpus.parse_source(obj)
         if doc_id in seen:
             raise ValueError(f"doc_id {doc_id!r} is on an earlier line too")
-        if not _is_count(obj["length"], 1):
+        if not (corpus.has_type(obj["length"], int) and obj["length"] >= 1):
             raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
         ledger = _parse_ledger(obj["ledger"])
         if not isinstance(obj["acronyms"], list):
@@ -345,11 +332,6 @@ class PipelineState:
         return state
 
 
-def _is_count(x, least: int) -> bool:
-    """An int (a bool is not one) of at least `least`."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= least
-
-
 def _parse_ledger(contrib) -> dict[str, dict]:
     """A saved ledger entry, checked to be of the kind topicrank.contribution
     builds. json.loads shares equal strings within one line only, so each
@@ -365,9 +347,12 @@ def _parse_ledger(contrib) -> dict[str, dict]:
             isinstance(surfaces, dict)
             and surfaces
             and len(c) == 2
-            and _is_count(c.get("titles"), 0)
-            and all(isinstance(s, str) and _is_count(m, 1) for s, m in surfaces.items())
-            and c["titles"] <= topicrank.mention_count(c)
+            and corpus.has_type(c.get("titles"), int)
+            and all(
+                isinstance(s, str) and corpus.has_type(m, int) and m >= 1
+                for s, m in surfaces.items()
+            )
+            and 0 <= c["titles"] <= topicrank.mention_count(c)
         ):
             raise ValueError(
                 f"ledger entry for {key!r} needs a non-empty surfaces mapping str to "
@@ -580,14 +565,11 @@ def read_events(path: str | Path):
 
 
 def _parse_event(obj) -> UpdateEvent:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    kind = obj.get("kind")
+    kind = corpus.check_record(obj, ()).get("kind")
     required = {"upsert": "document", "delete": "doc_id"}.get(kind)
     if required is None:
         raise ValueError(f"unknown event kind: {kind!r}")
-    if required not in obj:
-        raise ValueError(f"missing keys: {required}")
+    corpus.check_record(obj, (required,))
     if kind == "upsert":
         return UpdateEvent(kind, document=corpus.parse_document(obj["document"]))
     return UpdateEvent(kind, doc_id=corpus.parse_doc_id(obj["doc_id"]))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import check_record, has_type, read_records
 from .nertag import Mention
 
 KEY_SEP = "||"
@@ -266,14 +267,13 @@ class _TreeNode:
     @classmethod
     def from_dict(cls, d):
         """Inverse of to_dict; ValueError names the first bad or missing key."""
-        if not isinstance(d, dict):
-            raise ValueError("tree node is not a JSON object")
+        check_record(d, ())
         node = cls()
         if "value" in d:
             node.value = _number(d, "value")
             return node
         feature = d.get("feature")
-        if not (type(feature) is int and 0 <= feature < len(RankFeatures.NAMES)):
+        if not (has_type(feature, int) and 0 <= feature < len(RankFeatures.NAMES)):
             raise ValueError(f"tree node feature is {feature!r}, not a feature index")
         node.feature = feature
         node.threshold = _number(d, "threshold")
@@ -283,13 +283,12 @@ class _TreeNode:
 
 
 def _number(d: dict, key: str) -> float:
-    """d[key] if it is an int or a float (a bool is neither); else ValueError."""
+    """d[key] if it is a finite number by corpus.has_type; else ValueError."""
     if key not in d:
         raise ValueError(f"missing key {key!r}")
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} is {value!r}, not a number")
-    return value
+    if not has_type(d[key], float):
+        raise ValueError(f"{key} is {d[key]!r}, not a finite number")
+    return d[key]
 
 
 def _best_split(X, g, h, rows, min_leaf):
@@ -361,8 +360,7 @@ class GbdtModel:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 d = json.load(fh)
-            if not isinstance(d, dict):
-                raise ValueError("not a JSON object")
+            check_record(d, ())
             learning_rate, base_score = _number(d, "learning_rate"), _number(d, "base_score")
             if not isinstance(d.get("trees"), list):
                 raise ValueError("key 'trees' is missing or not a list")
@@ -449,17 +447,14 @@ def auc(scores, labels) -> float:
 def load_label_file(path: str | Path) -> dict[str, int]:
     """Ranker training labels: CSV 'key,label' lines, each label 0 or 1, with
     an optional 'key,...' header. ValueError names the file and the line."""
-    labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.lower().startswith("key,"):
-                continue
-            key, _, lab = line.rpartition(",")
-            if not key or lab.strip() not in ("0", "1"):
-                raise ValueError(
-                    f"label file {path} line {lineno}: {line!r} is not 'key,label' "
-                    "with label 0 or 1"
-                )
-            labels[key] = int(lab)
-    return labels
+
+    def parse(line: str) -> tuple[str, int] | None:
+        line = line.strip()
+        if line.lower().startswith("key,"):
+            return None
+        key, _, lab = line.rpartition(",")
+        if not key or lab.strip() not in ("0", "1"):
+            raise ValueError(f"{line!r} is not 'key,label' with label 0 or 1")
+        return key, int(lab)
+
+    return dict(filter(None, read_records(path, parse, f"label file {path}", decode=str)))

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from kbmine import corpus
+from kbmine import cli, corpus
 from kbmine.corpus import Document, IngestError, Sentence
 
 
@@ -75,12 +75,81 @@ class TestIngest:
         docs, errors = corpus.ingest_jsonl(path)
         assert [d.doc_id for d in docs] + [e.reason for e in errors] == [expected]
 
+    @pytest.mark.parametrize(
+        "timestamp",
+        ['"nan"', '"inf"', "1e999", "NaN", "-Infinity", "1" + "0" * 400, '"x"', "null"],
+        ids=["text_nan", "text_inf", "overflowing_float", "nan", "minus_infinity",
+             "overflowing_int", "text", "null"],
+    )
+    def test_timestamp_must_be_a_finite_number(self, tmp_path, capsys, timestamp):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"doc_id":"d1","title":"T","body":"B","author_id":"u1","timestamp":%s}\n'
+            '{"doc_id":"d2","title":"T","body":"B","author_id":"u1","timestamp":"7.5"}\n'
+            % timestamp
+        )
+        docs, errors = corpus.ingest_jsonl(path)
+        assert [(d.doc_id, d.timestamp) for d in docs] == [("d2", 7.5)]
+        assert errors == [IngestError(1, "timestamp is not a finite number")]
+        assert cli.main(["ingest", "--corpus", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr() == (
+            "1 documents, 1 errors\n", "line 1: timestamp is not a finite number\n"
+        )
+
     def test_ingest_twice_identical(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
             '{"doc_id":"d1","title":"T","body":"B","author_id":"u1","timestamp":0}\n'
         )
         assert corpus.ingest_jsonl(path) == corpus.ingest_jsonl(path)
+
+
+class TestInputRule:
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [
+            (1, int, True),
+            (1, float, True),
+            (10**400, float, True),
+            (1.5, float, True),
+            (1.5, int, False),
+            (True, int, False),
+            (False, float, False),
+            (True, bool, True),
+            (float("nan"), float, False),
+            (float("inf"), float, False),
+            (float("-inf"), float, False),
+            ("1", int, False),
+            ("x", str, True),
+            (None, str, False),
+        ],
+        ids=[
+            "int_int", "int_float", "huge_int_float", "float_float", "float_int", "bool_int",
+            "bool_float", "bool_bool", "nan_float", "inf_float", "minus_inf_float", "text_int",
+            "text_str", "null_str",
+        ],
+    )
+    def test_has_type(self, value, kind, expected):
+        assert corpus.has_type(value, kind) is expected
+
+    @pytest.mark.parametrize(
+        "obj, exact, reason",
+        [
+            ([1], False, "record is not a JSON object"),
+            ("a", True, "record is not a JSON object"),
+            ({"b": 1}, False, "missing keys: a, c"),
+            ({"a": 1, "c": 2, "d": 3}, False, None),
+            ({"a": 1, "d": 3}, True, "missing or unknown keys: c, d"),
+            ({"c": 1, "a": 2}, True, None),
+        ],
+        ids=["list", "text", "missing", "extra_allowed", "missing_and_unknown", "exact"],
+    )
+    def test_check_record(self, obj, exact, reason):
+        if reason is None:
+            assert corpus.check_record(obj, ("a", "c"), exact=exact) is obj
+        else:
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                corpus.check_record(obj, ("a", "c"), exact=exact)
 
 
 class TestSplitSentences:

@@ -410,16 +410,16 @@ class TestPatternFile:
         [
             ("{not json", "Expecting property name"),
             (json.dumps({"template": "{topic} is {description}"}), "not a JSON list"),
-            (json.dumps(["{topic} is {description}"]), "entry 0 is not a JSON object"),
+            (json.dumps(["{topic} is {description}"]), "entry 0: record is not a JSON object"),
             (
                 json.dumps([{"template": "{topic} is a {description}", "priority": 0},
                             {"template": "{topic} is known as {description}"}]),
-                "entry 1 has missing or unknown keys: priority",
+                "entry 1: missing or unknown keys: priority",
             ),
             (
                 json.dumps([{"template": "{topic} is {description}", "priority": 0,
                              "weight": 2}]),
-                "entry 0 has missing or unknown keys: weight",
+                "entry 0: missing or unknown keys: weight",
             ),
             (
                 json.dumps([{"template": "{topic} {description}", "priority": 0}]),

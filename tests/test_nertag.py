@@ -517,10 +517,15 @@ class TestExternalScores:
             ({**GOOD_SCORE_ROW, "scores": [0.1, 0.2, 0.3]}, "not a 2-D numeric array"),
             ({**GOOD_SCORE_ROW, "scores": [["a", "b", "c"]]}, "not a 2-D numeric array"),
             ({**GOOD_SCORE_ROW, "scores": [[0.1, 0.2, 0.3], [0.4]]}, "inhomogeneous shape"),
+            ({**GOOD_SCORE_ROW, "scores": [[0.1, float("nan"), 0.3]]}, "NaN or infinite"),
+            ({**GOOD_SCORE_ROW, "scores": [[float("-inf"), 0.2, 0.3]]}, "NaN or infinite"),
+            ('{"doc_id": "d1", "sentence_index": 1, "scores": [[1e999, 0, 0]]}',
+             "NaN or infinite"),
         ],
         ids=[
             "invalid_json", "not_an_object", "missing_key", "text_sentence_index",
-            "scores_1d", "scores_text", "scores_ragged",
+            "scores_1d", "scores_text", "scores_ragged", "scores_nan", "scores_minus_infinity",
+            "scores_overflowing_float",
         ],
     )
     def test_bad_line_raises_with_line_number(self, tmp_path, row, reason):

@@ -166,8 +166,8 @@ class TestConfig:
             ("svd_rank", 0, ">= 1"),
             ("memory_budget", 0, ">= 1"),
             ("svd_oversampling", -2, ">= 0"),
-            ("min_topic_score", float("nan"), "finite"),
-            ("min_topic_score", float("-inf"), "finite"),
+            ("min_topic_score", float("nan"), "finite float"),
+            ("min_topic_score", float("-inf"), "finite float"),
         ],
         ids=[
             "shortlist_n_zero", "final_top_k_negative", "card_k_negative", "card_k_zero",
@@ -1041,10 +1041,19 @@ class TestCli:
                 json.dumps({"kind": "delete", "doc_id": None}),
                 "doc_id is None, not a string or an integer",
             ),
+            *(
+                (
+                    '{"kind": "upsert", "document": {"doc_id": "d9", "title": "T", "body": "B", '
+                    f'"author_id": "u1", "timestamp": {timestamp}}}}}',
+                    "timestamp is not a finite number",
+                )
+                for timestamp in ('"nan"', '"inf"', "1e999", "NaN", "1" + "0" * 400)
+            ),
         ],
         ids=[
             "invalid_json", "unknown_kind", "missing_field", "negative_timestamp",
-            "null_doc_id",
+            "null_doc_id", "text_nan_timestamp", "text_inf_timestamp",
+            "overflowing_float_timestamp", "nan_timestamp", "overflowing_int_timestamp",
         ],
     )
     def test_bad_event_exits_2_and_keeps_state(
@@ -1083,10 +1092,11 @@ class TestCli:
             (lambda rec: {**rec, "confidence": "high"}, "wrong type for confidence: 'high'"),
             (lambda rec: {**rec, "sentence_index": "0"}, "wrong type for sentence_index: '0'"),
             (lambda rec: {**rec, "sentence_text": None}, "wrong type for sentence_text: None"),
+            (lambda rec: {**rec, "confidence": float("nan")}, "wrong type for confidence: nan"),
         ],
         ids=[
             "unknown_key", "missing_key", "bad_category", "not_an_object",
-            "text_confidence", "text_sentence_index", "null_sentence_text",
+            "text_confidence", "text_sentence_index", "null_sentence_text", "nan_confidence",
         ],
     )
     def test_malformed_definition_exits_2(self, config, models, tmp_path, capsys, edit, reason):
@@ -1332,6 +1342,11 @@ class TestCli:
                 "tree node feature is 'ner_freq', not a feature index",
             ),
             (
+                "refresh", "ranker_model",
+                lambda p: p.write_text('{"learning_rate": NaN, "base_score": 0.0, "trees": []}'),
+                "learning_rate is nan, not a finite number",
+            ),
+            (
                 "export", "tagger_model",
                 lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
                                    gamma=1.6, hash_dim=np.array([4, 4])),
@@ -1361,13 +1376,14 @@ class TestCli:
             (
                 "export", "patterns_file",
                 lambda p: p.write_text(json.dumps([{"template": "{topic} is {description}"}])),
-                "entry 0 has missing or unknown keys: priority",
+                "entry 0: missing or unknown keys: priority",
             ),
         ],
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
-            "tagger_truncated_zip", "tagger_hash_dim_not_scalar", "tagger_gamma_not_scalar",
-            "ranker_without_learning_rate", "ranker_bad_feature", "classifier_without_hash_dim",
+            "tagger_truncated_zip", "ranker_without_learning_rate", "ranker_bad_feature",
+            "ranker_nan_learning_rate", "tagger_hash_dim_not_scalar", "tagger_gamma_not_scalar",
+            "classifier_without_hash_dim",
             "classifier_hash_dim_zero", "classifier_hash_dim_float",
             "pattern_without_priority",
         ],

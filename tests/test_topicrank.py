@@ -228,6 +228,29 @@ class TestGbdt:
         for f, _ in make_ranker_rows(20, seed=8):
             assert score_topic(loaded, f) == score_topic(fixture_ranker, f)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"learning_rate": NaN, "base_score": 0.0, "trees": []}', "learning_rate is nan"),
+            ('{"learning_rate": 0.1, "base_score": Infinity, "trees": []}', "base_score is inf"),
+            ('{"learning_rate": 0.1, "base_score": 0.0, "trees": [{"value": -1e999}]}',
+             "value is -inf"),
+            ('{"learning_rate": 0.1, "base_score": 0.0, "trees": [{"feature": 0, '
+             '"threshold": NaN, "left": {"value": 0}, "right": {"value": 1}}]}',
+             "threshold is nan"),
+            ('{"learning_rate": 0.1, "base_score": 0.0, "trees": [7]}',
+             "record is not a JSON object"),
+        ],
+        ids=["nan_learning_rate", "infinite_base_score", "infinite_value", "nan_threshold",
+             "node_not_an_object"],
+    )
+    def test_load_rejects_non_finite_numbers(self, tmp_path, text, reason):
+        path = tmp_path / "gbdt.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            GbdtModel.load(path)
+        assert str(exc.value).startswith(f"ranker model {path}: {reason}")
+
 
 class TestRerankAndFilter:
     def build_store(self):
