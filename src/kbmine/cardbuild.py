@@ -373,14 +373,12 @@ def batched_randomized_svd(
 
 @dataclass
 class EmbeddingSpace:
-    dimension: int
     topic_keys: list[str]
     topic_vectors: np.ndarray
     doc_ids: list[str]
     doc_vectors: np.ndarray
     user_ids: list[str]
     user_vectors: np.ndarray
-    singular_values: np.ndarray
     topic_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):

@@ -72,7 +72,6 @@ def cmd_train_tagger(args) -> int:
 
 
 def cmd_train_ranker(args) -> int:
-    cfg = _load_config(args)
     state = pipeline.PipelineState.load(args.state)
     labels = topicrank.load_label_file(args.labels)
     rows = []
@@ -80,7 +79,7 @@ def cmd_train_ranker(args) -> int:
         cand = state.store.candidates.get(key)
         if cand is not None:
             rows.append((topicrank.compute_features(cand), label))
-    model = topicrank.train_gbdt(rows, topicrank.GbdtConfig(seed=cfg.seed))
+    model = topicrank.train_gbdt(rows)
     model.save(args.model)
     scores = [topicrank.score_topic(model, f) for f, _ in rows]
     print(f"trained on {len(rows)} rows, training AUC "
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.5)
 
     p = sub.add_parser("train-ranker", help="train the GBDT topic ranker")
-    _add_config(p, "--seed")
     p.add_argument("--state", required=True, help="pipeline state directory")
     p.add_argument("--labels", required=True, help="CSV key,label")
     p.add_argument("--model", required=True, help="output model path (.json)")

@@ -44,7 +44,6 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Token:
-    word_index: int
     start: int
     end: int
     surface: str
@@ -94,31 +93,43 @@ def parse_doc_id(value) -> str:
     return str(value)
 
 
+def _text(obj: dict, key: str) -> str:
+    """obj[key] if it is a string by has_type; else ValueError."""
+    if not has_type(obj[key], str):
+        raise ValueError(f"{key} is {obj[key]!r}, not a string")
+    return obj[key]
+
+
 def parse_source(obj: dict) -> tuple[str, str, float]:
     """(doc_id, author_id, timestamp) of a record that has those keys, by
-    the rules of every document record; ValueError says what is wrong."""
+    the rules of every document record; ValueError says what is wrong. A
+    timestamp is a number or a numeric string, never a bool."""
+    value = obj["timestamp"]
     try:
-        ts = float(obj["timestamp"])
+        ts = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):  # overflow: an int past float range
         ts = None
     if not has_type(ts, float):
         raise ValueError("timestamp is not a finite number")
     if ts < 0:
         raise ValueError("timestamp is negative")
-    return parse_doc_id(obj["doc_id"]), str(obj["author_id"]), ts
+    return parse_doc_id(obj["doc_id"]), _text(obj, "author_id"), ts
 
 
 def parse_document(obj) -> Document:
     """Validate one JSON-decoded document record; ValueError says what is wrong."""
     check_record(obj, REQUIRED_KEYS)
     doc_id, author_id, ts = parse_source(obj)
+    deleted = obj.get("deleted", False)
+    if not has_type(deleted, bool):
+        raise ValueError(f"deleted is {deleted!r}, not a bool")
     return Document(
         doc_id=doc_id,
-        title=str(obj["title"]),
-        body=str(obj["body"]),
+        title=_text(obj, "title"),
+        body=_text(obj, "body"),
         author_id=author_id,
         timestamp=ts,
-        deleted=bool(obj.get("deleted", False)),
+        deleted=deleted,
     )
 
 
@@ -280,17 +291,15 @@ def tokenize(sentence: Sentence) -> list[Token]:
             lead_end += 1
         if lead_end == hi:
             # all-punctuation chunk stays whole
-            tokens.append(Token(len(tokens), start, start + len(chunk), chunk))
+            tokens.append(Token(start, start + len(chunk), chunk))
             continue
         trail_start = hi
         while trail_start > lead_end and _is_punct(chunk[trail_start - 1]):
             trail_start -= 1
         for k in range(lo, lead_end):
-            tokens.append(Token(len(tokens), start + k, start + k + 1, chunk[k]))
+            tokens.append(Token(start + k, start + k + 1, chunk[k]))
         core = chunk[lead_end:trail_start]
-        tokens.append(
-            Token(len(tokens), start + lead_end, start + trail_start, core)
-        )
+        tokens.append(Token(start + lead_end, start + trail_start, core))
         for k in range(trail_start, hi):
-            tokens.append(Token(len(tokens), start + k, start + k + 1, chunk[k]))
+            tokens.append(Token(start + k, start + k + 1, chunk[k]))
     return tokens

@@ -70,10 +70,6 @@ class DefinitionPattern:
             self, "regex", re.compile(rf"\b{re.escape(connective)}\b", re.IGNORECASE)
         )
 
-    @property
-    def pattern_id(self) -> str:
-        return self.connective.replace(" ", "_")
-
 
 DEFAULT_PATTERNS = tuple(
     DefinitionPattern(f"{{topic}} {conn} {{description}}", i)
@@ -275,37 +271,33 @@ def train_sentence_classifier(
 # ---------------------------------------------------------------------------
 
 
+# a saved definition's keys, in the order to_dict writes them, and their kinds
+_SAVED_KINDS = {"topic_key": str, "sentence_text": str, "sentence_index": int, "confidence": float}
+
+
 @dataclass(frozen=True)
 class DefinitionRecord:
+    """A Sufficient, opinion-free definition sentence of one document. Its
+    saved form leaves out doc_id: the state line that holds it names the
+    document."""
+
     topic_key: str
-    topic_surface: str
     sentence_text: str
     doc_id: str
     sentence_index: int
-    category: DefinitionCategory
-    pattern_id: str
     confidence: float
 
     def to_dict(self) -> dict:
-        return {
-            "topic_key": self.topic_key,
-            "topic_surface": self.topic_surface,
-            "sentence_text": self.sentence_text,
-            "doc_id": self.doc_id,
-            "sentence_index": self.sentence_index,
-            "category": self.category.value,
-            "pattern_id": self.pattern_id,
-            "confidence": self.confidence,
-        }
+        return {k: getattr(self, k) for k in _SAVED_KINDS}
 
     @classmethod
-    def from_dict(cls, d) -> "DefinitionRecord":
-        """Inverse of to_dict; ValueError says what is wrong with a bad record."""
-        kinds = {"sentence_index": int, "confidence": float}  # every other value is a str
-        for name, value in check_record(d, cls.__dataclass_fields__, exact=True).items():
-            if not has_type(value, kinds.get(name, str)):
+    def from_dict(cls, d, doc_id: str) -> "DefinitionRecord":
+        """Inverse of to_dict for a definition of doc_id; ValueError says
+        what is wrong with a bad record."""
+        for name, value in check_record(d, _SAVED_KINDS, exact=True).items():
+            if not has_type(value, _SAVED_KINDS[name]):
                 raise ValueError(f"wrong type for {name}: {value!r}")
-        return cls(**{**d, "category": DefinitionCategory(d["category"])})
+        return cls(doc_id=doc_id, **d)
 
 
 def mine_definitions(
@@ -327,23 +319,19 @@ def mine_definitions(
         category, confidence = classifier.classify(sentence.text)
         if category is not DefinitionCategory.SUFFICIENT:
             continue
-        topic_surface, _, pattern = extracted
         keep, _ = opinion_filter(sentence.text, lexicon)
         if not keep:
             continue
         try:
-            key = normalize_key(topic_surface)
+            key = normalize_key(extracted[0])  # the topic surface
         except ValueError:
             continue
         records.append(
             DefinitionRecord(
                 topic_key=key,
-                topic_surface=topic_surface,
                 sentence_text=sentence.text,
                 doc_id=sentence.doc_id,
                 sentence_index=sentence.index,
-                category=category,
-                pattern_id=pattern.pattern_id,
                 confidence=confidence,
             )
         )

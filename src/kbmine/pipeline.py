@@ -231,10 +231,7 @@ class DocRecord:
         pairs = tuple(_acronym_pair(p) for p in obj["acronyms"])
         if not isinstance(obj["definitions"], list):
             raise ValueError("definitions is not a list")
-        records = tuple(defmine.DefinitionRecord.from_dict(d) for d in obj["definitions"])
-        stray = [r.doc_id for r in records if r.doc_id != doc_id]
-        if stray:
-            raise ValueError(f"definition of doc_id {stray[0]!r} on the line of {doc_id!r}")
+        records = tuple(defmine.DefinitionRecord.from_dict(d, doc_id) for d in obj["definitions"])
         return cls(doc_id, author_id, timestamp, obj["length"], ledger, pairs, records)
 
 
@@ -264,7 +261,7 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
         labels = nertag.viterbi_decode(scores, models.labelset)
         mentions += nertag.extract_mentions(
             tokens, labels, models.labelset, doc_id=doc.doc_id, sentence_index=sent.index,
-            scores=scores, from_title=sent.from_title,
+            from_title=sent.from_title,
         )
     return DocRecord(
         doc_id=doc.doc_id,
@@ -443,7 +440,7 @@ def build_knowledge_base(
     svd_config = cardbuild.SvdConfig(
         rank=rank, oversampling=oversampling, memory_budget=config.memory_budget, seed=config.seed
     )
-    topic_vecs, doc_vecs, sigma, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
+    topic_vecs, doc_vecs, _, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
     manifest["svd_peak_bytes"] = peak
 
     authorship: dict[str, list[str]] = {}
@@ -453,14 +450,12 @@ def build_knowledge_base(
         authorship, matrix.doc_ids, doc_vecs
     )
     space = cardbuild.EmbeddingSpace(
-        dimension=rank,
         topic_keys=list(matrix.topic_keys),
         topic_vectors=topic_vecs,
         doc_ids=list(matrix.doc_ids),
         doc_vectors=doc_vecs,
         user_ids=user_ids,
         user_vectors=user_vecs,
-        singular_values=sigma,
     )
 
     acronym_pairs = state.acronym_pairs()

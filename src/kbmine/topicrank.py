@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,20 +96,12 @@ class RankFeatures:
     log_doc: float
     log_title: float
 
-    NAMES = (
-        "ner_freq",
-        "doc_freq",
-        "title_freq",
-        "ner_per_doc",
-        "title_per_doc",
-        "title_per_ner",
-        "log_ner",
-        "log_doc",
-        "log_title",
-    )
-
     def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in self.NAMES], dtype=np.float64)
+        return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
+
+
+# the ranker's feature order: a tree node's feature index points into it
+FEATURE_NAMES = tuple(f.name for f in fields(RankFeatures))
 
 
 def compute_features(candidate: TopicCandidate) -> RankFeatures:
@@ -227,7 +219,7 @@ class GbdtConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf_count: int = 5
-    seed: int = 0
+    seed: int = 0  # unread: training draws no random numbers; kept for callers that set it
 
 
 def _sigmoid(x):
@@ -273,7 +265,7 @@ class _TreeNode:
             node.value = _number(d, "value")
             return node
         feature = d.get("feature")
-        if not (has_type(feature, int) and 0 <= feature < len(RankFeatures.NAMES)):
+        if not (has_type(feature, int) and 0 <= feature < len(FEATURE_NAMES)):
             raise ValueError(f"tree node feature is {feature!r}, not a feature index")
         node.feature = feature
         node.threshold = _number(d, "threshold")

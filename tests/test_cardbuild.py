@@ -420,14 +420,12 @@ def make_space():
     dv = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
     uv = np.array([[1.0, 0.0], [0.0, 1.0]])
     return EmbeddingSpace(
-        dimension=2,
         topic_keys=[f"t{i}" for i in range(5)],
         topic_vectors=tv,
         doc_ids=[f"d{j}" for j in range(3)],
         doc_vectors=dv,
         user_ids=["u0", "u1"],
         user_vectors=uv,
-        singular_values=np.array([2.0, 1.0]),
     )
 
 
@@ -436,14 +434,12 @@ def related_score(a, b) -> float:
     vectors = np.array([a, b], dtype=np.float64)
     d = vectors.shape[1]
     space = EmbeddingSpace(
-        dimension=d,
         topic_keys=["a", "b"],
         topic_vectors=vectors,
         doc_ids=[],
         doc_vectors=np.zeros((0, d)),
         user_ids=[],
         user_vectors=np.zeros((0, d)),
-        singular_values=np.ones(d),
     )
     [(key, score)] = top_k_related("a", space, "topic", 1)
     assert key == "b"
@@ -519,14 +515,12 @@ class TestTopKRelated:
         doc_ids, doc_vectors = block("d", 0)
         user_ids, user_vectors = block("u", 0)
         space = EmbeddingSpace(
-            dimension=1,
             topic_keys=topic_keys,
             topic_vectors=topic_vectors,
             doc_ids=doc_ids,
             doc_vectors=doc_vectors,
             user_ids=user_ids,
             user_vectors=user_vectors,
-            singular_values=np.ones(1),
         )
         query = data.draw(st.sampled_from(topic_keys))
         kind = data.draw(st.sampled_from(["topic", "doc", "user"]))
@@ -621,14 +615,12 @@ class TestConflation:
             "zebra||product",
         ]
         return EmbeddingSpace(
-            dimension=3,
             topic_keys=keys,
             topic_vectors=tv,
             doc_ids=[],
             doc_vectors=np.zeros((0, 3)),
             user_ids=[],
             user_vectors=np.zeros((0, 3)),
-            singular_values=np.ones(3),
         )
 
     def candidates(self):
@@ -710,14 +702,12 @@ class TestConflation:
         }
         pairs = [("Abc", "CAB"), ("Bca", "ACB")]  # normalize to surfaces drawn above
         space = EmbeddingSpace(
-            dimension=3,
             topic_keys=keys,
             topic_vectors=vectors,
             doc_ids=[],
             doc_vectors=np.zeros((0, 3)),
             user_ids=[],
             user_vectors=np.zeros((0, 3)),
-            singular_values=np.ones(3),
         )
 
         # reference: the nested loop over all pairs, then the same grouping

@@ -76,6 +76,33 @@ class TestIngest:
         assert [d.doc_id for d in docs] + [e.reason for e in errors] == [expected]
 
     @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ({"title": None}, "title is None, not a string"),
+            ({"body": 7}, "body is 7, not a string"),
+            ({"author_id": None}, "author_id is None, not a string"),
+            ({"author_id": 7}, "author_id is 7, not a string"),
+            ({"deleted": "false"}, "deleted is 'false', not a bool"),
+            ({"deleted": 0}, "deleted is 0, not a bool"),
+            ({"timestamp": True}, "timestamp is not a finite number"),
+        ],
+        ids=["null_title", "number_body", "null_author", "number_author", "text_deleted",
+             "number_deleted", "bool_timestamp"],
+    )
+    def test_document_fields_follow_the_input_rule(self, tmp_path, edit, reason):
+        """Text fields are strings, deleted is a bool, and a timestamp is
+        never a bool: nothing is coerced into a value the line does not hold."""
+        good = {"doc_id": "d1", "title": "T", "body": "B", "author_id": "u1", "timestamp": 0}
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps({**good, **edit}) + "\n"
+            + json.dumps({**good, "doc_id": "d2", "deleted": True, "timestamp": "7.5"}) + "\n"
+        )
+        docs, errors = corpus.ingest_jsonl(path)
+        assert [(d.doc_id, d.deleted, d.timestamp) for d in docs] == [("d2", True, 7.5)]
+        assert errors == [IngestError(1, reason)]
+
+    @pytest.mark.parametrize(
         "timestamp",
         ['"nan"', '"inf"', "1e999", "NaN", "-Infinity", "1" + "0" * 400, '"x"', "null"],
         ids=["text_nan", "text_inf", "overflowing_float", "nan", "minus_infinity",
@@ -244,6 +271,6 @@ class TestTokenize:
         toks = corpus.tokenize(sent)
         for tok in toks:
             assert sent.text[tok.start : tok.end] == tok.surface
-        assert [t.word_index for t in toks] == list(range(len(toks)))
+        assert all(a.end <= b.start for a, b in zip(toks, toks[1:]))  # in order, disjoint
         # deterministic
         assert corpus.tokenize(sent) == toks

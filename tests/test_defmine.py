@@ -262,7 +262,6 @@ class TestMineDefinitions:
         assert len(records) == 1
         rec = records[0]
         assert rec.topic_key == "statistics"
-        assert rec.category is DefinitionCategory.SUFFICIENT
         assert rec.doc_id == "d1"
 
     def test_one_connective_search_per_step(self, lexicon, monkeypatch):
@@ -282,25 +281,18 @@ class TestMineDefinitions:
         assert [r.to_dict() for r in records] == [
             {
                 "topic_key": "contoso falcon",
-                "topic_surface": "Contoso Falcon",
                 "sentence_text": "Contoso Falcon is a cloud platform.",
-                "doc_id": "d1",
                 "sentence_index": 0,
-                "category": "Sufficient",
-                "pattern_id": "is_a",
                 "confidence": 1.0,
             },
             {
                 "topic_key": "atlas engine",
-                "topic_surface": "Atlas Engine",
                 "sentence_text": "Atlas Engine refers to a build tool.",
-                "doc_id": "d1",
                 "sentence_index": 1,
-                "category": "Sufficient",
-                "pattern_id": "refers_to",
                 "confidence": 1.0,
             },
         ]
+        assert {r.doc_id for r in records} == {"d1"}
 
     def test_classifier_sees_only_sentences_with_a_topic(self, lexicon):
         sentences = split_sentences(

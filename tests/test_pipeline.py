@@ -111,6 +111,22 @@ def _ledger_with_mentions(rec) -> dict:
     return {k: {"mentions": sum(c["surfaces"].values()), **c} for k, c in rec.ledger.items()}
 
 
+def _eight_key_definition(rec, doc_id: str) -> dict:
+    """A saved definition as earlier formats wrote it, with the document's
+    doc_id, the topic surface, the category and the pattern id."""
+    surface, _, pattern = defmine.extract_topic(rec.sentence_text)
+    return {
+        "topic_key": rec.topic_key,
+        "topic_surface": surface,
+        "sentence_text": rec.sentence_text,
+        "doc_id": doc_id,
+        "sentence_index": rec.sentence_index,
+        "category": "Sufficient",
+        "pattern_id": pattern.connective.replace(" ", "_"),
+        "confidence": rec.confidence,
+    }
+
+
 def _first_contribution(lines: dict) -> dict:
     """The first topic contribution in d1's ledger entry."""
     return next(iter(lines["d1"]["ledger"].values()))
@@ -776,13 +792,24 @@ class TestStatePersistence:
         assert err.count("\n") == 1
         assert re.match(r"error: corrupt state: documents.jsonl line [12]: ", err)
 
-    def test_definition_of_unknown_doc_is_corrupt(self, models, tmp_path):
+    def test_saved_definition_has_four_keys(self, models, tmp_path):
+        state_dir = _saved_state(models, tmp_path / "state")
+        lines = [json.loads(t) for t in (state_dir / pipeline.STATE_FILE).read_text().splitlines()]
+        saved = [d for line in lines for d in line["definitions"]]
+        assert saved  # d1 holds one
+        for d in saved:
+            assert list(d) == ["topic_key", "sentence_text", "sentence_index", "confidence"]
+        loaded = PipelineState.load(state_dir)
+        assert [r.doc_id for r in loaded.documents["d1"].definitions] == ["d1"]
+
+    def test_definition_naming_a_document_is_corrupt(self, models, tmp_path):
+        """The line names the document; a definition that names one too is
+        not of the saved format."""
         state_dir = _saved_state(models, tmp_path / "state")
         _edit_state(state_dir, lambda lines: lines["d1"]["definitions"][0].update(doc_id="ghost"))
         with pytest.raises(
             ValueError,
-            match="^corrupt state: documents.jsonl line 1: "
-            "definition of doc_id 'ghost' on the line of 'd1'$",
+            match="^corrupt state: documents.jsonl line 1: missing or unknown keys: doc_id$",
         ):
             PipelineState.load(state_dir)
 
@@ -1047,13 +1074,29 @@ class TestCli:
                     f'"author_id": "u1", "timestamp": {timestamp}}}}}',
                     "timestamp is not a finite number",
                 )
-                for timestamp in ('"nan"', '"inf"', "1e999", "NaN", "1" + "0" * 400)
+                for timestamp in ('"nan"', '"inf"', "1e999", "NaN", "1" + "0" * 400, "true")
+            ),
+            *(
+                (
+                    json.dumps(
+                        {"kind": "upsert",
+                         "document": {"doc_id": "d9", "title": "T", "body": "B",
+                                      "author_id": "u1", "timestamp": 1, **edit}}
+                    ),
+                    reason,
+                )
+                for edit, reason in [
+                    ({"title": None}, "title is None, not a string"),
+                    ({"author_id": 7}, "author_id is 7, not a string"),
+                    ({"deleted": "false"}, "deleted is 'false', not a bool"),
+                ]
             ),
         ],
         ids=[
             "invalid_json", "unknown_kind", "missing_field", "negative_timestamp",
             "null_doc_id", "text_nan_timestamp", "text_inf_timestamp",
             "overflowing_float_timestamp", "nan_timestamp", "overflowing_int_timestamp",
+            "bool_timestamp", "null_title", "number_author", "text_deleted",
         ],
     )
     def test_bad_event_exits_2_and_keeps_state(
@@ -1087,7 +1130,6 @@ class TestCli:
             (lambda rec: {**rec, "sentence": "x"}, "missing or unknown keys: sentence"),
             (lambda rec: {k: v for k, v in rec.items() if k != "confidence"},
              "missing or unknown keys: confidence"),
-            (lambda rec: {**rec, "category": "Bogus"}, "'Bogus' is not a valid"),
             (lambda rec: [rec], "record is not a JSON object"),
             (lambda rec: {**rec, "confidence": "high"}, "wrong type for confidence: 'high'"),
             (lambda rec: {**rec, "sentence_index": "0"}, "wrong type for sentence_index: '0'"),
@@ -1095,7 +1137,7 @@ class TestCli:
             (lambda rec: {**rec, "confidence": float("nan")}, "wrong type for confidence: nan"),
         ],
         ids=[
-            "unknown_key", "missing_key", "bad_category", "not_an_object",
+            "unknown_key", "missing_key", "not_an_object",
             "text_confidence", "text_sentence_index", "null_sentence_text", "nan_confidence",
         ],
     )
@@ -1130,8 +1172,8 @@ class TestCli:
             "acronyms": {d: rec.acronyms for d, rec in saved.documents.items()},
         }))
         (old / "definitions.jsonl").write_text("".join(
-            json.dumps(r.to_dict()) + "\n"
-            for rec in saved.documents.values()
+            json.dumps(_eight_key_definition(r, doc_id)) + "\n"
+            for doc_id, rec in saved.documents.items()
             for r in rec.definitions
         ))
 
@@ -1145,7 +1187,17 @@ class TestCli:
                 line["length"] = rec.length
                 line["ledger"] = _ledger_with_mentions(rec)
                 line["acronyms"] = rec.acronyms
-                line["definitions"] = [r.to_dict() for r in rec.definitions]
+                line["definitions"] = [_eight_key_definition(r, doc_id) for r in rec.definitions]
+                fh.write(json.dumps(line) + "\n")
+
+    @staticmethod
+    def _eight_key_definition_state(saved, docs, old):
+        """Today's lines, but with definitions as the format before this one
+        saved them: eight keys, the line's doc_id among them."""
+        with open(old / "documents.jsonl", "w", encoding="utf-8") as fh:
+            for doc_id, rec in saved.documents.items():
+                line = json.loads(rec.to_line())
+                line["definitions"] = [_eight_key_definition(r, doc_id) for r in rec.definitions]
                 fh.write(json.dumps(line) + "\n")
 
     @pytest.mark.parametrize(
@@ -1153,8 +1205,9 @@ class TestCli:
         [
             ("_three_file_state", "acronyms, body, definitions, ledger, length, title"),
             ("_text_line_state", "body, title"),
+            ("_eight_key_definition_state", "category, doc_id, pattern_id, topic_surface"),
         ],
-        ids=["three_files", "line_with_text"],
+        ids=["three_files", "line_with_text", "eight_key_definitions"],
     )
     def test_parent_format_state_exits_2(
         self, config, models, tmp_path, capsys, layout, wrong_keys
@@ -1200,8 +1253,9 @@ class TestCli:
             ["train-tagger", "--data", "rows.jsonl", "--model", "model.npz"],
             ["train-defclassifier", "--data", "rows.csv", "--model", "model.npz"],
             ["eval"],
+            ["train-ranker", "--state", "state", "--labels", "labels.csv", "--model", "m.json"],
         ],
-        ids=["train_tagger", "train_defclassifier", "eval"],
+        ids=["train_tagger", "train_defclassifier", "eval", "train_ranker"],
     )
     def test_unread_config_flag_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
