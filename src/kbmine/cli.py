@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bad input (config file, event file or saved state),
-3 stage failure.
+Exit codes: 0 success, 2 bad input (config file, event file, saved state, an
+unreadable input path or an output path that is not a directory), 3 stage
+failure.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     except pipeline.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError) as exc:  # bad input data or a missing file
+    except (ValueError, OSError) as exc:  # bad input data or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except pipeline.StageError as exc:

@@ -153,8 +153,6 @@ class RuleClassifier:
     """Pattern-and-heuristic classifier; cannot tell Informational from
     Sufficient (mirrors the binary evaluation of the rule baseline)."""
 
-    kind = "rule-based"
-
     def __init__(self, patterns=DEFAULT_PATTERNS):
         self.patterns = patterns
 
@@ -206,8 +204,6 @@ class ClassifierConfig:
 
 class LinearClassifier:
     """Multinomial logistic regression over hashed uni/bigram features."""
-
-    kind = "linear"
 
     def __init__(self, weights: np.ndarray, hash_dim: int):
         self.weights = weights  # (hash_dim, 5)

@@ -208,7 +208,6 @@ _MEMO_LIMIT = 1 << 16
 class TaggerModel:
     weights: np.ndarray  # (hash_dim, n_labels)
     labelset: LabelSet
-    gamma: float
     hash_dim: int
     # hashed-id memos, never saved: word -> sorted ids of its word features,
     # lowercased word -> (its prev= id, its next= id)
@@ -245,35 +244,22 @@ class TaggerModel:
             path,
             weights=self.weights,
             entity_types=np.array(self.labelset.entity_types),
-            gamma=self.gamma,
             hash_dim=self.hash_dim,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
         """ValueError names the file and what is wrong with it."""
-        data = read_npz(path, ("weights", "entity_types", "gamma", "hash_dim"), "tagger model")
+        data = read_npz(path, ("weights", "entity_types", "hash_dim"), "tagger model")
         labelset = LabelSet(tuple(str(t) for t in data["entity_types"]))
         check_weights(path, data["weights"], (data["hash_dim"], len(labelset)), "tagger model")
-        return cls(
-            weights=data["weights"],
-            labelset=labelset,
-            gamma=data["gamma"],
-            hash_dim=data["hash_dim"],
-        )
-
-
-# scalar keys of model files -> (type, least value, what it must be)
-_NPZ_SCALARS = {
-    "hash_dim": (int, 1, "an integer >= 1"),
-    "gamma": (float, -np.inf, "a number"),
-}
+        return cls(weights=data["weights"], labelset=labelset, hash_dim=data["hash_dim"])
 
 
 def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
-    """The named arrays of an .npz model file, read without pickle, with
-    hash_dim and gamma as Python scalars; ValueError names the file and the
-    first missing key or the scalar that is not one."""
+    """The named arrays of an .npz model file, read without pickle. keys
+    include hash_dim, which comes back as a Python int; ValueError names the
+    file and the first missing key, or a hash_dim that is not an int >= 1."""
     try:
         # np.load leaks the file it opens when a zip is truncated; this one closes
         with open(path, "rb") as fh:
@@ -284,12 +270,10 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")
             out = {k: data[k] for k in keys}
-        for key in _NPZ_SCALARS.keys() & out.keys():
-            kind, least, rule = _NPZ_SCALARS[key]
-            value = out[key].item() if out[key].ndim == 0 else None
-            if not (has_type(value, kind) and value >= least):
-                raise ValueError(f"{key} is not {rule}")
-            out[key] = kind(value)
+        hash_dim = out["hash_dim"].item() if out["hash_dim"].ndim == 0 else None
+        if not (has_type(hash_dim, int) and hash_dim >= 1):
+            raise ValueError("hash_dim is not an integer >= 1")
+        out["hash_dim"] = hash_dim
         return out
     except (ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{what} {path}: {exc}") from None
@@ -354,7 +338,7 @@ def train_tagger(
             raise ValueError(f"gold sequence is not BIO-valid: {sent.labels}")
 
     weights = np.zeros((config.hash_dim, len(labelset)))
-    model = TaggerModel(weights, labelset, config.gamma, config.hash_dim)
+    model = TaggerModel(weights, labelset, config.hash_dim)
     rng = np.random.default_rng(config.seed)
 
     examples = []
@@ -378,57 +362,6 @@ def train_tagger(
 
     model.final_training_loss = final_loss
     return model
-
-
-def augment(
-    data: list[LabeledSentence],
-    mode: str,
-    entity_bank: dict[str, list[str]] | None = None,
-    seed: int = 0,
-) -> list[LabeledSentence]:
-    """Double the dataset: lowercase copies, or entity-replaced copies."""
-    if mode == "lowercase":
-        extra = [
-            LabeledSentence([t.lower() for t in s.tokens], list(s.labels), s.from_title)
-            for s in data
-        ]
-        return list(data) + extra
-    if mode != "entity_replace":
-        raise ValueError(f"unknown augmentation mode: {mode}")
-
-    entity_bank = entity_bank or {}
-    # fail fast on any type missing from the bank
-    for sent in data:
-        for lab in sent.labels:
-            if lab.startswith("B-") and not entity_bank.get(lab[2:]):
-                raise ValueError(f"entity bank has no entries for type '{lab[2:]}'")
-
-    rng = np.random.default_rng(seed)
-    extra = []
-    for sent in data:
-        tokens: list[str] = []
-        labels: list[str] = []
-        i = 0
-        while i < len(sent.tokens):
-            lab = sent.labels[i]
-            if lab.startswith("B-"):
-                etype = lab[2:]
-                j = i + 1
-                while j < len(sent.tokens) and sent.labels[j] == f"I-{etype}":
-                    j += 1
-                bank = entity_bank[etype]
-                choice = bank[int(rng.integers(len(bank)))]
-                repl = choice.split()
-                tokens.extend(repl)
-                labels.append(f"B-{etype}")
-                labels.extend([f"I-{etype}"] * (len(repl) - 1))
-                i = j
-            else:
-                tokens.append(sent.tokens[i])
-                labels.append(lab)
-                i += 1
-        extra.append(LabeledSentence(tokens, labels, sent.from_title))
-    return list(data) + extra
 
 
 def score_tokens(model: TaggerModel, tokens: list[str], from_title: bool = False) -> np.ndarray:
@@ -505,9 +438,6 @@ class Mention:
     char_end: int
     surface: str
     entity_type: str
-    # nothing in the pipeline reads a mention score: extract_mentions leaves it
-    # at 0.0, and the field stays for callers that pass one (the acceptance tests)
-    score: float = 0.0
     from_title: bool = False
 
 

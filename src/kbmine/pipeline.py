@@ -573,7 +573,10 @@ def _parse_event(obj) -> UpdateEvent:
 def _write_dir_atomically(out_dir: Path, write) -> None:
     """Call write(staging) on a fresh sibling directory, then swap it in for
     out_dir: a failed write leaves no partial output and the old tree as it
-    was, and a rewrite replaces the old tree."""
+    was, and a rewrite replaces the old tree. ValueError, before anything is
+    written, if out_dir exists and is not a directory."""
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"{out_dir} exists and is not a directory")
     staging = out_dir.parent / (out_dir.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
@@ -604,6 +607,9 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
         card_index = {}
         for card in kb.cards:
             fname = urllib.parse.quote(card.key, safe="") + ".json"
+            if len(fname) > 255:  # the usual file-name limit, in bytes; quote gives ASCII
+                # a quoted key holds %7C%7C (KEY_SEP): a digest name is never a quoted one
+                fname = hashlib.sha256(card.key.encode()).hexdigest() + ".json"
             card_index[card.key] = f"cards/{fname}"
             with open(cards_dir / fname, "w", encoding="utf-8") as fh:
                 json.dump(card.to_dict(), fh, sort_keys=True, indent=1)

@@ -226,52 +226,25 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+def _leaf_value(node: dict, x) -> float:
+    """The value of the leaf that x reaches from node."""
+    while "value" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
 
-    def __init__(self, value=0.0):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value
 
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-    def predict_one(self, x):
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict; ValueError names the first bad or missing key."""
-        check_record(d, ())
-        node = cls()
-        if "value" in d:
-            node.value = _number(d, "value")
-            return node
-        feature = d.get("feature")
-        if not (has_type(feature, int) and 0 <= feature < len(FEATURE_NAMES)):
-            raise ValueError(f"tree node feature is {feature!r}, not a feature index")
-        node.feature = feature
-        node.threshold = _number(d, "threshold")
-        node.left = cls.from_dict(d.get("left"))
-        node.right = cls.from_dict(d.get("right"))
-        return node
+def _check_node(node) -> None:
+    """ValueError names the first bad or missing key of a saved tree node."""
+    check_record(node, ())
+    if "value" in node:
+        _number(node, "value")
+        return
+    feature = node.get("feature")
+    if not (has_type(feature, int) and 0 <= feature < len(FEATURE_NAMES)):
+        raise ValueError(f"tree node feature is {feature!r}, not a feature index")
+    _number(node, "threshold")
+    _check_node(node.get("left"))
+    _check_node(node.get("right"))
 
 
 def _number(d: dict, key: str) -> float:
@@ -307,32 +280,31 @@ def _best_split(X, g, h, rows, min_leaf):
     return best
 
 
-def _build_tree(X, g, h, rows, depth, max_depth, min_leaf):
-    node = _TreeNode()
-    gsum, hsum = g[rows].sum(), h[rows].sum()
-    node.value = gsum / (hsum + 1e-12)
-    if depth >= max_depth or len(rows) < 2 * min_leaf:
-        return node
-    gain, f, thr = _best_split(X, g, h, rows, min_leaf)
-    if f < 0:
-        return node
-    mask = X[rows, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _build_tree(X, g, h, rows[mask], depth + 1, max_depth, min_leaf)
-    node.right = _build_tree(X, g, h, rows[~mask], depth + 1, max_depth, min_leaf)
-    return node
+def _build_tree(X, g, h, rows, depth, max_depth, min_leaf) -> dict:
+    """A tree in the form GbdtModel.save writes: a leaf is {"value": v}, an
+    inner node {"feature", "threshold", "left", "right"}."""
+    if depth < max_depth and len(rows) >= 2 * min_leaf:
+        _, f, thr = _best_split(X, g, h, rows, min_leaf)
+        if f >= 0:
+            mask = X[rows, f] <= thr
+            return {
+                "feature": f,
+                "threshold": thr,
+                "left": _build_tree(X, g, h, rows[mask], depth + 1, max_depth, min_leaf),
+                "right": _build_tree(X, g, h, rows[~mask], depth + 1, max_depth, min_leaf),
+            }
+    return {"value": g[rows].sum() / (h[rows].sum() + 1e-12)}
 
 
 @dataclass
 class GbdtModel:
-    trees: list
+    trees: list[dict]  # each the root node _build_tree returns
     learning_rate: float
     base_score: float  # prior log-odds
 
     def raw_score(self, x: np.ndarray) -> float:
         return self.base_score + self.learning_rate * sum(
-            t.predict_one(x) for t in self.trees
+            _leaf_value(t, x) for t in self.trees
         )
 
     def save(self, path: str | Path) -> None:
@@ -341,7 +313,7 @@ class GbdtModel:
                 {
                     "learning_rate": self.learning_rate,
                     "base_score": self.base_score,
-                    "trees": [t.to_dict() for t in self.trees],
+                    "trees": self.trees,
                 },
                 fh,
             )
@@ -356,8 +328,9 @@ class GbdtModel:
             learning_rate, base_score = _number(d, "learning_rate"), _number(d, "base_score")
             if not isinstance(d.get("trees"), list):
                 raise ValueError("key 'trees' is missing or not a list")
-            trees = [_TreeNode.from_dict(t) for t in d["trees"]]
-            return cls(trees=trees, learning_rate=learning_rate, base_score=base_score)
+            for tree in d["trees"]:
+                _check_node(tree)
+            return cls(trees=d["trees"], learning_rate=learning_rate, base_score=base_score)
         except ValueError as exc:  # json.JSONDecodeError included
             raise ValueError(f"ranker model {path}: {exc}") from None
 
@@ -386,9 +359,7 @@ def train_gbdt(
         h = p * (1.0 - p)
         tree = _build_tree(X, g, h, all_rows, 0, config.max_depth, config.min_leaf_count)
         trees.append(tree)
-        raw = raw + config.learning_rate * np.array(
-            [tree.predict_one(x) for x in X]
-        )
+        raw = raw + config.learning_rate * np.array([_leaf_value(tree, x) for x in X])
     return GbdtModel(trees=trees, learning_rate=config.learning_rate, base_score=base)
 
 

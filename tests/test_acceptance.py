@@ -261,7 +261,6 @@ def topicrank_mention(surface, doc_id):
         char_end=len(surface),
         surface=surface,
         entity_type="product",
-        score=0.0,
         from_title=False,
     )
 

@@ -12,7 +12,6 @@ from kbmine.nertag import (
     LabeledSentence,
     LabelSet,
     TrainConfig,
-    augment,
     extract_mentions,
     featurize,
     focal_loss,
@@ -225,53 +224,9 @@ class TestTrainTagger:
         assert train_tagger(data, cfg).weights.tobytes() == weights.tobytes()
 
 
-class TestAugment:
-    def test_lowercase_mode(self):
-        data = [LabeledSentence(["NLP", "is", "fun"], ["B-field_of_study", "O", "O"])]
-        out = augment(data, "lowercase")
-        assert len(out) == 2
-        assert out[1].tokens == ["nlp", "is", "fun"]
-        assert out[1].labels == data[0].labels
-
-    def test_single_element_bank_deterministic(self):
-        data = [
-            LabeledSentence(
-                ["Alan", "Turing", "proposed"], ["B-person", "I-person", "O"]
-            )
-        ]
-        out = augment(data, "entity_replace", {"person": ["Grace Hopper"]})
-        assert out[1].tokens == ["Grace", "Hopper", "proposed"]
-        assert out[1].labels == ["B-person", "I-person", "O"]
-
-    def test_replacement_respans_longer_entity(self):
-        data = [
-            LabeledSentence(["Alan", "Turing", "left"], ["B-person", "I-person", "O"])
-        ]
-        out = augment(data, "entity_replace", {"person": ["Ada Augusta Lovelace"]})
-        assert out[1].tokens == ["Ada", "Augusta", "Lovelace", "left"]
-        assert out[1].labels == ["B-person", "I-person", "I-person", "O"]
-
-    def test_missing_bank_type_names_it(self):
-        data = [LabeledSentence(["Contoso"], ["B-organization"])]
-        with pytest.raises(ValueError, match="organization"):
-            augment(data, "entity_replace", {"person": ["X"]})
-
-    def test_doubles_and_stays_valid(self):
-        data = make_tagger_training_data()[:30]
-        bank = {t: ["Replacement Entity"] for t in nertag.DEFAULT_ENTITY_TYPES}
-        labelset = LabelSet()
-        for mode in ("lowercase", "entity_replace"):
-            out = augment(data, mode, bank, seed=3)
-            assert len(out) == 2 * len(data)
-            for sent in out:
-                assert labelset.is_valid_sequence(
-                    [labelset.index(l) for l in sent.labels]
-                )
-
-
 class TestScoreTokens:
     def test_zero_weights_uniform(self):
-        model = nertag.TaggerModel(np.zeros((64, 17)), LabelSet(), 1.6, 64)
+        model = nertag.TaggerModel(np.zeros((64, 17)), LabelSet(), 64)
         scores = score_tokens(model, ["a", "b"])
         assert np.allclose(scores, math.log(1 / 17))
 
@@ -294,7 +249,7 @@ class TestScoreTokens:
         return np.vstack(rows)
 
     def test_feature_ids_match_featurize(self):
-        model = nertag.TaggerModel(np.zeros((1 << 16, 17)), LabelSet(), 1.6, 1 << 16)
+        model = nertag.TaggerModel(np.zeros((1 << 16, 17)), LabelSet(), 1 << 16)
         for sent in make_tagger_training_data():
             for from_title in (False, True):
                 expected = [
@@ -325,7 +280,7 @@ class TestScoreTokens:
     ):
         rng = np.random.default_rng(seed)
         weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
-        model = nertag.TaggerModel(weights, LabelSet(), 1.6, hash_dim)
+        model = nertag.TaggerModel(weights, LabelSet(), hash_dim)
         expected = self.reference_scores(model, tokens, from_title).tobytes()
         assert score_tokens(model, tokens, from_title).tobytes() == expected
         # the second call reads every id from the memo
@@ -334,8 +289,8 @@ class TestScoreTokens:
     def test_models_with_different_hash_dim_score_independently(self):
         tokens = "the team shipped Contoso Falcon last week".split()
         rng = np.random.default_rng(0)
-        small = nertag.TaggerModel(rng.normal(size=(7, 17)), LabelSet(), 1.6, 7)
-        large = nertag.TaggerModel(rng.normal(size=(11, 17)), LabelSet(), 1.6, 11)
+        small = nertag.TaggerModel(rng.normal(size=(7, 17)), LabelSet(), 7)
+        large = nertag.TaggerModel(rng.normal(size=(11, 17)), LabelSet(), 11)
         for model in (small, large, small, large):
             expected = self.reference_scores(model, tokens)
             assert score_tokens(model, tokens).tobytes() == expected.tobytes()
@@ -343,7 +298,7 @@ class TestScoreTokens:
     def test_memo_stays_bounded_and_unsaved(self, monkeypatch, tmp_path):
         monkeypatch.setattr(nertag, "_MEMO_LIMIT", 8)
         weights = np.random.default_rng(1).normal(size=(13, 17))
-        model = nertag.TaggerModel(weights, LabelSet(), 1.6, 13)
+        model = nertag.TaggerModel(weights, LabelSet(), 13)
         words = [f"w{i}" for i in range(30)]
         for start in range(0, 30, 6):
             tokens = words[start : start + 12]
@@ -353,7 +308,7 @@ class TestScoreTokens:
             assert scores.tobytes() == self.reference_scores(model, tokens).tobytes()
         model.save(tmp_path / "tagger.npz")
         with np.load(tmp_path / "tagger.npz") as saved:
-            assert set(saved.files) == {"weights", "entity_types", "gamma", "hash_dim"}
+            assert set(saved.files) == {"weights", "entity_types", "hash_dim"}
 
 
 class TestViterbi:
@@ -483,7 +438,23 @@ class TestModelPersistence:
         loaded = nertag.TaggerModel.load(path)
         assert np.array_equal(loaded.weights, fixture_tagger.weights)
         assert loaded.labelset.labels == fixture_tagger.labelset.labels
-        assert loaded.gamma == fixture_tagger.gamma
+        assert loaded.hash_dim == fixture_tagger.hash_dim
+
+    def test_file_with_gamma_loads_and_scores_the_same(self, fixture_tagger, tmp_path):
+        """A tagger file of the earlier format also holds the training gamma,
+        which scoring never read."""
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        fixture_tagger.save(new)
+        np.savez(
+            old,
+            weights=fixture_tagger.weights,
+            entity_types=np.array(fixture_tagger.labelset.entity_types),
+            gamma=1.6,
+            hash_dim=fixture_tagger.hash_dim,
+        )
+        tokens = "the team shipped Contoso Falcon last week".split()
+        expected = score_tokens(nertag.TaggerModel.load(new), tokens).tobytes()
+        assert score_tokens(nertag.TaggerModel.load(old), tokens).tobytes() == expected
 
 
 GOOD_SCORE_ROW = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -1407,12 +1408,6 @@ class TestCli:
                 "hash_dim is not an integer >= 1",
             ),
             (
-                "refresh", "tagger_model",
-                lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
-                                   gamma=np.array([1.6, 2.0]), hash_dim=4),
-                "gamma is not a number",
-            ),
-            (
                 "update", "def_classifier",
                 lambda p: np.savez(p, weights=np.zeros((8, 5))),
                 "missing key 'hash_dim'",
@@ -1436,7 +1431,7 @@ class TestCli:
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
             "tagger_truncated_zip", "ranker_without_learning_rate", "ranker_bad_feature",
-            "ranker_nan_learning_rate", "tagger_hash_dim_not_scalar", "tagger_gamma_not_scalar",
+            "ranker_nan_learning_rate", "tagger_hash_dim_not_scalar",
             "classifier_without_hash_dim",
             "classifier_hash_dim_zero", "classifier_hash_dim_float",
             "pattern_without_priority",
@@ -1467,6 +1462,78 @@ class TestCli:
         assert err.startswith("error: ") and str(model_path) in err and reason in err
         assert _tree_bytes(state_dir) == before
         assert not (tmp_path / "kb").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [
+            ("update", "--events", "dir"),
+            ("update", "--state", "file"),
+            ("train-tagger", "--data", "dir"),
+            ("mine", "--out", "file"),
+            ("mine", "--state", "file"),
+        ],
+        ids=["update_events_dir", "update_state_file", "train_tagger_data_dir",
+             "mine_out_file", "mine_state_file"],
+    )
+    def test_unusable_path_exits_2(self, config, models, tmp_path, capsys, command, flag, kind):
+        """An input path that cannot be read, or an output directory path that
+        names a file, exits 2 with one line and leaves that file as it was."""
+        bad = tmp_path / "bad"
+        if kind == "dir":
+            bad.mkdir()
+        else:
+            bad.write_text("keep me\n")
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        args = {
+            "update": lambda: {"--config": cfg_path, "--events": events,
+                               "--state": _saved_state(models, tmp_path / "state")},
+            "train-tagger": lambda: {"--model": tmp_path / "tagger.npz"},
+            "mine": lambda: {"--config": cfg_path},
+        }[command]()
+        args[flag] = bad
+        capsys.readouterr()
+        rc = cli.main([command, *(str(x) for item in args.items() for x in item)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(bad) in err
+        if kind == "file":
+            assert bad.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.glob("bad*")) == ["bad"]
+
+    def test_long_card_key_exports_under_a_digest_name(self, tmp_path, capsys):
+        """A 40-character CJK topic quotes to a 382-byte file name, past the
+        usual 255-byte limit; its card is named by the key's sha256 instead."""
+        topic = "知识库" * 13 + "图"
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps(asdict(Document(f"d{i}", "Notes", topic, "u1", float(i)))) + "\n"
+            for i in range(2)
+        ), encoding="utf-8")
+        # sentence 0 is the title and 1 the body: one token, tagged B-product
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"doc_id": f"d{i}", "sentence_index": 1, "scores": [[0.0, 1.0, 0.0]]})
+            + "\n"
+            for i in range(2)
+        ))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus_path": str(corpus_path), "score_file": str(scores),
+            "entity_types": ["product"], "output_dir": str(tmp_path / "kb"),
+        }))
+        assert cli.main(["mine", "--config", str(cfg_path)]) == cli.EXIT_OK
+        key = f"{topic}||product"
+        manifest = json.loads((tmp_path / "kb" / "manifest.json").read_text())
+        assert len(urllib.parse.quote(key, safe="") + ".json") > 255
+        assert manifest["cards"] == {key: f"cards/{hashlib.sha256(key.encode()).hexdigest()}.json"}
+        card = json.loads((tmp_path / "kb" / manifest["cards"][key]).read_text())
+        assert card["key"] == key and card["display_name"] == topic
 
     def test_export_below_memory_budget_exits_3(self, config, models, tmp_path, capsys):
         state_dir = _saved_state(models, tmp_path / "state")

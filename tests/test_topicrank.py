@@ -32,7 +32,6 @@ def mention(surface, etype="product", doc_id="d1", from_title=False):
         char_end=len(surface),
         surface=surface,
         entity_type=etype,
-        score=0.0,
         from_title=from_title,
     )
 
@@ -192,7 +191,7 @@ class TestGbdt:
         rows = make_ranker_rows(100, seed=3)
         m1 = train_gbdt(rows, GbdtConfig(num_trees=10, seed=5))
         m2 = train_gbdt(rows, GbdtConfig(num_trees=10, seed=5))
-        assert [t.to_dict() for t in m1.trees] == [t.to_dict() for t in m2.trees]
+        assert m1.trees == m2.trees
 
     def test_single_class_rejected(self):
         rows = [(f, 1) for f, _ in make_ranker_rows(20, seed=4)]
@@ -214,7 +213,7 @@ class TestGbdt:
         rows = make_ranker_rows(60, seed=7)
         model = train_gbdt(rows, GbdtConfig(num_trees=5))
         boosted = GbdtModel(
-            trees=model.trees + [topicrank._TreeNode(value=0.7)],
+            trees=model.trees + [{"value": 0.7}],
             learning_rate=model.learning_rate,
             base_score=model.base_score,
         )
@@ -227,6 +226,8 @@ class TestGbdt:
         loaded = GbdtModel.load(path)
         for f, _ in make_ranker_rows(20, seed=8):
             assert score_topic(loaded, f) == score_topic(fixture_ranker, f)
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "text, reason",
