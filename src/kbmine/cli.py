@@ -100,6 +100,9 @@ def cmd_train_defclassifier(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg = _load_config(args)
+    for out_dir in (cfg.output_dir, args.state):
+        if out_dir:  # refused before the batch runs, not after
+            pipeline.check_output_dir(out_dir)
     state, kb = pipeline.run_full(cfg)
     if args.state:
         state.save(args.state)

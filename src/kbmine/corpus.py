@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -20,6 +21,12 @@ DEFAULT_ABBREVIATIONS = frozenset(
 REQUIRED_KEYS = ("doc_id", "title", "body", "author_id", "timestamp")
 
 _TERMINATORS = {".", "!", "?"}
+
+# tokenize's rule; the alternatives, in order: a whitespace chunk of
+# punctuation only; a run from an alphanumeric character to the last one
+# of its chunk; one punctuation character. [^\W_] matches exactly the
+# characters for which str.isalnum() is true.
+_TOKEN_RE = re.compile(r"(?<!\S)(?:(?!\s)[\W_])+(?!\S)|[^\W_](?:\S*[^\W_])?|(?!\s)[\W_]")
 
 
 @dataclass(frozen=True)
@@ -36,17 +43,8 @@ class Document:
 class Sentence:
     doc_id: str
     index: int
-    start: int
-    end: int
     text: str
     from_title: bool = False
-
-
-@dataclass(frozen=True)
-class Token:
-    start: int
-    end: int
-    surface: str
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,21 @@ def parse_document(obj) -> Document:
     )
 
 
+def decode_json(text: str):
+    """json.loads(text), where a value nested past the recursion limit
+    raises ValueError, as other invalid JSON does, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def read_json(path: str | Path):
+    """decode_json of a UTF-8 file's text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return decode_json(fh.read())
+
+
 def _parse_lines(path: str | Path, parse, decode) -> Iterator[tuple[int, object, str | None]]:
     """The one line loop: (line number, parse(decode(line)), None) for each
     non-blank line, in file order, or (line number, None, reason) for a line
@@ -150,9 +163,9 @@ def _parse_lines(path: str | Path, parse, decode) -> Iterator[tuple[int, object,
                 yield lineno, None, str(exc)
 
 
-def read_records(path: str | Path, parse, what: str, decode=json.loads) -> Iterator:
+def read_records(path: str | Path, parse, what: str, decode=decode_json) -> Iterator:
     """parse(decode(line)) for each non-blank line of a file, in file order;
-    decode is json.loads for a JSONL file. A line that decode or parse
+    decode is decode_json for a JSONL file. A line that decode or parse
     rejects with ValueError raises ValueError '<what> line N: <reason>';
     records before it have already been yielded."""
     for lineno, item, reason in _parse_lines(path, parse, decode):
@@ -168,7 +181,7 @@ def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
     position)."""
     docs: dict[str, Document] = {}
     errors: list[IngestError] = []
-    for lineno, doc, reason in _parse_lines(path, parse_document, json.loads):
+    for lineno, doc, reason in _parse_lines(path, parse_document, decode_json):
         if reason is None:
             docs[doc.doc_id] = doc
         else:
@@ -215,15 +228,12 @@ def split_sentences(
 
     Terminators are '.', '!', '?' and a blank line; a '.' that ends an
     abbreviation does not split. The title, when present, becomes the
-    first sentence with from_title=True (its span indexes the title text).
+    first sentence with from_title=True. Each sentence's text is stripped.
     """
     sentences: list[Sentence] = []
     title = doc.title.strip()
     if title:
-        start = doc.title.index(title)
-        sentences.append(
-            Sentence(doc.doc_id, 0, start, start + len(title), title, from_title=True)
-        )
+        sentences.append(Sentence(doc.doc_id, 0, title, from_title=True))
 
     body = doc.body
     n = len(body)
@@ -256,50 +266,17 @@ def split_sentences(
 
     prev = 0
     for end in boundaries:
-        raw = body[prev:end]
-        stripped = raw.strip()
-        if stripped:
-            lead = len(raw) - len(raw.lstrip())
-            trail = len(raw) - len(raw.rstrip())
-            s = prev + lead
-            e = end - trail
-            sentences.append(
-                Sentence(doc.doc_id, len(sentences), s, e, body[s:e], from_title=False)
-            )
+        text = body[prev:end].strip()
+        if text:
+            sentences.append(Sentence(doc.doc_id, len(sentences), text))
         prev = end
     return sentences
 
 
-def _is_punct(ch: str) -> bool:
-    return not ch.isalnum()
-
-
-def tokenize(sentence: Sentence) -> list[Token]:
-    """Whitespace tokenization with leading/trailing punctuation detached
-    as individual tokens. Internal hyphens and apostrophes stay attached.
+def tokenize(sentence: Sentence) -> list[str]:
+    """Whitespace chunks with leading and trailing punctuation peeled off
+    one character per token. Internal hyphens and apostrophes stay
+    attached, and a chunk of punctuation only stays whole. Punctuation is
+    any character for which str.isalnum() is false.
     """
-    tokens: list[Token] = []
-    text = sentence.text
-    pos = 0
-    for chunk in text.split():
-        start = text.index(chunk, pos)
-        pos = start + len(chunk)
-        lo, hi = 0, len(chunk)
-        # peel leading punctuation, one char per token
-        lead_end = lo
-        while lead_end < hi and _is_punct(chunk[lead_end]):
-            lead_end += 1
-        if lead_end == hi:
-            # all-punctuation chunk stays whole
-            tokens.append(Token(start, start + len(chunk), chunk))
-            continue
-        trail_start = hi
-        while trail_start > lead_end and _is_punct(chunk[trail_start - 1]):
-            trail_start -= 1
-        for k in range(lo, lead_end):
-            tokens.append(Token(start + k, start + k + 1, chunk[k]))
-        core = chunk[lead_end:trail_start]
-        tokens.append(Token(start + lead_end, start + trail_start, core))
-        for k in range(trail_start, hi):
-            tokens.append(Token(start + k, start + k + 1, chunk[k]))
-    return tokens
+    return _TOKEN_RE.findall(sentence.text)

@@ -4,7 +4,6 @@ opinion filtering, composed over one document's sentences by mine_definitions.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Sentence, check_record, has_type, read_records, read_word_list
+from .corpus import Sentence, check_record, has_type, read_json, read_records, read_word_list
 # split_sentences is unused here, but bench/tracing.py patches this binding
 from .corpus import split_sentences  # noqa: F401
 from .nertag import check_weights, hash_features, read_npz
@@ -360,12 +359,11 @@ def load_patterns(path: str | Path) -> tuple[DefinitionPattern, ...]:
     """Pattern file: JSON list of {template, priority}. ValueError names the
     file and the first entry or key that is wrong."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            items = json.load(fh)
+        items = read_json(path)
         if not isinstance(items, list):
             raise ValueError("not a JSON list")
         return tuple(_pattern_entry(i, item) for i, item in enumerate(items))
-    except ValueError as exc:  # json.JSONDecodeError included
+    except ValueError as exc:  # invalid JSON included
         raise ValueError(f"pattern file {path}: {exc}") from None
 
 

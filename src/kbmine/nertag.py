@@ -430,26 +430,19 @@ def greedy_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
 
 @dataclass(frozen=True)
 class Mention:
-    doc_id: str
-    sentence_index: int
-    token_start: int
-    token_end: int  # exclusive
-    char_start: int
-    char_end: int
     surface: str
     entity_type: str
     from_title: bool = False
 
 
 def extract_mentions(
-    tokens,
+    tokens: list[str],
     labels: list[int],
     labelset: LabelSet,
-    doc_id: str = "",
-    sentence_index: int = 0,
     from_title: bool = False,
 ) -> list[Mention]:
-    """One Mention per maximal B-t (I-t)* run. tokens are corpus.Token."""
+    """One Mention per maximal B-t (I-t)* run; its surface is the run's
+    tokens joined by single spaces."""
     if len(labels) != len(tokens):
         raise ValueError("labels and tokens must align")
     if not labelset.is_valid_sequence(labels):
@@ -462,20 +455,7 @@ def extract_mentions(
             j = i + 1
             while j < len(labels) and labelset.is_inside(labels[j]):
                 j += 1
-            span_tokens = tokens[i:j]
-            mentions.append(
-                Mention(
-                    doc_id=doc_id,
-                    sentence_index=sentence_index,
-                    token_start=i,
-                    token_end=j,
-                    char_start=span_tokens[0].start,
-                    char_end=span_tokens[-1].end,
-                    surface=" ".join(t.surface for t in span_tokens),
-                    entity_type=etype,
-                    from_title=from_title,
-                )
-            )
+            mentions.append(Mention(" ".join(tokens[i:j]), etype, from_title))
             i = j
         else:
             i += 1

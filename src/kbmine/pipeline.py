@@ -93,9 +93,8 @@ class PipelineConfig:
         data = {}
         if path is not None:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+                data = corpus.read_json(path)
+            except (OSError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
             if not isinstance(data, dict):
                 raise ConfigError("config file does not hold a JSON object")
@@ -256,12 +255,10 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
             if scores is None:
                 continue
         else:
-            surfaces = [t.surface for t in tokens]
-            scores = nertag.score_tokens(models.tagger, surfaces, sent.from_title)
+            scores = nertag.score_tokens(models.tagger, tokens, sent.from_title)
         labels = nertag.viterbi_decode(scores, models.labelset)
         mentions += nertag.extract_mentions(
-            tokens, labels, models.labelset, doc_id=doc.doc_id, sentence_index=sent.index,
-            from_title=sent.from_title,
+            tokens, labels, models.labelset, from_title=sent.from_title
         )
     return DocRecord(
         doc_id=doc.doc_id,
@@ -570,13 +567,21 @@ def _parse_event(obj) -> UpdateEvent:
     return UpdateEvent(kind, doc_id=corpus.parse_doc_id(obj["doc_id"]))
 
 
+def check_output_dir(out_dir: str | Path) -> None:
+    """ValueError if out_dir, where a directory is to be written, exists
+    and is not a directory. Callers check before any work whose result
+    goes there."""
+    out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"{out_dir} exists and is not a directory")
+
+
 def _write_dir_atomically(out_dir: Path, write) -> None:
     """Call write(staging) on a fresh sibling directory, then swap it in for
     out_dir: a failed write leaves no partial output and the old tree as it
-    was, and a rewrite replaces the old tree. ValueError, before anything is
-    written, if out_dir exists and is not a directory."""
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"{out_dir} exists and is not a directory")
+    was, and a rewrite replaces the old tree. check_output_dir runs before
+    anything is written."""
+    check_output_dir(out_dir)
     staging = out_dir.parent / (out_dir.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import check_record, has_type, read_records
+from .corpus import check_record, has_type, read_json, read_records
 from .nertag import Mention
 
 KEY_SEP = "||"
@@ -233,18 +233,21 @@ def _leaf_value(node: dict, x) -> float:
     return node["value"]
 
 
-def _check_node(node) -> None:
-    """ValueError names the first bad or missing key of a saved tree node."""
-    check_record(node, ())
-    if "value" in node:
-        _number(node, "value")
-        return
-    feature = node.get("feature")
-    if not (has_type(feature, int) and 0 <= feature < len(FEATURE_NAMES)):
-        raise ValueError(f"tree node feature is {feature!r}, not a feature index")
-    _number(node, "threshold")
-    _check_node(node.get("left"))
-    _check_node(node.get("right"))
+def _check_node(root) -> None:
+    """ValueError names the first bad or missing key, in preorder, of a
+    saved tree's nodes. A stack, not recursion, walks the tree, so a deep
+    one cannot pass the recursion limit."""
+    stack = [root]
+    while stack:
+        node = check_record(stack.pop(), ())
+        if "value" in node:
+            _number(node, "value")
+            continue
+        feature = node.get("feature")
+        if not (has_type(feature, int) and 0 <= feature < len(FEATURE_NAMES)):
+            raise ValueError(f"tree node feature is {feature!r}, not a feature index")
+        _number(node, "threshold")
+        stack += (node.get("right"), node.get("left"))
 
 
 def _number(d: dict, key: str) -> float:
@@ -322,16 +325,14 @@ class GbdtModel:
     def load(cls, path: str | Path) -> "GbdtModel":
         """ValueError names the file and the first bad or missing key."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-            check_record(d, ())
+            d = check_record(read_json(path), ())
             learning_rate, base_score = _number(d, "learning_rate"), _number(d, "base_score")
             if not isinstance(d.get("trees"), list):
                 raise ValueError("key 'trees' is missing or not a list")
             for tree in d["trees"]:
                 _check_node(tree)
             return cls(trees=d["trees"], learning_rate=learning_rate, base_score=base_score)
-        except ValueError as exc:  # json.JSONDecodeError included
+        except ValueError as exc:  # invalid JSON included
             raise ValueError(f"ranker model {path}: {exc}") from None
 
 

@@ -253,12 +253,6 @@ def test_criterion_6_ranker_direction(fixture_ranker):
 
 def topicrank_mention(surface, doc_id):
     return nertag.Mention(
-        doc_id=doc_id,
-        sentence_index=0,
-        token_start=0,
-        token_end=1,
-        char_start=0,
-        char_end=len(surface),
         surface=surface,
         entity_type="product",
         from_title=False,

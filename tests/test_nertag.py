@@ -399,18 +399,18 @@ class TestGreedy:
 
 class TestExtractMentions:
     def toks(self, text):
-        return tokenize(Sentence("d1", 0, 0, len(text), text))
+        return tokenize(Sentence("d1", 0, text))
 
     def test_simple_mention(self):
         ls = LabelSet(("person",))
         tokens = self.toks("Alan Turing proposed")
         labels = [ls.index(l) for l in ("B-person", "I-person", "O")]
-        mentions = extract_mentions(tokens, labels, ls, doc_id="d1")
+        mentions = extract_mentions(tokens, labels, ls)
         assert len(mentions) == 1
         m = mentions[0]
         assert m.surface == "Alan Turing"
         assert m.entity_type == "person"
-        assert (m.char_start, m.char_end) == (0, 11)
+        assert m == nertag.Mention(surface="Alan Turing", entity_type="person", from_title=False)
 
     def test_all_outside(self):
         ls = LabelSet(("person",))

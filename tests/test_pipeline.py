@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1493,7 +1494,7 @@ class TestCli:
             "update": lambda: {"--config": cfg_path, "--events": events,
                                "--state": _saved_state(models, tmp_path / "state")},
             "train-tagger": lambda: {"--model": tmp_path / "tagger.npz"},
-            "mine": lambda: {"--config": cfg_path},
+            "mine": lambda: {"--config": cfg_path, "--state": tmp_path / "mine_state"},
         }[command]()
         args[flag] = bad
         capsys.readouterr()
@@ -1505,6 +1506,48 @@ class TestCli:
         if kind == "file":
             assert bad.read_text() == "keep me\n"
         assert sorted(p.name for p in tmp_path.glob("bad*")) == ["bad"]
+        # mine refuses the path before the batch runs: it saves no state
+        assert not (tmp_path / "mine_state").exists()
+
+    @pytest.mark.parametrize(
+        "path_kind", ["corpus", "events", "state", "score_file", "ranker", "patterns", "config"]
+    )
+    def test_deeply_nested_json_is_bad_input(
+        self, config, models, tmp_path, capsys, path_kind
+    ):
+        """JSON nested past the recursion limit is invalid JSON like any
+        other: exit 2 with one line, and ingest skips the line."""
+        bad = tmp_path / "deep.json"
+        if path_kind == "ranker":  # a tree 2,000 levels deep
+            node = '{"feature": 0, "threshold": 0.0, "right": {"value": 0.0}, "left": '
+            bad.write_text('{"learning_rate": 0.1, "base_score": 0.0, "trees": ['
+                           + node * 2_000 + '{"value": 0.0}' + "}" * 2_000 + "]}")
+        else:
+            bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        state_dir = _saved_state(models, tmp_path / "state")
+        if path_kind == "state":
+            shutil.copy(bad, state_dir / pipeline.STATE_FILE)
+        field = {"score_file": "score_file", "ranker": "ranker_model",
+                 "patterns": "patterns_file"}.get(path_kind)
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"),
+            **({field: str(bad)} if field else {}),
+        )
+        argv = {
+            "corpus": ["ingest", "--corpus", bad],
+            "events": ["update", "--config", cfg_path, "--state", state_dir, "--events", bad],
+            "config": ["export", "--config", bad, "--state", state_dir],
+        }.get(path_kind, ["export", "--config", cfg_path, "--state", state_dir])
+        capsys.readouterr()
+        rc = cli.main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid JSON: nested too deeply" in err
+        if path_kind == "corpus":
+            assert rc == cli.EXIT_OK and err.startswith("line 1: ")
+        else:
+            assert rc == cli.EXIT_CONFIG
+            assert err.startswith("config error: " if path_kind == "config" else "error: ")
+        assert not (tmp_path / "kb").exists()
 
     def test_long_card_key_exports_under_a_digest_name(self, tmp_path, capsys):
         """A 40-character CJK topic quotes to a 382-byte file name, past the

@@ -22,14 +22,8 @@ from kbmine.topicrank import (
 )
 
 
-def mention(surface, etype="product", doc_id="d1", from_title=False):
+def mention(surface, etype="product", from_title=False):
     return Mention(
-        doc_id=doc_id,
-        sentence_index=0,
-        token_start=0,
-        token_end=1,
-        char_start=0,
-        char_end=len(surface),
         surface=surface,
         entity_type=etype,
         from_title=from_title,
@@ -76,8 +70,8 @@ class TestAccumulate:
 
     def test_order_independent(self):
         d1, d2 = doc("d1"), doc("d2")
-        m1 = [mention("Contoso", doc_id="d1"), mention("Fabrikam", doc_id="d1")]
-        m2 = [mention("Contoso", doc_id="d2")]
+        m1 = [mention("Contoso"), mention("Fabrikam")]
+        m2 = [mention("Contoso")]
         a, b = CandidateStore(), CandidateStore()
         a.accumulate(m1, d1)
         a.accumulate(m2, d2)
@@ -98,11 +92,7 @@ class TestAccumulate:
         surfaces = ["Alpha", "Beta", "Gamma"]
         for i in range(20):
             ms = [
-                mention(
-                    surfaces[int(rng.integers(3))],
-                    doc_id=f"d{i}",
-                    from_title=bool(rng.integers(2)),
-                )
+                mention(surfaces[int(rng.integers(3))], from_title=bool(rng.integers(2)))
                 for _ in range(int(rng.integers(1, 6)))
             ]
             store.accumulate(ms, doc(f"d{i}"))
@@ -113,10 +103,10 @@ class TestAccumulate:
 
     def test_remove_doc_restores_state(self):
         store = CandidateStore()
-        store.accumulate([mention("Contoso", doc_id="d1")], doc("d1"))
+        store.accumulate([mention("Contoso")], doc("d1"))
         before = store.snapshot()
         store.accumulate(
-            [mention("Contoso", doc_id="d2"), mention("Other", doc_id="d2")], doc("d2")
+            [mention("Contoso"), mention("Other")], doc("d2")
         )
         store.remove_doc("d2")
         assert store.snapshot() == before
@@ -131,7 +121,7 @@ class TestShortlist:
     def build(self, freqs):
         store = CandidateStore()
         for i, (name, freq) in enumerate(freqs):
-            ms = [mention(name, doc_id=f"d{i}") for _ in range(freq)]
+            ms = [mention(name) for _ in range(freq)]
             store.accumulate(ms, doc(f"d{i}"))
         return store
 
@@ -252,6 +242,16 @@ class TestGbdt:
             GbdtModel.load(path)
         assert str(exc.value).startswith(f"ranker model {path}: {reason}")
 
+    def test_deep_tree_is_checked_without_recursion(self):
+        leaf = {"value": 0.5}
+        tree = leaf
+        for _ in range(5_000):  # past the default recursion limit of 1,000
+            tree = {"feature": 0, "threshold": 1.0, "left": tree, "right": {"value": 0.0}}
+        topicrank._check_node(tree)
+        leaf["value"] = "x"
+        with pytest.raises(ValueError, match="value is 'x', not a finite number"):
+            topicrank._check_node(tree)
+
 
 class TestRerankAndFilter:
     def build_store(self):
@@ -259,10 +259,10 @@ class TestRerankAndFilter:
         # good topic: 3 mentions/doc over 4 docs; noise: 1 mention/doc over 8 docs
         for i in range(4):
             store.accumulate(
-                [mention("Falcon", doc_id=f"g{i}") for _ in range(3)], doc(f"g{i}")
+                [mention("Falcon") for _ in range(3)], doc(f"g{i}")
             )
         for i in range(8):
-            store.accumulate([mention("Company", doc_id=f"n{i}")], doc(f"n{i}"))
+            store.accumulate([mention("Company")], doc(f"n{i}"))
         return store
 
     def test_permutation_when_unfiltered(self, fixture_ranker):
@@ -363,7 +363,7 @@ class TestLedgerRebuild:
         for op, i, spec in ops:
             doc_id = f"d{i}"
             if op == "accumulate":
-                ms = [mention(s, t, doc_id=doc_id, from_title=f) for s, t, f in spec]
+                ms = [mention(s, t, from_title=f) for s, t, f in spec]
                 store.accumulate(ms, doc(doc_id))
                 surviving.setdefault(doc_id, ms)
             else:
