@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad input (config file, event file, saved state, an
-unreadable input path or an output path that is not a directory), 3 stage
-failure.
+unreadable input path, an output path that is not a directory, or output and
+state directories that overlap), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -38,10 +39,23 @@ def _load_config(args) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig.from_file(args.config, **overrides)
 
 
-def _load_state(args):
-    """(config, models, saved state) for the commands that work on --state."""
+def _load_state(args, writes_kb=False):
+    """(config, models, saved state) for the commands that work on --state.
+    With writes_kb, output and state directories that overlap are refused
+    first."""
     cfg = _load_config(args)
+    if writes_kb:
+        _check_apart(cfg.output_dir, args.state)
     return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
+
+
+def _check_apart(out_dir, state_dir) -> None:
+    """ValueError if the output and state directories are one directory or
+    one holds the other: writing either swaps out its whole tree, and the
+    other would go with it."""
+    out, state = Path(out_dir).resolve(), Path(state_dir).resolve()
+    if out == state or out in state.parents or state in out.parents:
+        raise ValueError(f"output directory {out_dir} and state directory {state_dir} overlap")
 
 
 def _add_config(parser, *flags):
@@ -100,8 +114,11 @@ def cmd_train_defclassifier(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg = _load_config(args)
+    # refused before the batch runs, not after
+    if args.state:
+        _check_apart(cfg.output_dir, args.state)
     for out_dir in (cfg.output_dir, args.state):
-        if out_dir:  # refused before the batch runs, not after
+        if out_dir:
             pipeline.check_output_dir(out_dir)
     state, kb = pipeline.run_full(cfg)
     if args.state:
@@ -131,7 +148,7 @@ def cmd_refresh(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg, models, state = _load_state(args)
+    cfg, models, state = _load_state(args, writes_kb=True)
     try:
         kb = pipeline.build_knowledge_base(state, cfg, models)
     except cardbuild.MemoryBudgetError as exc:  # reported as `mine` reports it

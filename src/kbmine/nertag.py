@@ -1,9 +1,11 @@
 """Token tagging over the BIO label set.
 
-A hashed-feature softmax classifier scores every token against the label
-set; Viterbi decoding then finds the highest-scoring *valid* BIO path.
-The decoder and loss are scorer-agnostic: score matrices may also come
-from an external file (see load_external_scores).
+A hashed-feature softmax classifier scores every token of a document against
+the label set in one pass; Viterbi decoding then finds each sentence's
+highest-scoring *valid* BIO path, taking at each step the best allowed
+previous label of every label. The decoder and loss are scorer-agnostic:
+score matrices may also come from an external file (see
+load_external_scores).
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ class LabelSet:
 
     Immutable. The transition masks are built once from transition_ok and
     are read-only: transition_mask[p, c] is True where label c may follow
-    label p, start_mask[c] where c may open a sentence, and transition_scores
-    and start_scores are the same masks as additive 0/NEG_INF arrays.
+    label p, and start_mask[c] where c may open a sentence. allowed_prevs
+    holds (c, the labels c may follow) for each label c that not every
+    label may follow: the I-t labels.
     """
 
     def __init__(self, entity_types=DEFAULT_ENTITY_TYPES):
@@ -53,11 +56,12 @@ class LabelSet:
         self.transition_mask = _read_only(
             np.array([[self.transition_ok(p, c) for c in range(L)] for p in range(L)], dtype=bool)
         )
-        self.start_mask = _read_only(
-            np.array([self.transition_ok(None, c) for c in range(L)], dtype=bool)
+        self.start_mask = tuple(self.transition_ok(None, c) for c in range(L))
+        self.allowed_prevs = tuple(
+            (c, tuple(np.flatnonzero(column).tolist()))
+            for c, column in enumerate(self.transition_mask.T)
+            if not column.all()
         )
-        self.transition_scores = _read_only(np.where(self.transition_mask, 0.0, NEG_INF))
-        self.start_scores = _read_only(np.where(self.start_mask, 0.0, NEG_INF))
 
     def __len__(self):
         return len(self.labels)
@@ -364,47 +368,73 @@ def train_tagger(
     return model
 
 
-def score_tokens(model: TaggerModel, tokens: list[str], from_title: bool = False) -> np.ndarray:
-    """Log-softmax score matrix, one row per token.
+def score_tokens(
+    model: TaggerModel, sentences: list[tuple[list[str], bool]]
+) -> list[np.ndarray]:
+    """Log-softmax score matrices of a document's tokenized sentences, given
+    as (tokens, from_title) pairs: one matrix per sentence, one row per
+    token, each a view of one array scored in one pass.
 
     Bitwise equal to _log_softmax(weights[hash_features(featurize(i, ...))]
     .sum(axis=0)) per token: the gather for the tokens with k ids is one
     (g, k, L) array summed over k, which adds rows in the same order as the
     per-token (k, L) sum. np.add.reduceat over the flat gather does not.
     """
-    if not tokens:
-        raise ValueError("no tokens to score")
-    ids = model.feature_ids(tokens, from_title)
+    ids: list[tuple[int, ...]] = []
+    ends = []
+    for tokens, from_title in sentences:
+        if not tokens:
+            raise ValueError("no tokens to score")
+        ids += model.feature_ids(tokens, from_title)
+        ends.append(len(ids))
     by_count: dict[int, list[int]] = {}
     for i, token_ids in enumerate(ids):
         by_count.setdefault(len(token_ids), []).append(i)
-    logits = np.empty((len(tokens), model.weights.shape[1]))
+    logits = np.empty((len(ids), model.weights.shape[1]))
     for rows in by_count.values():
         logits[rows] = model.weights[np.array([ids[i] for i in rows])].sum(axis=1)
     z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    scores = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return [scores[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def viterbi_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
     """Max-sum valid BIO path. Ties break toward the smallest label ordinal
-    at the latest position where candidate paths differ."""
+    at the latest position where candidate paths differ.
+
+    A label that may not open a sentence starts at -inf, and a label of
+    allowed_prevs takes its best previous label among the ones it may
+    follow, so the path is BIO-valid whatever the (finite) scores."""
     scores = np.asarray(scores, dtype=np.float64)
-    n, _ = scores.shape
+    n, width = scores.shape
     if n < 1:
         raise ValueError("need at least one token")
-    trans = labelset.transition_scores
-
-    dp = labelset.start_scores + scores[0]
+    if width != len(labelset):
+        raise ValueError(f"scores have {width} columns, not {len(labelset)} labels")
+    rows = scores.tolist()
+    allowed_prevs = labelset.allowed_prevs
+    dp = [s if ok else -math.inf for s, ok in zip(rows[0], labelset.start_mask)]
     back = []
-    for t in range(1, n):
-        cand = dp[:, None] + trans  # (prev, cur)
-        # argmax picks the smallest prev ordinal on ties
-        back.append(cand.argmax(axis=0).tolist())
-        dp = cand.max(axis=0) + scores[t]
-    last = int(np.argmax(dp))
+    for row in rows[1:]:
+        # every label may follow the best label, except those of allowed_prevs
+        top = max(dp)
+        arg = dp.index(top)  # the smallest ordinal on ties
+        ptr = [arg] * width
+        nxt = [top + s for s in row]
+        for cur, prevs in allowed_prevs:
+            arg = prevs[0]
+            top = dp[arg]
+            for p in prevs:
+                if dp[p] > top:
+                    arg, top = p, dp[p]
+            ptr[cur] = arg
+            nxt[cur] = top + row[cur]
+        back.append(ptr)
+        dp = nxt
+    last = dp.index(max(dp))
     path = [last]
-    for row in reversed(back):
-        last = row[last]
+    for ptr in reversed(back):
+        last = ptr[last]
         path.append(last)
     path.reverse()
     return path

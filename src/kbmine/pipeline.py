@@ -241,21 +241,20 @@ STATE_KEYS = tuple(DocRecord.__dataclass_fields__)
 def extract(doc: corpus.Document, models: Models) -> DocRecord:
     """The document's record; reads no state and writes none. The only
     reader of document text: one sentence split feeds the tagger, the
-    definition miner and the acronym extractor."""
+    definition miner and the acronym extractor. The tagger scores all the
+    document's tokenized sentences in one call; each is decoded alone."""
     sentences = corpus.split_sentences(doc, models.abbreviations)
+    tokenized = [(sent, tokens) for sent in sentences if (tokens := corpus.tokenize(sent))]
+    if models.external_scores is None:
+        doc_scores = nertag.score_tokens(
+            models.tagger, [(tokens, sent.from_title) for sent, tokens in tokenized]
+        )
+    else:
+        doc_scores = [models.external_scores.get((doc.doc_id, sent.index)) for sent, _ in tokenized]
     mentions: list[nertag.Mention] = []
-    token_count = 0
-    for sent in sentences:
-        tokens = corpus.tokenize(sent)
-        if not tokens:
+    for (sent, tokens), scores in zip(tokenized, doc_scores):
+        if scores is None:
             continue
-        token_count += len(tokens)
-        if models.external_scores is not None:
-            scores = models.external_scores.get((doc.doc_id, sent.index))
-            if scores is None:
-                continue
-        else:
-            scores = nertag.score_tokens(models.tagger, tokens, sent.from_title)
         labels = nertag.viterbi_decode(scores, models.labelset)
         mentions += nertag.extract_mentions(
             tokens, labels, models.labelset, from_title=sent.from_title
@@ -264,7 +263,7 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
         doc_id=doc.doc_id,
         author_id=doc.author_id,
         timestamp=doc.timestamp,
-        length=max(1, token_count),
+        length=max(1, sum(len(tokens) for _, tokens in tokenized)),
         ledger=topicrank.contribution(mentions),
         acronyms=tuple(cardbuild.extract_acronym_aliases(s.text for s in sentences)),
         definitions=tuple(

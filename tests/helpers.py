@@ -1,5 +1,5 @@
-"""Shared fixtures: brute-force decoding oracle, synthetic training data,
-and the planted-topic corpus used by the end-to-end tests."""
+"""Shared fixtures: brute-force and dense decoding oracles, synthetic
+training data, and the planted-topic corpus used by the end-to-end tests."""
 
 from __future__ import annotations
 
@@ -57,6 +57,28 @@ def brute_force_decode(scores: np.ndarray, entity_types: tuple) -> list[int]:
     best = totals.max()
     winners = seqs[totals == best]
     return list(min(map(tuple, winners), key=lambda s: s[::-1]))
+
+
+def dense_viterbi_decode(scores: np.ndarray, labelset: nertag.LabelSet) -> list[int]:
+    """The decoder nertag.viterbi_decode replaced: a full (prev, cur) step
+    over additive 0/NEG_INF transition scores, argmax taking the smallest
+    ordinal on ties. Equal to the structured decoder wherever no score is
+    near NEG_INF; near it, a disallowed candidate can win a tie."""
+    scores = np.asarray(scores, dtype=np.float64)
+    trans = np.where(labelset.transition_mask, 0.0, nertag.NEG_INF)
+    dp = np.where(labelset.start_mask, 0.0, nertag.NEG_INF) + scores[0]
+    back = []
+    for t in range(1, scores.shape[0]):
+        cand = dp[:, None] + trans  # (prev, cur)
+        back.append(cand.argmax(axis=0).tolist())
+        dp = cand.max(axis=0) + scores[t]
+    last = int(np.argmax(dp))
+    path = [last]
+    for row in reversed(back):
+        last = row[last]
+        path.append(last)
+    path.reverse()
+    return path
 
 
 # ---------------------------------------------------------------------------

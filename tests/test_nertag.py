@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_decode, make_tagger_training_data
+from helpers import brute_force_decode, dense_viterbi_decode, make_tagger_training_data
 from kbmine import nertag
 from kbmine.corpus import Sentence, tokenize
 from kbmine.nertag import (
@@ -49,17 +49,19 @@ class TestLabelSet:
     @pytest.mark.parametrize("types", [nertag.DEFAULT_ENTITY_TYPES, TWO_TYPES])
     def test_cached_masks_follow_transition_ok(self, types):
         ls = LabelSet(types)
+        assert ls.start_mask == tuple(ls.transition_ok(None, c) for c in range(len(ls)))
         for c in range(len(ls)):
-            ok = ls.transition_ok(None, c)
-            assert ls.start_mask[c] == ok
-            assert ls.start_scores[c] == (0.0 if ok else nertag.NEG_INF)
             for p in range(len(ls)):
-                ok = ls.transition_ok(p, c)
-                assert ls.transition_mask[p, c] == ok
-                assert ls.transition_scores[p, c] == (0.0 if ok else nertag.NEG_INF)
-        for arr in (ls.transition_mask, ls.start_mask, ls.transition_scores, ls.start_scores):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+                assert ls.transition_mask[p, c] == ls.transition_ok(p, c)
+        # (c, the labels c may follow) for exactly the labels not every label may follow
+        assert ls.allowed_prevs == tuple(
+            (c, tuple(p for p in range(len(ls)) if ls.transition_ok(p, c)))
+            for c in range(len(ls))
+            if not all(ls.transition_ok(p, c) for p in range(len(ls)))
+        )
+        assert [c for c, _ in ls.allowed_prevs] == [ls.index(f"I-{t}") for t in types]
+        with pytest.raises(ValueError):
+            ls.transition_mask[0, 0] = ls.transition_mask[0, 0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 4), max_size=8))
@@ -146,7 +148,7 @@ class TestTrainTagger:
         data = make_tagger_training_data()
         correct = total = 0
         for sent in data:
-            scores = score_tokens(fixture_tagger, sent.tokens, sent.from_title)
+            (scores,) = score_tokens(fixture_tagger, [(sent.tokens, sent.from_title)])
             pred = viterbi_decode(scores, fixture_tagger.labelset)
             for p, gold in zip(pred, sent.labels):
                 total += 1
@@ -171,9 +173,8 @@ class TestTrainTagger:
             model = train_tagger(data, cfg)
             hit = total = 0
             for sent in data:
-                pred = viterbi_decode(
-                    score_tokens(model, sent.tokens), model.labelset
-                )
+                (scores,) = score_tokens(model, [(sent.tokens, False)])
+                pred = viterbi_decode(scores, model.labelset)
                 for p, gold in zip(pred, sent.labels):
                     if gold != "O":
                         total += 1
@@ -227,16 +228,17 @@ class TestTrainTagger:
 class TestScoreTokens:
     def test_zero_weights_uniform(self):
         model = nertag.TaggerModel(np.zeros((64, 17)), LabelSet(), 64)
-        scores = score_tokens(model, ["a", "b"])
+        (scores,) = score_tokens(model, [(["a", "b"], False)])
         assert np.allclose(scores, math.log(1 / 17))
 
     def test_rows_normalize(self, fixture_tagger):
-        scores = score_tokens(fixture_tagger, ["Contoso", "Falcon", "shipped"])
+        (scores,) = score_tokens(fixture_tagger, [(["Contoso", "Falcon", "shipped"], False)])
         logsum = np.log(np.exp(scores).sum(axis=1))
         assert np.all(np.abs(logsum) < 1e-6)
 
     def test_trained_model_argmax(self, fixture_tagger):
-        scores = score_tokens(fixture_tagger, "the team shipped Contoso Falcon last week".split())
+        tokens = "the team shipped Contoso Falcon last week".split()
+        (scores,) = score_tokens(fixture_tagger, [(tokens, False)])
         lab = fixture_tagger.labelset.label(int(np.argmax(scores[3])))
         assert lab == "B-product"
 
@@ -282,9 +284,9 @@ class TestScoreTokens:
         weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
         model = nertag.TaggerModel(weights, LabelSet(), hash_dim)
         expected = self.reference_scores(model, tokens, from_title).tobytes()
-        assert score_tokens(model, tokens, from_title).tobytes() == expected
+        assert score_tokens(model, [(tokens, from_title)])[0].tobytes() == expected
         # the second call reads every id from the memo
-        assert score_tokens(model, tokens, from_title).tobytes() == expected
+        assert score_tokens(model, [(tokens, from_title)])[0].tobytes() == expected
 
     def test_models_with_different_hash_dim_score_independently(self):
         tokens = "the team shipped Contoso Falcon last week".split()
@@ -293,7 +295,53 @@ class TestScoreTokens:
         large = nertag.TaggerModel(rng.normal(size=(11, 17)), LabelSet(), 11)
         for model in (small, large, small, large):
             expected = self.reference_scores(model, tokens)
-            assert score_tokens(model, tokens).tobytes() == expected.tobytes()
+            assert score_tokens(model, [(tokens, False)])[0].tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hash_dim=st.integers(5, 13),
+        n_labels=st.sampled_from([1, 5, 17]),
+        seed=st.integers(0, 2**32 - 1),
+        sentences=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["Contoso", "contoso", "Falcon", "a", "NLP", "x-9"]),
+                        st.text(alphabet="aAbZ9-</s>", min_size=1, max_size=5),
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_document_scores_equal_per_token_reference(
+        self, hash_dim, n_labels, seed, sentences
+    ):
+        """One call over a document's sentences gives each sentence the rows
+        the per-token reference gives it, bitwise, whatever the mix of title
+        and body sentences and of token id counts across them."""
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
+        model = nertag.TaggerModel(weights, LabelSet(), hash_dim)
+        out = score_tokens(model, sentences)
+        assert len(out) == len(sentences)
+        for scores, (tokens, from_title) in zip(out, sentences):
+            assert scores.tobytes() == self.reference_scores(model, tokens, from_title).tobytes()
+
+    def test_document_scores_are_views_of_one_array(self, fixture_tagger):
+        sentences = [(["Contoso", "Falcon"], True), (["it", "shipped", "today"], False)]
+        first, second = score_tokens(fixture_tagger, sentences)
+        assert first.shape == (2, 17) and second.shape == (3, 17)
+        assert first.base is not None and first.base is second.base
+
+    def test_empty_sentence_rejected_and_empty_document_scores_nothing(self, fixture_tagger):
+        with pytest.raises(ValueError, match="no tokens to score"):
+            score_tokens(fixture_tagger, [(["a"], False), ([], False)])
+        assert score_tokens(fixture_tagger, []) == []
 
     def test_memo_stays_bounded_and_unsaved(self, monkeypatch, tmp_path):
         monkeypatch.setattr(nertag, "_MEMO_LIMIT", 8)
@@ -302,7 +350,7 @@ class TestScoreTokens:
         words = [f"w{i}" for i in range(30)]
         for start in range(0, 30, 6):
             tokens = words[start : start + 12]
-            scores = score_tokens(model, tokens)
+            (scores,) = score_tokens(model, [(tokens, False)])
             assert len(model._word_ids) <= 8
             assert len(model._context_ids) <= 8
             assert scores.tobytes() == self.reference_scores(model, tokens).tobytes()
@@ -362,6 +410,57 @@ class TestViterbi:
         v = sum(scores[t, path[t]] for t in range(n))
         g = sum(scores[t, greedy[t]] for t in range(n))
         assert v >= g - 1e-9
+
+    @pytest.mark.parametrize("types", [("person",), TWO_TYPES, nertag.DEFAULT_ENTITY_TYPES])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_dense_decoder(self, types, data):
+        """The structured decoder gives the dense (prev, cur) decoder's path,
+        ties included: integer scores force them."""
+        ls = LabelSet(types)
+        n = data.draw(st.integers(1, 10))
+        elements = data.draw(st.sampled_from([st.floats(-50, 50), st.integers(-1, 1)]))
+        values = data.draw(st.lists(elements, min_size=n * len(ls), max_size=n * len(ls)))
+        scores = np.array(values, dtype=np.float64).reshape(n, len(ls))
+        assert viterbi_decode(scores, ls) == dense_viterbi_decode(scores, ls)
+
+    def test_near_neg_inf_scores_give_a_valid_path(self):
+        """A disallowed O -> I-wrk step adds NEG_INF to O's 0 and ties the
+        allowed B-wrk -> I-wrk step at -1e30; the dense decoder took O on
+        the tie and returned a path extract_mentions rejects."""
+        ls = LabelSet(("wrk",))
+        scores = np.array([[0.0, -1e30, -1e30], [-2e30, -2e30, 0.0]])
+        assert dense_viterbi_decode(scores, ls) == [ls.index("O"), ls.index("I-wrk")]
+        path = viterbi_decode(scores, ls)
+        assert path == [ls.index("B-wrk"), ls.index("I-wrk")]
+        assert [m.surface for m in extract_mentions(["a", "b"], path, ls)] == ["a b"]
+
+    @pytest.mark.parametrize("types", [("wrk",), TWO_TYPES, nertag.DEFAULT_ENTITY_TYPES])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_path_is_valid_with_scores_near_neg_inf(self, types, data):
+        ls = LabelSet(types)
+        n = data.draw(st.integers(1, 8))
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([-1e30, -2e30, -1e30 + 1e14, -3e30, 0.0, 1.0]),
+                    st.floats(-1e31, -1e29),
+                    st.floats(-10, 10),
+                ),
+                min_size=n * len(ls),
+                max_size=n * len(ls),
+            )
+        )
+        scores = np.array(values).reshape(n, len(ls))
+        assert ls.is_valid_sequence(viterbi_decode(scores, ls))
+
+    def test_scores_must_match_the_label_set(self):
+        ls = LabelSet(TWO_TYPES)
+        with pytest.raises(ValueError, match="need at least one token"):
+            viterbi_decode(np.zeros((0, len(ls))), ls)
+        with pytest.raises(ValueError, match="3 columns, not 5 labels"):
+            viterbi_decode(np.zeros((2, 3)), ls)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -452,9 +551,10 @@ class TestModelPersistence:
             gamma=1.6,
             hash_dim=fixture_tagger.hash_dim,
         )
-        tokens = "the team shipped Contoso Falcon last week".split()
-        expected = score_tokens(nertag.TaggerModel.load(new), tokens).tobytes()
-        assert score_tokens(nertag.TaggerModel.load(old), tokens).tobytes() == expected
+        sentences = [("the team shipped Contoso Falcon last week".split(), False)]
+        (expected,) = score_tokens(nertag.TaggerModel.load(new), sentences)
+        (scores,) = score_tokens(nertag.TaggerModel.load(old), sentences)
+        assert scores.tobytes() == expected.tobytes()
 
 
 GOOD_SCORE_ROW = {

@@ -1510,6 +1510,54 @@ class TestCli:
         assert not (tmp_path / "mine_state").exists()
 
     @pytest.mark.parametrize(
+        "command, out, state",
+        [
+            ("mine", "shared", "shared"),
+            ("mine", "run/kb", "run"),
+            ("mine", "run", "run/state"),
+            ("export", "shared", "shared"),
+            ("export", "run/kb", "run"),
+            ("export", "run", "run/state"),
+        ],
+        ids=["mine_same", "mine_out_in_state", "mine_state_in_out",
+             "export_same", "export_out_in_state", "export_state_in_out"],
+    )
+    def test_overlapping_out_and_state_exit_2(
+        self, config, models, tmp_path, capsys, command, out, state
+    ):
+        """Writing the KB or the state swaps in a whole new tree, so an output
+        directory that is the state directory, or holds it or sits in it,
+        would lose the other: refused with one line before any work, and the
+        saved state stays as it was."""
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / out),
+        )
+        state_dir = tmp_path / state
+        if command == "export":
+            _saved_state(models, tmp_path / "saved")
+            state_dir.parent.mkdir(exist_ok=True)
+            (tmp_path / "saved").rename(state_dir)
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        rc = cli.main([command, "--config", str(cfg_path), "--state", str(state_dir)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: output directory ") and err.endswith(" overlap\n")
+        assert _tree_bytes(tmp_path) == before
+        if command == "export":
+            assert pipeline.PipelineState.load(state_dir).documents
+
+    def test_sibling_out_and_state_with_a_common_prefix_are_apart(self, config, tmp_path):
+        cfg_path = self.write_config(tmp_path, config, output_dir=str(tmp_path / "run_kb"))
+        state_dir = tmp_path / "run"
+        assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        assert cli.main(["export", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        assert (tmp_path / "run_kb" / "manifest.json").exists()
+        assert (state_dir / pipeline.STATE_FILE).exists()
+
+    @pytest.mark.parametrize(
         "path_kind", ["corpus", "events", "state", "score_file", "ranker", "patterns", "config"]
     )
     def test_deeply_nested_json_is_bad_input(
