@@ -41,11 +41,12 @@ def _load_config(args) -> pipeline.PipelineConfig:
 
 def _load_state(args, writes_kb=False):
     """(config, models, saved state) for the commands that work on --state.
-    With writes_kb, output and state directories that overlap are refused
-    first."""
+    With writes_kb, an output path that is not a directory, and output and
+    state directories that overlap, are refused first."""
     cfg = _load_config(args)
     if writes_kb:
         _check_apart(cfg.output_dir, args.state)
+        pipeline.check_output_dir(cfg.output_dir)
     return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
 
 
@@ -82,7 +83,10 @@ def cmd_train_tagger(args) -> int:
     )
     model = nertag.train_tagger(data, cfg)
     model.save(args.model)
-    print(f"trained on {len(data)} sentences, final loss {model.final_training_loss:.4f}")
+    print(
+        f"trained on {len(data)} sentences, final loss {model.final_training_loss:.4f}, "
+        f"stored {len(model.rows)} of {model.hash_dim} weight rows"
+    )
     return EXIT_OK
 
 

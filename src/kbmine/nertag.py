@@ -6,6 +6,11 @@ highest-scoring *valid* BIO path, taking at each step the best allowed
 previous label of every label. The decoder and loss are scorer-agnostic:
 score matrices may also come from an external file (see
 load_external_scores).
+
+Hashing makes the weight matrix sparse: training touches only the rows of
+the features its data holds. A model therefore stores just those rows, as
+their sorted hash ids plus the rows themselves, and a feature whose id has
+no stored row adds nothing to a score, as its all-zero dense row would.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -210,28 +216,57 @@ _MEMO_LIMIT = 1 << 16
 
 @dataclass
 class TaggerModel:
-    weights: np.ndarray  # (hash_dim, n_labels)
+    """Stored rows of a (hash_dim, n_labels) weight matrix, all others zero:
+    rows holds their sorted hash ids and weights[r] the row of hash id
+    rows[r]. A trained or loaded model stores its nonzero rows only."""
+
+    rows: np.ndarray  # (n_rows,) strictly increasing ints in [0, hash_dim)
+    weights: np.ndarray  # (n_rows, n_labels)
     labelset: LabelSet
     hash_dim: int
-    # hashed-id memos, never saved: word -> sorted ids of its word features,
-    # lowercased word -> (its prev= id, its next= id)
+    # stored-row memos, never saved: word -> sorted row numbers of its word
+    # features, lowercased word -> (its prev= row numbers, its next= row
+    # numbers); an id without a stored row is dropped
     _word_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _context_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the row numbers of bias, and of bias and title, indexed by from_title
+    _fixed: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bias = self._stored([_feature_id(_BIAS, self.hash_dim)])
+        self._fixed = (bias, bias + self._stored([_feature_id(_TITLE, self.hash_dim)]))
+
+    @classmethod
+    def from_dense(cls, weights: np.ndarray, labelset: LabelSet) -> "TaggerModel":
+        """The model that stores the nonzero rows of a dense weight matrix."""
+        rows = np.flatnonzero(weights.any(axis=1))
+        return cls(rows, weights[rows], labelset, len(weights))
+
+    @cached_property
+    def _padded_weights(self) -> np.ndarray:
+        """weights plus one zero row, which score_tokens pads row numbers with."""
+        return np.vstack([self.weights, np.zeros((1, self.weights.shape[1]))])
+
+    def _stored(self, ids: list[int]) -> tuple[int, ...]:
+        """The sorted unique row numbers of the ids that have a stored row."""
+        rows = self.rows
+        pos = np.searchsorted(rows, ids).tolist()
+        return tuple(sorted({p for p, i in zip(pos, ids) if p < len(rows) and rows[p] == i}))
 
     def feature_ids(self, tokens: list[str], from_title: bool = False) -> list[tuple[int, ...]]:
-        """Per token, the sorted unique ids of hash_features(featurize(...))."""
+        """Per token, the sorted row numbers of the ids of
+        hash_features(featurize(...)) that have a stored row."""
         dim = self.hash_dim
         word_ids, context_ids = self._word_ids, self._context_ids
-        fixed = [_feature_id(_BIAS, dim)]
-        if from_title:
-            fixed.append(_feature_id(_TITLE, dim))
+        fixed = self._fixed[from_title]
         context = []
         for lower in ("<s>", *(t.lower() for t in tokens), "</s>"):
             ids = context_ids.get(lower)
             if ids is None:
                 if len(context_ids) >= _MEMO_LIMIT:
                     context_ids.clear()
-                ids = context_ids[lower] = _feature_ids(_context_features(lower), dim)
+                prev_id, next_id = _feature_ids(_context_features(lower), dim)
+                ids = context_ids[lower] = (self._stored([prev_id]), self._stored([next_id]))
             context.append(ids)
         out = []
         for i, word in enumerate(tokens):
@@ -239,13 +274,14 @@ class TaggerModel:
             if ids is None:
                 if len(word_ids) >= _MEMO_LIMIT:
                     word_ids.clear()
-                ids = word_ids[word] = tuple(sorted(set(_feature_ids(_word_features(word), dim))))
-            out.append(tuple(sorted({*ids, *fixed, context[i][0], context[i + 2][1]})))
+                ids = word_ids[word] = self._stored(_feature_ids(_word_features(word), dim))
+            out.append(tuple(sorted({*ids, *fixed, *context[i][0], *context[i + 2][1]})))
         return out
 
     def save(self, path: str | Path) -> None:
         np.savez(
             path,
+            rows=self.rows,
             weights=self.weights,
             entity_types=np.array(self.labelset.entity_types),
             hash_dim=self.hash_dim,
@@ -253,17 +289,37 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
-        """ValueError names the file and what is wrong with it."""
-        data = read_npz(path, ("weights", "entity_types", "hash_dim"), "tagger model")
+        """ValueError names the file and what is wrong with it. A file
+        without rows holds the dense (hash_dim, n_labels) matrix, as tagger
+        files did before; it loads as the model of its nonzero rows."""
+        what = "tagger model"
+        data = read_npz(path, ("weights", "entity_types", "hash_dim"), what, optional=("rows",))
         labelset = LabelSet(tuple(str(t) for t in data["entity_types"]))
-        check_weights(path, data["weights"], (data["hash_dim"], len(labelset)), "tagger model")
-        return cls(weights=data["weights"], labelset=labelset, hash_dim=data["hash_dim"])
+        weights, hash_dim = data["weights"], data["hash_dim"]
+        if "rows" not in data:
+            check_weights(path, weights, (hash_dim, len(labelset)), what)
+            return cls.from_dense(weights, labelset)
+        rows = data["rows"]
+        if not (
+            rows.ndim == 1
+            and rows.dtype.kind in "iu"
+            and (rows.size == 0 or (rows[0] >= 0 and rows[-1] < hash_dim))
+            and not (rows[1:] <= rows[:-1]).any()
+        ):
+            raise ValueError(
+                f"{what} {path}: rows are not strictly increasing integers in [0, {hash_dim})"
+            )
+        check_weights(path, weights, (len(rows), len(labelset)), what)
+        return cls(rows, weights, labelset, hash_dim)
 
 
-def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
-    """The named arrays of an .npz model file, read without pickle. keys
-    include hash_dim, which comes back as a Python int; ValueError names the
-    file and the first missing key, or a hash_dim that is not an int >= 1."""
+def read_npz(
+    path: str | Path, keys: tuple[str, ...], what: str, optional: tuple[str, ...] = ()
+) -> dict:
+    """The named arrays of an .npz model file, read without pickle, and
+    those of optional that it holds. keys include hash_dim, which comes
+    back as a Python int; ValueError names the file and the first missing
+    key, or a hash_dim that is not an int >= 1."""
     try:
         # np.load leaks the file it opens when a zip is truncated; this one closes
         with open(path, "rb") as fh:
@@ -273,7 +329,7 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
             missing = [k for k in keys if k not in data.files]
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")
-            out = {k: data[k] for k in keys}
+            out = {k: data[k] for k in (*keys, *optional) if k in data.files}
         hash_dim = out["hash_dim"].item() if out["hash_dim"].ndim == 0 else None
         if not (has_type(hash_dim, int) and hash_dim >= 1):
             raise ValueError("hash_dim is not an integer >= 1")
@@ -284,9 +340,15 @@ def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
 
 
 def check_weights(path: str | Path, weights: np.ndarray, shape: tuple, what: str) -> None:
-    """ValueError unless a loaded weight matrix has the shape its other keys give."""
+    """ValueError unless a loaded weight matrix has the shape its other keys
+    give and holds finite numbers only."""
     if weights.shape != shape:
         raise ValueError(f"{what} {path}: weights have shape {weights.shape}, not {shape}")
+    if weights.dtype.kind not in "iuf":
+        raise ValueError(f"{what} {path}: weights are not numbers")
+    # a finite sum has finite terms; only a sum that overflows needs the full test
+    if not (math.isfinite(weights.sum()) or np.isfinite(weights).all()):
+        raise ValueError(f"{what} {path}: weights hold a NaN or infinite value")
 
 
 @dataclass
@@ -341,8 +403,9 @@ def train_tagger(
         if not labelset.is_valid_sequence(ordinals):
             raise ValueError(f"gold sequence is not BIO-valid: {sent.labels}")
 
+    # dense while it trains: a model that stores every row numbers them by hash id
     weights = np.zeros((config.hash_dim, len(labelset)))
-    model = TaggerModel(weights, labelset, config.hash_dim)
+    model = TaggerModel(np.arange(config.hash_dim), weights, labelset, config.hash_dim)
     rng = np.random.default_rng(config.seed)
 
     examples = []
@@ -364,6 +427,7 @@ def train_tagger(
             weights[idx] -= config.learning_rate * grad
         final_loss = total / len(examples)
 
+    model = TaggerModel.from_dense(weights, labelset)
     model.final_training_loss = final_loss
     return model
 
@@ -375,10 +439,14 @@ def score_tokens(
     as (tokens, from_title) pairs: one matrix per sentence, one row per
     token, each a view of one array scored in one pass.
 
-    Bitwise equal to _log_softmax(weights[hash_features(featurize(i, ...))]
-    .sum(axis=0)) per token: the gather for the tokens with k ids is one
-    (g, k, L) array summed over k, which adds rows in the same order as the
-    per-token (k, L) sum. np.add.reduceat over the flat gather does not.
+    Bitwise equal to _log_softmax(dense[hash_features(featurize(i, ...))]
+    .sum(axis=0)) per token, dense being the matrix whose nonzero rows the
+    model stores: every token's row numbers are padded with the zero row to
+    one width, and the gather is one (tokens, width, L) array summed over
+    width, which adds each token's nonzero rows in the same order as the
+    per-token sum. The zero rows, left out or padded, add +0.0, which changes
+    no sum of weights that hold no -0.0, as trained weights never do.
+    np.add.reduceat over a flat gather does not keep the order.
     """
     ids: list[tuple[int, ...]] = []
     ends = []
@@ -387,12 +455,11 @@ def score_tokens(
             raise ValueError("no tokens to score")
         ids += model.feature_ids(tokens, from_title)
         ends.append(len(ids))
-    by_count: dict[int, list[int]] = {}
-    for i, token_ids in enumerate(ids):
-        by_count.setdefault(len(token_ids), []).append(i)
-    logits = np.empty((len(ids), model.weights.shape[1]))
-    for rows in by_count.values():
-        logits[rows] = model.weights[np.array([ids[i] for i in rows])].sum(axis=1)
+    width = max(map(len, ids), default=0)
+    pad = (len(model.weights),) * width  # the zero row of _padded_weights
+    # intp: when no token has a stored row, every entry is () and would make floats
+    index = np.array([t + pad[len(t):] for t in ids], dtype=np.intp).reshape(len(ids), width)
+    logits = model._padded_weights[index].sum(axis=1)
     z = logits - logits.max(axis=1, keepdims=True)
     scores = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return [scores[start:end] for start, end in zip([0, *ends], ends)]

@@ -140,6 +140,19 @@ def train_fixture_tagger(seed: int = 0) -> nertag.TaggerModel:
     return nertag.train_tagger(make_tagger_training_data(), config)
 
 
+def dense_weights(model: nertag.TaggerModel) -> np.ndarray:
+    """The (hash_dim, n_labels) matrix whose nonzero rows the model stores."""
+    dense = np.zeros((model.hash_dim, model.weights.shape[1]))
+    dense[model.rows] = model.weights
+    return dense
+
+
+def all_rows_tagger(weights: np.ndarray, labelset: nertag.LabelSet) -> nertag.TaggerModel:
+    """A tagger that stores every row of a dense matrix, zero or not, so its
+    row numbers are the hash ids."""
+    return nertag.TaggerModel(np.arange(len(weights)), weights, labelset, len(weights))
+
+
 # ---------------------------------------------------------------------------
 # Ranker fixture: quality depends on mentions-per-document, not frequency
 # ---------------------------------------------------------------------------

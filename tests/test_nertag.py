@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_decode, dense_viterbi_decode, make_tagger_training_data
+from helpers import (
+    all_rows_tagger,
+    brute_force_decode,
+    dense_viterbi_decode,
+    dense_weights,
+    make_tagger_training_data,
+)
 from kbmine import nertag
 from kbmine.corpus import Sentence, tokenize
 from kbmine.nertag import (
@@ -188,6 +194,7 @@ class TestTrainTagger:
         cfg = TrainConfig(epochs=2, seed=7, hash_dim=1 << 14)
         m1 = train_tagger(data, cfg)
         m2 = train_tagger(data, cfg)
+        assert np.array_equal(m1.rows, m2.rows)
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_empty_data_rejected(self):
@@ -222,12 +229,12 @@ class TestTrainTagger:
                 probs = np.exp(nertag._log_softmax(weights[idx].sum(axis=0)))
                 _, grad = focal_loss(probs, gold, cfg.gamma)
                 weights[idx] -= cfg.learning_rate * grad
-        assert train_tagger(data, cfg).weights.tobytes() == weights.tobytes()
+        assert dense_weights(train_tagger(data, cfg)).tobytes() == weights.tobytes()
 
 
 class TestScoreTokens:
     def test_zero_weights_uniform(self):
-        model = nertag.TaggerModel(np.zeros((64, 17)), LabelSet(), 64)
+        model = all_rows_tagger(np.zeros((64, 17)), LabelSet())
         (scores,) = score_tokens(model, [(["a", "b"], False)])
         assert np.allclose(scores, math.log(1 / 17))
 
@@ -243,15 +250,16 @@ class TestScoreTokens:
         assert lab == "B-product"
 
     @staticmethod
-    def reference_scores(model, tokens, from_title=False):
+    def reference_scores(dense, tokens, from_title=False):
+        """Per-token scores of a dense (hash_dim, n_labels) weight matrix."""
         rows = []
         for i in range(len(tokens)):
-            idx = hash_features(featurize(i, tokens, from_title), model.hash_dim)
-            rows.append(nertag._log_softmax(model.weights[idx].sum(axis=0)))
+            idx = hash_features(featurize(i, tokens, from_title), len(dense))
+            rows.append(nertag._log_softmax(dense[idx].sum(axis=0)))
         return np.vstack(rows)
 
     def test_feature_ids_match_featurize(self):
-        model = nertag.TaggerModel(np.zeros((1 << 16, 17)), LabelSet(), 1 << 16)
+        model = all_rows_tagger(np.zeros((1 << 16, 17)), LabelSet())
         for sent in make_tagger_training_data():
             for from_title in (False, True):
                 expected = [
@@ -282,8 +290,8 @@ class TestScoreTokens:
     ):
         rng = np.random.default_rng(seed)
         weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
-        model = nertag.TaggerModel(weights, LabelSet(), hash_dim)
-        expected = self.reference_scores(model, tokens, from_title).tobytes()
+        model = nertag.TaggerModel.from_dense(weights, LabelSet())
+        expected = self.reference_scores(weights, tokens, from_title).tobytes()
         assert score_tokens(model, [(tokens, from_title)])[0].tobytes() == expected
         # the second call reads every id from the memo
         assert score_tokens(model, [(tokens, from_title)])[0].tobytes() == expected
@@ -291,10 +299,11 @@ class TestScoreTokens:
     def test_models_with_different_hash_dim_score_independently(self):
         tokens = "the team shipped Contoso Falcon last week".split()
         rng = np.random.default_rng(0)
-        small = nertag.TaggerModel(rng.normal(size=(7, 17)), LabelSet(), 7)
-        large = nertag.TaggerModel(rng.normal(size=(11, 17)), LabelSet(), 11)
-        for model in (small, large, small, large):
-            expected = self.reference_scores(model, tokens)
+        small, large = rng.normal(size=(7, 17)), rng.normal(size=(11, 17))
+        models = {len(w): nertag.TaggerModel.from_dense(w, LabelSet()) for w in (small, large)}
+        for dense in (small, large, small, large):
+            model = models[len(dense)]
+            expected = self.reference_scores(dense, tokens)
             assert score_tokens(model, [(tokens, False)])[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -326,11 +335,11 @@ class TestScoreTokens:
         and body sentences and of token id counts across them."""
         rng = np.random.default_rng(seed)
         weights = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
-        model = nertag.TaggerModel(weights, LabelSet(), hash_dim)
+        model = nertag.TaggerModel.from_dense(weights, LabelSet())
         out = score_tokens(model, sentences)
         assert len(out) == len(sentences)
         for scores, (tokens, from_title) in zip(out, sentences):
-            assert scores.tobytes() == self.reference_scores(model, tokens, from_title).tobytes()
+            assert scores.tobytes() == self.reference_scores(weights, tokens, from_title).tobytes()
 
     def test_document_scores_are_views_of_one_array(self, fixture_tagger):
         sentences = [(["Contoso", "Falcon"], True), (["it", "shipped", "today"], False)]
@@ -346,17 +355,67 @@ class TestScoreTokens:
     def test_memo_stays_bounded_and_unsaved(self, monkeypatch, tmp_path):
         monkeypatch.setattr(nertag, "_MEMO_LIMIT", 8)
         weights = np.random.default_rng(1).normal(size=(13, 17))
-        model = nertag.TaggerModel(weights, LabelSet(), 13)
+        model = nertag.TaggerModel.from_dense(weights, LabelSet())
         words = [f"w{i}" for i in range(30)]
         for start in range(0, 30, 6):
             tokens = words[start : start + 12]
             (scores,) = score_tokens(model, [(tokens, False)])
             assert len(model._word_ids) <= 8
             assert len(model._context_ids) <= 8
-            assert scores.tobytes() == self.reference_scores(model, tokens).tobytes()
+            assert scores.tobytes() == self.reference_scores(weights, tokens).tobytes()
         model.save(tmp_path / "tagger.npz")
         with np.load(tmp_path / "tagger.npz") as saved:
-            assert set(saved.files) == {"weights", "entity_types", "hash_dim"}
+            assert set(saved.files) == {"rows", "weights", "entity_types", "hash_dim"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hash_dim=st.integers(5, 64),
+        n_labels=st.sampled_from([1, 5, 17]),
+        seed=st.integers(0, 2**32 - 1),
+        stored_share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        sentences=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["Contoso", "contoso", "Falcon", "a", "NLP", "x-9"]),
+                        st.text(alphabet="aAbZ9-</s>", min_size=1, max_size=5),
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_compact_scores_equal_dense_reference(
+        self, hash_dim, n_labels, seed, stored_share, sentences
+    ):
+        """A model that stores only the nonzero rows of a sparse matrix
+        scores each token bitwise as the dense matrix does, including the
+        tokens none of whose ids has a stored row."""
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(scale=rng.uniform(0.01, 100), size=(hash_dim, n_labels))
+        dense[rng.random(hash_dim) >= stored_share] = 0.0
+        model = nertag.TaggerModel.from_dense(dense, LabelSet())
+        assert model.rows.tolist() == [r for r in range(hash_dim) if dense[r].any()]
+        assert model.weights.tobytes() == dense[model.rows].tobytes()
+        for _ in range(2):  # the second pass reads every row number from the memo
+            out = score_tokens(model, sentences)
+            for scores, (tokens, from_title) in zip(out, sentences):
+                expected = self.reference_scores(dense, tokens, from_title)
+                assert scores.tobytes() == expected.tobytes()
+
+    def test_token_without_stored_rows_scores_uniform(self):
+        tokens = ["Contoso", "shipped"]
+        dense = np.zeros((1 << 16, 17))
+        dense[nertag._feature_id("w=contoso", 1 << 16)] = np.arange(17.0)
+        model = nertag.TaggerModel.from_dense(dense, LabelSet())
+        assert model.feature_ids(tokens) == [(0,), ()]
+        (scores,) = score_tokens(model, [(tokens, False)])
+        assert scores.tobytes() == self.reference_scores(dense, tokens).tobytes()
+        assert np.all(scores[1] == scores[1, 0]) and not np.all(scores[0] == scores[0, 0])
 
 
 class TestViterbi:
@@ -535,6 +594,7 @@ class TestModelPersistence:
         path = tmp_path / "tagger.npz"
         fixture_tagger.save(path)
         loaded = nertag.TaggerModel.load(path)
+        assert np.array_equal(loaded.rows, fixture_tagger.rows)
         assert np.array_equal(loaded.weights, fixture_tagger.weights)
         assert loaded.labelset.labels == fixture_tagger.labelset.labels
         assert loaded.hash_dim == fixture_tagger.hash_dim
@@ -546,7 +606,7 @@ class TestModelPersistence:
         fixture_tagger.save(new)
         np.savez(
             old,
-            weights=fixture_tagger.weights,
+            weights=dense_weights(fixture_tagger),
             entity_types=np.array(fixture_tagger.labelset.entity_types),
             gamma=1.6,
             hash_dim=fixture_tagger.hash_dim,
@@ -555,6 +615,41 @@ class TestModelPersistence:
         (expected,) = score_tokens(nertag.TaggerModel.load(new), sentences)
         (scores,) = score_tokens(nertag.TaggerModel.load(old), sentences)
         assert scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("gamma", [None, 1.6], ids=["without_gamma", "with_gamma"])
+    def test_dense_file_loads_as_its_compact_save(self, fixture_tagger, tmp_path, gamma):
+        """A dense tagger file, as saved before models stored only their
+        nonzero rows, loads as the model its compact save holds and scores
+        every sentence bitwise the same."""
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        fixture_tagger.save(new)
+        extra = {} if gamma is None else {"gamma": gamma}
+        np.savez(
+            old,
+            weights=dense_weights(fixture_tagger),
+            entity_types=np.array(fixture_tagger.labelset.entity_types),
+            hash_dim=fixture_tagger.hash_dim,
+            **extra,
+        )
+        compact, dense = nertag.TaggerModel.load(new), nertag.TaggerModel.load(old)
+        assert dense.rows.tolist() == compact.rows.tolist()
+        assert dense.weights.tobytes() == compact.weights.tobytes()
+        assert dense.hash_dim == compact.hash_dim
+        sentences = [(s.tokens, s.from_title) for s in make_tagger_training_data()]
+        sentences += [(["Unseen", "zzyzx", "words"], True)]
+        for got, want in zip(score_tokens(dense, sentences), score_tokens(compact, sentences)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_saved_file_is_under_one_percent_of_dense(self, fixture_tagger, tmp_path):
+        compact, dense = tmp_path / "compact.npz", tmp_path / "dense.npz"
+        fixture_tagger.save(compact)
+        np.savez(
+            dense,
+            weights=dense_weights(fixture_tagger),
+            entity_types=np.array(fixture_tagger.labelset.entity_types),
+            hash_dim=fixture_tagger.hash_dim,
+        )
+        assert compact.stat().st_size < 0.01 * dense.stat().st_size
 
 
 GOOD_SCORE_ROW = {

@@ -1428,6 +1428,71 @@ class TestCli:
                 lambda p: p.write_text(json.dumps([{"template": "{topic} is {description}"}])),
                 "entry 0: missing or unknown keys: priority",
             ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, weights=np.full((4, 3), np.nan),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "weights hold a NaN or infinite value",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([1, 3]), weights=np.array([[0, np.inf, 0]] * 2),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "weights hold a NaN or infinite value",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0]), weights=np.array([["a", "b", "c"]]),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "weights are not numbers",
+            ),
+            (
+                "update", "def_classifier",
+                lambda p: np.savez(p, weights=np.full((8, 5), -np.inf), hash_dim=8),
+                "weights hold a NaN or infinite value",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([3, 1]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([1, 1]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([-1, 2]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([2, 4]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0.0, 1.0]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([[0, 1]]), weights=np.zeros((2, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "rows are not strictly increasing integers in [0, 4)",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0, 1]), weights=np.zeros((4, 3)),
+                                   entity_types=np.array(["product"]), hash_dim=4),
+                "weights have shape (4, 3), not (2, 3)",
+            ),
         ],
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
@@ -1435,7 +1500,10 @@ class TestCli:
             "ranker_nan_learning_rate", "tagger_hash_dim_not_scalar",
             "classifier_without_hash_dim",
             "classifier_hash_dim_zero", "classifier_hash_dim_float",
-            "pattern_without_priority",
+            "pattern_without_priority", "tagger_nan_weight", "tagger_compact_infinite_weight",
+            "tagger_text_weights", "classifier_infinite_weight", "tagger_rows_decreasing",
+            "tagger_rows_repeated", "tagger_rows_negative", "tagger_rows_past_hash_dim",
+            "tagger_rows_float", "tagger_rows_2d", "tagger_compact_weights_shape",
         ],
     )
     def test_bad_model_file_exits_2(
@@ -1508,6 +1576,26 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.glob("bad*")) == ["bad"]
         # mine refuses the path before the batch runs: it saves no state
         assert not (tmp_path / "mine_state").exists()
+
+    def test_export_refuses_out_file_before_building(
+        self, config, models, tmp_path, capsys, monkeypatch
+    ):
+        """An --out that names a file is refused before the knowledge base
+        is built, as mine refuses it before the batch runs."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        bad = tmp_path / "bad"
+        bad.write_text("keep me\n")
+        cfg_path = self.write_config(tmp_path, config)
+        built = []
+        monkeypatch.setattr(pipeline, "build_knowledge_base", lambda *a: built.append(a))
+        capsys.readouterr()
+        rc = cli.main(
+            ["export", "--config", str(cfg_path), "--state", str(state_dir), "--out", str(bad)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad} exists and is not a directory\n"
+        assert built == []
+        assert bad.read_text() == "keep me\n"
 
     @pytest.mark.parametrize(
         "command, out, state",
@@ -1717,8 +1805,12 @@ class TestCli:
             ["train-tagger", "--data", str(data), "--model", str(model_path), "--epochs", "1"]
         )
         assert rc == cli.EXIT_OK
-        assert f"trained on {len(rows)} sentences" in capsys.readouterr().out
-        assert nertag.TaggerModel.load(model_path).hash_dim == nertag.TrainConfig().hash_dim
+        model = nertag.TaggerModel.load(model_path)
+        assert model.hash_dim == nertag.TrainConfig().hash_dim
+        out = capsys.readouterr().out
+        assert f"trained on {len(rows)} sentences" in out
+        assert out.endswith(f", stored {len(model.rows)} of {model.hash_dim} weight rows\n")
+        assert 0 < len(model.rows) < model.hash_dim
 
     @pytest.mark.parametrize(
         "row, reason",
