@@ -35,28 +35,18 @@ from .topicrank import normalize_key
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+BM25_K1 = 1.2
+BM25_B = 0.75
 
 
-def bm25_weight(
-    tf: int, dl: int, avgdl: float, df: int, n_docs: int, params: Bm25Params
-) -> float:
+def bm25_weight(tf: int, dl: int, avgdl: float, df: int, n_docs: int) -> float:
     """idf * tf*(k1+1) / (tf + k1*(1-b+b*dl/avgdl)) with the nonnegative
     log idf variant idf = ln(1 + (N-df+0.5)/(df+0.5))."""
     if tf < 1 or df < 1 or n_docs < df or dl < 1 or avgdl <= 0:
         raise ValueError("invalid BM25 inputs")
     idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-    denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-    return idf * tf * (params.k1 + 1.0) / denom
+    denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
+    return idf * tf * (BM25_K1 + 1.0) / denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +155,12 @@ class SparseTopicDocMatrix:
         return self.matrix.shape[1]
 
 
-def build_matrix(
-    topic_keys: list[str],
-    doc_stats: dict[str, dict],
-    params: Bm25Params | None = None,
-) -> SparseTopicDocMatrix:
+def build_matrix(topic_keys: list[str], doc_stats: dict[str, dict]) -> SparseTopicDocMatrix:
     """BM25 matrix over the given topics and documents.
 
     doc_stats maps doc_id -> {"length": tokens, "tf": {topic_key: count}}.
     Topics absent from every document are dropped with a warning.
     """
-    params = params or Bm25Params()
     doc_ids = sorted(doc_stats)
     n_docs = len(doc_ids)
     avgdl = (
@@ -202,7 +187,7 @@ def build_matrix(
                 continue
             rows.append(i)
             cols.append(j)
-            vals.append(bm25_weight(tf, dl, avgdl, df[k], n_docs, params))
+            vals.append(bm25_weight(tf, dl, avgdl, df[k], n_docs))
     matrix = CscMatrix.from_coo(vals, rows, cols, (len(kept), n_docs))
     return SparseTopicDocMatrix(matrix=matrix, topic_keys=kept, doc_ids=doc_ids)
 

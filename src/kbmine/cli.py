@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad input (config file, event file, saved state, an
-unreadable input path, an output path that is not a directory, or output and
-state directories that overlap), 3 stage failure.
+unreadable input path, an output or state directory that
+pipeline.check_output_dir refuses, or output and state directories that
+overlap), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import cardbuild, corpus, defmine, nertag, pipeline, topicrank
 
@@ -41,12 +40,12 @@ def _load_config(args) -> pipeline.PipelineConfig:
 
 def _load_state(args, writes_kb=False):
     """(config, models, saved state) for the commands that work on --state.
-    With writes_kb, an output path that is not a directory, and output and
-    state directories that overlap, are refused first."""
+    With writes_kb, output and state directories that overlap, and an
+    output directory that check_output_dir refuses, are refused first."""
     cfg = _load_config(args)
     if writes_kb:
         _check_apart(cfg.output_dir, args.state)
-        pipeline.check_output_dir(cfg.output_dir)
+        pipeline.check_output_dir(cfg.output_dir, pipeline.MANIFEST_FILE)
     return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
 
 
@@ -121,9 +120,9 @@ def cmd_mine(args) -> int:
     # refused before the batch runs, not after
     if args.state:
         _check_apart(cfg.output_dir, args.state)
-    for out_dir in (cfg.output_dir, args.state):
-        if out_dir:
-            pipeline.check_output_dir(out_dir)
+    pipeline.check_output_dir(cfg.output_dir, pipeline.MANIFEST_FILE)
+    if args.state:
+        pipeline.check_output_dir(args.state, pipeline.STATE_FILE)
     state, kb = pipeline.run_full(cfg)
     if args.state:
         state.save(args.state)
@@ -133,6 +132,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_update(args) -> int:
+    pipeline.check_output_dir(args.state, pipeline.STATE_FILE)  # before any event applies
     _, models, state = _load_state(args)
     n = 0
     for event in pipeline.read_events(args.events):
@@ -159,43 +159,6 @@ def cmd_export(args) -> int:
         raise pipeline.StageError("build", exc) from exc
     pipeline.export_kb(kb, cfg.output_dir)
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
-    return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    """Quick self-checks of the decoding, ranking and definition stages."""
-    rng = np.random.default_rng(args.seed)
-    labelset = nertag.LabelSet(("person", "creative_work"))
-    ok = 0
-    trials = 200
-    for _ in range(trials):
-        n = int(rng.integers(1, 7))
-        scores = rng.normal(size=(n, len(labelset)))
-        path = nertag.viterbi_decode(scores, labelset)
-        greedy = nertag.greedy_decode(scores, labelset)
-        v = sum(scores[t, path[t]] for t in range(n))
-        g = sum(scores[t, greedy[t]] for t in range(n))
-        if labelset.is_valid_sequence(path) and v >= g - 1e-12:
-            ok += 1
-    print(f"viterbi validity+dominance: {ok}/{trials}")
-
-    pos = rng.normal(1.0, 1.0, size=200)
-    neg = rng.normal(0.0, 1.0, size=200)
-    scores = np.concatenate([pos, neg])
-    labels = np.array([1] * 200 + [0] * 200)
-    print(f"auc sanity (separated gaussians): {topicrank.auc(scores, labels):.3f}")
-
-    table5 = [
-        ("Statistics is a branch of mathematics dealing with data collection, "
-         "organization, analysis, interpretation, and presentation.", 1),
-        ("This method is used to identifying a hyperplane which separates a "
-         "positive class from the negative class.", 0),
-        ("Tom is a Data Scientist at Acme Corporation working on natural "
-         "language processing.", 0),
-        ("The Caterpillar 797B is the biggest car I've ever seen.", 0),
-    ]
-    f1, p, r = defmine.eval_rule_baseline(table5)
-    print(f"rule-baseline on example sentences: F1={f1:.2f} P={p:.2f} R={r:.2f}")
     return EXIT_OK
 
 
@@ -241,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p, "--out", "--seed", "--top-n", "--card-k", "--mem-budget")
     p.add_argument("--state", required=True)
 
-    p = sub.add_parser("eval", help="print decoder/ranker/definition self-checks")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -255,7 +216,6 @@ COMMANDS = {
     "update": cmd_update,
     "refresh": cmd_refresh,
     "export": cmd_export,
-    "eval": cmd_eval,
 }
 
 

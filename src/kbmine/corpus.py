@@ -20,7 +20,8 @@ DEFAULT_ABBREVIATIONS = frozenset(
 
 REQUIRED_KEYS = ("doc_id", "title", "body", "author_id", "timestamp")
 
-_TERMINATORS = {".", "!", "?"}
+# split_sentences' boundaries: a terminator, or a blank line
+_BOUNDARY_RE = re.compile(r"[.!?]|\n[ \t\r]*\n")
 
 # tokenize's rule; the alternatives, in order: a whitespace chunk of
 # punctuation only; a run from an alphanumeric character to the last one
@@ -226,9 +227,13 @@ def split_sentences(
 ) -> list[Sentence]:
     """Split a document into sentences.
 
-    Terminators are '.', '!', '?' and a blank line; a '.' that ends an
-    abbreviation does not split. The title, when present, becomes the
-    first sentence with from_title=True. Each sentence's text is stripped.
+    A sentence ends after each '.', '!' or '?' and at each blank line (two
+    newlines with only spaces, tabs or carriage returns between them); a
+    '.' that ends an abbreviation does not end one. The text after the last
+    boundary is the last sentence. The title, when present, becomes the
+    first sentence with from_title=True. Each sentence's text is stripped,
+    so a blank line's whitespace falls to neither side, and an empty one
+    is dropped.
     """
     sentences: list[Sentence] = []
     title = doc.title.strip()
@@ -236,36 +241,13 @@ def split_sentences(
         sentences.append(Sentence(doc.doc_id, 0, title, from_title=True))
 
     body = doc.body
-    n = len(body)
-    seg_start = 0
-    i = 0
-    boundaries: list[int] = []  # exclusive end of each segment
-    while i < n:
-        ch = body[i]
-        if ch in _TERMINATORS:
-            if ch == "." and _is_abbreviation(body, i, abbreviations):
-                i += 1
-                continue
-            boundaries.append(i + 1)
-            seg_start = i + 1
-            i += 1
-        elif ch == "\n":
-            j = i + 1
-            while j < n and body[j] in " \t\r":
-                j += 1
-            if j < n and body[j] == "\n":
-                boundaries.append(i)
-                seg_start = j + 1
-                i = j + 1
-            else:
-                i += 1
-        else:
-            i += 1
-    if seg_start < n:
-        boundaries.append(n)
-
+    ends = [
+        m.end()
+        for m in _BOUNDARY_RE.finditer(body)
+        if not (m.group() == "." and _is_abbreviation(body, m.start(), abbreviations))
+    ]
     prev = 0
-    for end in boundaries:
+    for end in (*ends, len(body)):
         text = body[prev:end].strip()
         if text:
             sentences.append(Sentence(doc.doc_id, len(sentences), text))

@@ -115,20 +115,15 @@ def _topic_at(text: str, hit) -> tuple[str, str, DefinitionPattern] | None:
 
 
 class OpinionLexicon:
-    def __init__(self, negative: set[str], positive: set[str]):
+    def __init__(self, negative: set[str]):
         self.negative = {w.lower() for w in negative}
-        self.positive = {w.lower() for w in positive}
-        overlap = self.negative & self.positive
-        if overlap:
-            raise ValueError(f"lexicon sets overlap: {sorted(overlap)[:5]}")
 
     @classmethod
-    def load(cls, negative_path=None, positive_path=None) -> "OpinionLexicon":
-        if negative_path is None or positive_path is None:
-            data = resources.files("kbmine") / "data"
-            negative_path = negative_path or data / "negative_words.txt"
-            positive_path = positive_path or data / "positive_words.txt"
-        return cls(read_word_list(negative_path), read_word_list(positive_path))
+    def load(cls, negative_path=None) -> "OpinionLexicon":
+        """The negative word list at negative_path, or the packaged one."""
+        if negative_path is None:
+            negative_path = resources.files("kbmine") / "data" / "negative_words.txt"
+        return cls(read_word_list(negative_path))
 
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
@@ -296,16 +291,12 @@ class DefinitionRecord:
 
 
 def mine_definitions(
-    sentences: list[Sentence],
-    classifier,
-    patterns=DEFAULT_PATTERNS,
-    lexicon: OpinionLexicon | None = None,
+    sentences: list[Sentence], classifier, patterns, lexicon: OpinionLexicon
 ) -> list[DefinitionRecord]:
     """One document's sentences -> extract topic -> classify (keep
     Sufficient) -> opinion filter. Both of the first two checks are pure and
     must pass, so extracting first only spares the classifier every sentence
     without a topic."""
-    lexicon = lexicon or OpinionLexicon.load()
     records = []
     for sentence in sentences:
         extracted = extract_topic(sentence.text, patterns)
@@ -331,28 +322,6 @@ def mine_definitions(
             )
         )
     return records
-
-
-def eval_rule_baseline(rows: list[tuple[str, int]]) -> tuple[float, float, float]:
-    """(F1, precision, recall) of the rule classifier treating
-    Sufficient-vs-others as the binary task."""
-    labels = [lab for _, lab in rows]
-    if set(labels) != {0, 1}:
-        raise ValueError("need both binary labels present")
-    clf = RuleClassifier()
-    preds = [int(clf.classify(text)[0] is DefinitionCategory.SUFFICIENT) for text, _ in rows]
-    return prf1(preds, labels)
-
-
-def prf1(preds: list[int], labels: list[int]) -> tuple[float, float, float]:
-    """Binary (F1, precision, recall) helper for classifier comparisons."""
-    tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
-    fp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 0)
-    fn = sum(1 for p, y in zip(preds, labels) if p == 0 and y == 1)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return f1, precision, recall
 
 
 def load_patterns(path: str | Path) -> tuple[DefinitionPattern, ...]:

@@ -39,6 +39,9 @@ DEFAULT_ENTITY_TYPES = (
 
 NEG_INF = -1e30
 
+# joins a topic's normalized surface and its entity type in a candidate key
+KEY_SEP = "||"
+
 
 class LabelSet:
     """O plus B-t/I-t per entity type, with a stable ordinal mapping.
@@ -48,10 +51,21 @@ class LabelSet:
     label p, and start_mask[c] where c may open a sentence. allowed_prevs
     holds (c, the labels c may follow) for each label c that not every
     label may follow: the I-t labels.
+
+    The one entity-type rule: each type is a non-empty string, named once,
+    without KEY_SEP, so a candidate key splits back into its surface and
+    type at its last KEY_SEP; ValueError otherwise.
     """
 
     def __init__(self, entity_types=DEFAULT_ENTITY_TYPES):
         self.entity_types = tuple(entity_types)
+        if not all(
+            isinstance(t, str) and t and KEY_SEP not in t for t in self.entity_types
+        ) or len(set(self.entity_types)) < len(self.entity_types):
+            raise ValueError(
+                f"entity_types must be distinct, non-empty strings without {KEY_SEP!r}, "
+                f"not {list(self.entity_types)!r}"
+            )
         labels = ["O"]
         for t in self.entity_types:
             labels.append(f"B-{t}")
@@ -294,7 +308,13 @@ class TaggerModel:
         files did before; it loads as the model of its nonzero rows."""
         what = "tagger model"
         data = read_npz(path, ("weights", "entity_types", "hash_dim"), what, optional=("rows",))
-        labelset = LabelSet(tuple(str(t) for t in data["entity_types"]))
+        types = data["entity_types"]
+        try:
+            if types.ndim != 1:
+                raise ValueError(f"entity_types have shape {types.shape}, not a list")
+            labelset = LabelSet(types.tolist())
+        except ValueError as exc:
+            raise ValueError(f"{what} {path}: {exc}") from None
         weights, hash_dim = data["weights"], data["hash_dim"]
         if "rows" not in data:
             check_weights(path, weights, (hash_dim, len(labelset)), what)
@@ -505,24 +525,6 @@ def viterbi_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
         path.append(last)
     path.reverse()
     return path
-
-
-def greedy_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
-    """Per-token argmax with invalid I-runs repaired to O (the baseline)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] < 1:
-        raise ValueError("need at least one token")
-    raw = np.argmax(scores, axis=1).tolist()
-    out: list[int] = []
-    prev: int | None = None
-    o = labelset.index("O")
-    for cur in raw:
-        ok = labelset.start_mask[cur] if prev is None else labelset.transition_mask[prev, cur]
-        if not ok:
-            cur = o
-        out.append(cur)
-        prev = cur
-    return out
 
 
 @dataclass(frozen=True)

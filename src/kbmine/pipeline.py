@@ -54,7 +54,6 @@ class PipelineConfig:
     def_classifier: str = ""          # trained LinearClassifier (.npz); rule-based if empty
     patterns_file: str = ""
     negative_lexicon: str = ""
-    positive_lexicon: str = ""
     abbreviations_file: str = ""
     entity_types: tuple = nertag.DEFAULT_ENTITY_TYPES
     shortlist_n: int = 1000
@@ -78,8 +77,10 @@ class PipelineConfig:
             if not corpus.has_type(value, hint):
                 kind = {tuple: "list", float: "finite float"}.get(hint, hint.__name__)
                 raise ConfigError(f"{name} must be {kind}, not {value!r}")
-        if not all(isinstance(t, str) for t in self.entity_types):
-            raise ConfigError(f"entity_types must be a list of strings, not {self.entity_types!r}")
+        try:
+            nertag.LabelSet(self.entity_types)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name, least in _CONFIG_MINIMA.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
@@ -157,9 +158,7 @@ class Models:
             if config.def_classifier
             else defmine.RuleClassifier(patterns)
         )
-        lexicon = defmine.OpinionLexicon.load(
-            config.negative_lexicon or None, config.positive_lexicon or None
-        )
+        lexicon = defmine.OpinionLexicon.load(config.negative_lexicon or None)
         abbreviations = (
             corpus.load_abbreviations(config.abbreviations_file)
             if config.abbreviations_file
@@ -193,6 +192,7 @@ class UpdateEvent:
 
 
 STATE_FILE = "documents.jsonl"
+MANIFEST_FILE = "manifest.json"
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +312,7 @@ class PipelineState:
             with open(staging / STATE_FILE, "w", encoding="utf-8") as fh:
                 fh.writelines(rec.to_line() + "\n" for _, rec in sorted(self.documents.items()))
 
-        _write_dir_atomically(Path(state_dir), write)
+        _write_dir_atomically(Path(state_dir), STATE_FILE, write)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "PipelineState":
@@ -566,21 +566,28 @@ def _parse_event(obj) -> UpdateEvent:
     return UpdateEvent(kind, doc_id=corpus.parse_doc_id(obj["doc_id"]))
 
 
-def check_output_dir(out_dir: str | Path) -> None:
-    """ValueError if out_dir, where a directory is to be written, exists
-    and is not a directory. Callers check before any work whose result
-    goes there."""
+def check_output_dir(out_dir: str | Path, marker: str) -> None:
+    """ValueError if out_dir, where a directory is to be written whole, is
+    the working directory or holds it, exists and is not a directory, or is
+    a non-empty directory without marker, the file its writer writes: it is
+    then no earlier output, and replacing it would lose what it holds.
+    Callers check before any work whose result goes there."""
     out_dir = Path(out_dir)
+    resolved, cwd = out_dir.resolve(), Path.cwd().resolve()
+    if resolved == cwd or resolved in cwd.parents:
+        raise ValueError(f"{out_dir} is the working directory or holds it")
     if out_dir.exists() and not out_dir.is_dir():
         raise ValueError(f"{out_dir} exists and is not a directory")
+    if out_dir.is_dir() and not (out_dir / marker).is_file() and any(out_dir.iterdir()):
+        raise ValueError(f"{out_dir} is not empty and has no {marker}, so it is not replaced")
 
 
-def _write_dir_atomically(out_dir: Path, write) -> None:
-    """Call write(staging) on a fresh sibling directory, then swap it in for
-    out_dir: a failed write leaves no partial output and the old tree as it
-    was, and a rewrite replaces the old tree. check_output_dir runs before
-    anything is written."""
-    check_output_dir(out_dir)
+def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
+    """Call write(staging), which writes marker, on a fresh sibling
+    directory, then swap it in for out_dir: a failed write leaves no partial
+    output and the old tree as it was, and a rewrite replaces the old tree.
+    check_output_dir runs before anything is written."""
+    check_output_dir(out_dir, marker)
     staging = out_dir.parent / (out_dir.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
@@ -629,7 +636,7 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
             )
         manifest = dict(kb.manifest)
         manifest["cards"] = card_index
-        with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
+        with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
 
-    _write_dir_atomically(Path(out_dir), write)
+    _write_dir_atomically(Path(out_dir), MANIFEST_FILE, write)

@@ -18,9 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import check_record, has_type, read_json, read_records
-from .nertag import Mention
-
-KEY_SEP = "||"
+from .nertag import KEY_SEP, Mention
 
 
 def normalize_key(surface: str) -> str:
@@ -172,7 +170,7 @@ class CandidateStore:
         for key, c in contrib.items():
             cand = self._candidates.get(key)
             if cand is None:
-                # the type never contains KEY_SEP; the surface may
+                # LabelSet keeps KEY_SEP out of the type; the surface may hold it
                 norm, _, entity_type = key.rpartition(KEY_SEP)
                 cand = TopicCandidate(key=key, norm_surface=norm, entity_type=entity_type)
                 self._candidates[key] = cand

@@ -1,5 +1,7 @@
-"""Shared fixtures: brute-force and dense decoding oracles, synthetic
-training data, and the planted-topic corpus used by the end-to-end tests."""
+"""Shared fixtures: the reference sentence splitter, brute-force and dense
+decoding oracles, the greedy decoding and rule-classifier baselines,
+synthetic training data, and the planted-topic corpus used by the
+end-to-end tests."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from kbmine import cardbuild, defmine, nertag, topicrank
+from kbmine import cardbuild, corpus, defmine, nertag, topicrank
 from kbmine.defmine import DefinitionCategory
 
 # ---------------------------------------------------------------------------
@@ -30,6 +32,63 @@ def dense_of(m: cardbuild.CscMatrix) -> np.ndarray:
         rows, values = m.column(j)
         out[rows, j] = values
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference sentence splitter
+# ---------------------------------------------------------------------------
+
+
+def loop_split_sentences(
+    doc: corpus.Document,
+    abbreviations: frozenset[str] = corpus.DEFAULT_ABBREVIATIONS,
+) -> list[corpus.Sentence]:
+    """The character loop corpus.split_sentences replaced, kept as its
+    reference. Terminators are '.', '!', '?' and a blank line; a '.' that
+    ends an abbreviation does not split. The title, when present, becomes
+    the first sentence with from_title=True. Each sentence's text is
+    stripped."""
+    sentences: list[corpus.Sentence] = []
+    title = doc.title.strip()
+    if title:
+        sentences.append(corpus.Sentence(doc.doc_id, 0, title, from_title=True))
+
+    body = doc.body
+    n = len(body)
+    seg_start = 0
+    i = 0
+    boundaries: list[int] = []  # exclusive end of each segment
+    while i < n:
+        ch = body[i]
+        if ch in ".!?":
+            if ch == "." and corpus._is_abbreviation(body, i, abbreviations):
+                i += 1
+                continue
+            boundaries.append(i + 1)
+            seg_start = i + 1
+            i += 1
+        elif ch == "\n":
+            j = i + 1
+            while j < n and body[j] in " \t\r":
+                j += 1
+            if j < n and body[j] == "\n":
+                boundaries.append(i)
+                seg_start = j + 1
+                i = j + 1
+            else:
+                i += 1
+        else:
+            i += 1
+    if seg_start < n:
+        boundaries.append(n)
+
+    prev = 0
+    for end in boundaries:
+        text = body[prev:end].strip()
+        if text:
+            sentences.append(corpus.Sentence(doc.doc_id, len(sentences), text))
+        prev = end
+    return sentences
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +138,24 @@ def dense_viterbi_decode(scores: np.ndarray, labelset: nertag.LabelSet) -> list[
         path.append(last)
     path.reverse()
     return path
+
+
+def greedy_decode(scores: np.ndarray, labelset: nertag.LabelSet) -> list[int]:
+    """Per-token argmax with invalid I-runs repaired to O (the baseline)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape[0] < 1:
+        raise ValueError("need at least one token")
+    raw = np.argmax(scores, axis=1).tolist()
+    out: list[int] = []
+    prev: int | None = None
+    o = labelset.index("O")
+    for cur in raw:
+        ok = labelset.start_mask[cur] if prev is None else labelset.transition_mask[prev, cur]
+        if not ok:
+            cur = o
+        out.append(cur)
+        prev = cur
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +336,28 @@ def make_definition_rows(n: int = 500, seed: int = 0):
 
 def binary_rows(rows):
     return [(t, 1 if c is DefinitionCategory.SUFFICIENT else 0) for t, c in rows]
+
+
+def eval_rule_baseline(rows: list[tuple[str, int]]) -> tuple[float, float, float]:
+    """(F1, precision, recall) of the rule classifier treating
+    Sufficient-vs-others as the binary task."""
+    labels = [lab for _, lab in rows]
+    if set(labels) != {0, 1}:
+        raise ValueError("need both binary labels present")
+    clf = defmine.RuleClassifier()
+    preds = [int(clf.classify(text)[0] is DefinitionCategory.SUFFICIENT) for text, _ in rows]
+    return prf1(preds, labels)
+
+
+def prf1(preds: list[int], labels: list[int]) -> tuple[float, float, float]:
+    """Binary (F1, precision, recall) helper for classifier comparisons."""
+    tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
+    fp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 0)
+    fn = sum(1 for p, y in zip(preds, labels) if p == 0 and y == 1)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return f1, precision, recall
 
 
 # ---------------------------------------------------------------------------

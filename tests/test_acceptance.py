@@ -19,8 +19,11 @@ from helpers import (
     brute_force_decode,
     csc_of,
     dense_of,
+    eval_rule_baseline,
+    greedy_decode,
     make_definition_rows,
     make_ranker_rows,
+    prf1,
 )
 from kbmine import cardbuild, corpus, defmine, nertag, pipeline, topicrank
 
@@ -66,7 +69,7 @@ def test_criterion_2_viterbi_validity_and_dominance():
         scores = rng.normal(size=(n, 17))
         path = nertag.viterbi_decode(scores, labelset)
         valid = valid and labelset.is_valid_sequence(path)
-        greedy = nertag.greedy_decode(scores, labelset)
+        greedy = greedy_decode(scores, labelset)
         v = float(scores[np.arange(n), path].sum())
         g = float(scores[np.arange(n), greedy].sum())
         dominant = dominant and v >= g - 1e-12
@@ -185,7 +188,7 @@ def test_criterion_4_randomized_svd():
 
 
 def test_criterion_5_bm25():
-    worked = cardbuild.bm25_weight(2, 10, 10.0, 1, 10, cardbuild.Bm25Params())
+    worked = cardbuild.bm25_weight(2, 10, 10.0, 1, 10)
 
     doc_stats = {
         "d1": {"length": 10, "tf": {"alpha": 2, "gamma": 1}},
@@ -281,12 +284,12 @@ def test_criterion_7_definition_pipeline():
     train, test = rows[:400], rows[400:]
     model = defmine.train_sentence_classifier(train, defmine.ClassifierConfig(seed=0))
     test_binary = binary_rows(test)
-    rule_f1, _, _ = defmine.eval_rule_baseline(test_binary)
+    rule_f1, _, _ = eval_rule_baseline(test_binary)
     preds = [
         1 if model.classify(t)[0] is defmine.DefinitionCategory.SUFFICIENT else 0
         for t, _ in test_binary
     ]
-    trained_f1, _, _ = defmine.prf1(preds, [y for _, y in test_binary])
+    trained_f1, _, _ = prf1(preds, [y for _, y in test_binary])
     report(
         7,
         "definition categories, opinion filter, rule < trained F1",

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import csc_of, dense_of
 from kbmine import cardbuild
 from kbmine.cardbuild import (
-    Bm25Params,
     CscMatrix,
     EmbeddingSpace,
     MemoryBudgetError,
@@ -114,30 +113,20 @@ SVD_GRID = [
 
 class TestBm25:
     def test_worked_example(self):
-        w = bm25_weight(2, 10, 10.0, 1, 10, Bm25Params(k1=1.2, b=0.75))
+        w = bm25_weight(2, 10, 10.0, 1, 10)
         assert w == pytest.approx(2.7396, abs=1e-3)
         # decomposition: idf = ln(1 + 9.5/1.5), tf part = 4.4/3.2
         assert w == pytest.approx(math.log(1 + 9.5 / 1.5) * (4.4 / 3.2), abs=1e-12)
 
-    def test_b_zero_ignores_length(self):
-        p = Bm25Params(k1=1.2, b=0.0)
-        assert bm25_weight(3, 5, 20.0, 2, 10, p) == bm25_weight(3, 500, 20.0, 2, 10, p)
-
     def test_idf_positive_when_term_everywhere(self):
-        w = bm25_weight(1, 10, 10.0, 10, 10, Bm25Params())
+        w = bm25_weight(1, 10, 10.0, 10, 10)
         assert 0 < w < 0.1
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            bm25_weight(0, 10, 10.0, 1, 10, Bm25Params())
+            bm25_weight(0, 10, 10.0, 1, 10)
         with pytest.raises(ValueError):
-            bm25_weight(1, 10, 10.0, 5, 4, Bm25Params())
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=0.0)
-        with pytest.raises(ValueError):
-            Bm25Params(b=1.5)
+            bm25_weight(1, 10, 10.0, 5, 4)
 
 
 def _bits(a) -> np.ndarray:

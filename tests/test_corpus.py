@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import loop_split_sentences
 from kbmine import cli, corpus
 from kbmine.corpus import Document, IngestError, Sentence
 
@@ -179,7 +180,34 @@ class TestInputRule:
                 corpus.check_record(obj, ("a", "c"), exact=exact)
 
 
+# pieces of bodies for the splitter: terminators, the blank-line
+# whitespace and blank lines, abbreviations (default and custom), a single
+# capital, '_' and non-ASCII letters
+_SPLIT_PIECES = (
+    ".", "!", "?", "\n", "\t", "\r", " ", "\n\n", "\n \n", "\n\r\n", "\n\t\r \n", "\n.\n",
+    "..", "_", "e.g", "i.e.", "Dr", "dr", "F", "x", "fig", "word", "42", "é", "ßtraße",
+    "Ωmega", "日本",
+)
+
+
 class TestSplitSentences:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        body=st.lists(
+            st.one_of(st.sampled_from(_SPLIT_PIECES), st.text(".!?\n\t\r _aF1é", max_size=3)),
+            max_size=30,
+        ).map("".join),
+        title=st.sampled_from(["", " \n\t", "Plan", "  Padded\ttitle \r\n"]),
+        abbreviations=st.sampled_from(
+            [corpus.DEFAULT_ABBREVIATIONS, frozenset({"fig", "word", "x"}), frozenset()]
+        ),
+    )
+    def test_equals_reference_loop(self, body, title, abbreviations):
+        doc = make_doc(body, title=title)
+        assert corpus.split_sentences(doc, abbreviations) == loop_split_sentences(
+            doc, abbreviations
+        )
+
     def test_abbreviation_does_not_split(self):
         doc = make_doc("Dr. Smith arrived. He left.")
         texts = [s.text for s in corpus.split_sentences(doc)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import binary_rows, make_definition_rows
+from helpers import binary_rows, eval_rule_baseline, make_definition_rows, prf1
 from kbmine import defmine
 from kbmine.corpus import Document, read_word_list, split_sentences
 from kbmine.defmine import (
@@ -16,11 +16,9 @@ from kbmine.defmine import (
     DefinitionPattern,
     OpinionLexicon,
     RuleClassifier,
-    eval_rule_baseline,
     extract_topic,
     mine_definitions,
     opinion_filter,
-    prf1,
     train_sentence_classifier,
 )
 
@@ -180,7 +178,7 @@ class TestFindConnective:
                 re, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
             )
         records = mine_definitions(sentences, RuleClassifier(custom), custom, lexicon)
-        records += mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
+        records += mine_definitions(sentences, RuleClassifier(), DEFAULT_PATTERNS, lexicon)
         monkeypatch.undo()
         assert calls == []
         assert len(records) == 5
@@ -200,26 +198,18 @@ class TestOpinionFilter:
     def test_empty_kept(self, lexicon):
         assert opinion_filter("", lexicon) == (True, None)
 
-    def test_disjoint_sets_enforced(self):
-        with pytest.raises(ValueError):
-            OpinionLexicon({"bad"}, {"bad", "good"})
-
     def test_custom_lexicon_files(self, tmp_path):
         neg = tmp_path / "neg.txt"
-        pos = tmp_path / "pos.txt"
         neg.write_text("dire\n")
-        pos.write_text("shiny\n")
-        lex = OpinionLexicon.load(neg, pos)
+        lex = OpinionLexicon.load(neg)
         assert opinion_filter("a dire outcome", lex)[0] is False
         assert opinion_filter("the biggest win", lex)[0] is True
 
     def test_lexicon_files_are_word_lists(self, tmp_path):
         neg = tmp_path / "neg.txt"
-        pos = tmp_path / "pos.txt"
         neg.write_text("; opinion words\n# negative\n\n  Dire \n")
-        pos.write_text("Shiny\n")
-        lex = OpinionLexicon.load(neg, pos)
-        assert (lex.negative, lex.positive) == ({"dire"}, {"shiny"})
+        lex = OpinionLexicon.load(neg)
+        assert lex.negative == {"dire"}
         assert lex.negative == read_word_list(neg)
 
 
@@ -258,7 +248,9 @@ class TestMineDefinitions:
 
     def test_statistics_record(self, lexicon):
         doc = self.make_doc(STATISTICS)
-        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(
+            split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon
+        )
         assert len(records) == 1
         rec = records[0]
         assert rec.topic_key == "statistics"
@@ -274,7 +266,9 @@ class TestMineDefinitions:
         monkeypatch.setattr(
             defmine, "_find_connective", lambda *args: calls.append(args) or search(*args)
         )
-        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(
+            split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon
+        )
         # one search per sentence to extract a topic, one per sentence with a
         # topic to classify it
         assert len(calls) == 5
@@ -305,23 +299,29 @@ class TestMineDefinitions:
                 seen.append(text)
                 return super().classify(text)
 
-        records = mine_definitions(sentences, Spy(), lexicon=lexicon)
+        records = mine_definitions(sentences, Spy(), DEFAULT_PATTERNS, lexicon)
         assert seen == ["Contoso Falcon is a cloud platform."]
-        assert records == mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
+        assert records == mine_definitions(sentences, RuleClassifier(), DEFAULT_PATTERNS, lexicon)
         assert [r.topic_key for r in records] == ["contoso falcon"]
 
     def test_opinion_hard_negative_dropped(self, lexicon):
         doc = self.make_doc(CATERPILLAR)
-        assert mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon) == []
+        assert mine_definitions(
+            split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon
+        ) == []
 
     def test_empty_doc(self, lexicon):
         doc = self.make_doc("")
-        assert mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon) == []
+        assert mine_definitions(
+            split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon
+        ) == []
 
     def test_record_count_bounded_by_sentences(self, lexicon):
         body = f"{STATISTICS} Nothing else here. {PERSONAL}"
         doc = self.make_doc(body)
-        records = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(
+            split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon
+        )
         assert len(records) <= 3
 
     def test_removing_pattern_never_adds_records(self, lexicon):
@@ -337,15 +337,15 @@ class TestMineDefinitions:
             [STATISTICS, CATERPILLAR, "Telemetry is defined as the worst process ever."]
         )
         sentences = split_sentences(self.make_doc(body))
-        records = mine_definitions(sentences, RuleClassifier(), lexicon=lexicon)
+        records = mine_definitions(sentences, RuleClassifier(), DEFAULT_PATTERNS, lexicon)
         for rec in records:
             keep, _ = opinion_filter(rec.sentence_text, lexicon)
             assert keep
 
     def test_deterministic(self, lexicon):
         doc = self.make_doc(f"{STATISTICS} {PERSONAL}")
-        a = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
-        b = mine_definitions(split_sentences(doc), RuleClassifier(), lexicon=lexicon)
+        a = mine_definitions(split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon)
+        b = mine_definitions(split_sentences(doc), RuleClassifier(), DEFAULT_PATTERNS, lexicon)
         assert a == b
 
 

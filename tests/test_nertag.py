@@ -10,6 +10,7 @@ from helpers import (
     brute_force_decode,
     dense_viterbi_decode,
     dense_weights,
+    greedy_decode,
     make_tagger_training_data,
 )
 from kbmine import nertag
@@ -21,7 +22,6 @@ from kbmine.nertag import (
     extract_mentions,
     featurize,
     focal_loss,
-    greedy_decode,
     hash_features,
     score_tokens,
     train_tagger,

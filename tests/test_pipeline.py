@@ -1254,10 +1254,9 @@ class TestCli:
         [
             ["train-tagger", "--data", "rows.jsonl", "--model", "model.npz"],
             ["train-defclassifier", "--data", "rows.csv", "--model", "model.npz"],
-            ["eval"],
             ["train-ranker", "--state", "state", "--labels", "labels.csv", "--model", "m.json"],
         ],
-        ids=["train_tagger", "train_defclassifier", "eval", "train_ranker"],
+        ids=["train_tagger", "train_defclassifier", "train_ranker"],
     )
     def test_unread_config_flag_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1313,6 +1312,9 @@ class TestCli:
             ("seed", True),
             ("min_topic_score", "high"),
             ("entity_types", "product"),
+            ("entity_types", ["x||y"]),
+            ("entity_types", ["product", "product"]),
+            ("entity_types", [""]),
             ("corpus_path", 7),
         ],
     )
@@ -1333,6 +1335,7 @@ class TestCli:
         "bm25_k1": 1.2,
         "bm25_b": 0.75,
         "conflation_tau": None,
+        "positive_lexicon": "",
     }
 
     @pytest.mark.parametrize("key", list(REMOVED_KEYS))
@@ -1493,6 +1496,30 @@ class TestCli:
                                    entity_types=np.array(["product"]), hash_dim=4),
                 "weights have shape (4, 3), not (2, 3)",
             ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0]), weights=np.zeros((1, 3)),
+                                   entity_types=np.array(["x||y"]), hash_dim=4),
+                "entity_types must be distinct, non-empty strings without '||'",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0]), weights=np.zeros((1, 5)),
+                                   entity_types=np.array(["a", "a"]), hash_dim=4),
+                "entity_types must be distinct, non-empty strings without '||'",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0]), weights=np.zeros((1, 3)),
+                                   entity_types=np.array([""]), hash_dim=4),
+                "entity_types must be distinct, non-empty strings without '||'",
+            ),
+            (
+                "update", "tagger_model",
+                lambda p: np.savez(p, rows=np.array([0]), weights=np.zeros((1, 3)),
+                                   entity_types=np.array("product"), hash_dim=4),
+                "entity_types have shape (), not a list",
+            ),
         ],
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
@@ -1504,6 +1531,8 @@ class TestCli:
             "tagger_text_weights", "classifier_infinite_weight", "tagger_rows_decreasing",
             "tagger_rows_repeated", "tagger_rows_negative", "tagger_rows_past_hash_dim",
             "tagger_rows_float", "tagger_rows_2d", "tagger_compact_weights_shape",
+            "tagger_type_with_key_sep", "tagger_type_repeated", "tagger_type_empty",
+            "tagger_types_not_a_list",
         ],
     )
     def test_bad_model_file_exits_2(
@@ -1576,6 +1605,84 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.glob("bad*")) == ["bad"]
         # mine refuses the path before the batch runs: it saves no state
         assert not (tmp_path / "mine_state").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, marker",
+        [
+            ("mine", "--out", pipeline.MANIFEST_FILE),
+            ("mine", "--state", pipeline.STATE_FILE),
+            ("export", "--out", pipeline.MANIFEST_FILE),
+        ],
+        ids=["mine_out", "mine_state", "export_out"],
+    )
+    def test_directory_of_other_files_is_not_replaced(
+        self, config, models, tmp_path, capsys, monkeypatch, command, flag, marker
+    ):
+        """Writing a KB or a state replaces its whole directory, so a
+        non-empty directory without the file that writer writes is refused
+        with one line before any work, and every file in it survives."""
+        data = tmp_path / "data"
+        data.mkdir()
+        corpus_path = self._two_doc_corpus(data)
+        (data / "notes.txt").write_text("keep me\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(corpus_path), output_dir=str(tmp_path / "kb")
+        )
+        args = {"--config": cfg_path, flag: data}
+        if command == "export":
+            args["--state"] = _saved_state(models, tmp_path / "state")
+        work = []
+        for name in ("run_full", "build_knowledge_base"):
+            monkeypatch.setattr(pipeline, name, lambda *a: work.append(a))
+        before = _tree_bytes(data)
+        capsys.readouterr()
+        rc = cli.main([command, *(str(x) for item in args.items() for x in item)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {data} is not empty and has no {marker}, so it is not replaced\n"
+        )
+        assert work == []
+        assert _tree_bytes(data) == before
+        assert sorted(p.name for p in tmp_path.glob("data*")) == ["data"]
+
+    @pytest.mark.parametrize("path", [".", ".."])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("mine", "--out"), ("mine", "--state"), ("export", "--out"), ("update", "--state")],
+        ids=["mine_out", "mine_state", "export_out", "update_state"],
+    )
+    def test_working_directory_is_not_replaced(
+        self, config, models, tmp_path, capsys, monkeypatch, command, flag, path
+    ):
+        """An output or state path that is the working directory, or holds
+        it, cannot be swapped out: refused with one line before any work,
+        leaving no staging directory behind."""
+        here = tmp_path / "work" / "here"
+        here.mkdir(parents=True)
+        (here / "notes.txt").write_text("keep me\n")
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        args = {"--config": cfg_path}
+        if command != "mine":
+            args["--state"] = _saved_state(models, tmp_path / "state")
+        if command == "update":
+            args["--events"] = events
+        args[flag] = path
+        work = []
+        for name in ("run_full", "build_knowledge_base", "apply_update"):
+            monkeypatch.setattr(pipeline, name, lambda *a: work.append(a))
+        monkeypatch.chdir(here)
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        rc = cli.main([command, *(str(x) for item in args.items() for x in item)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path} is the working directory or holds it\n"
+        assert work == []
+        assert _tree_bytes(tmp_path) == before
 
     def test_export_refuses_out_file_before_building(
         self, config, models, tmp_path, capsys, monkeypatch
@@ -1759,11 +1866,6 @@ class TestCli:
         path.write_text(json.dumps({"corpus_path": str(tmp_path / "c.jsonl")}))
         assert cli.main(["mine", "--config", str(path)]) == cli.EXIT_STAGE
         assert "load_models" in capsys.readouterr().err
-
-    def test_eval_runs(self, capsys):
-        assert cli.main(["eval"]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "viterbi validity+dominance: 200/200" in out
 
     def test_train_defclassifier(self, tmp_path):
         from helpers import make_definition_rows
