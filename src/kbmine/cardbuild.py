@@ -15,6 +15,11 @@ Card assembly stays off O(K*D) Python loops: each related list is a partial
 top-k over one score vector, the rerank signals are asked for the recalled
 documents only, and conflation decides just the pairs at or above tau, from
 the relatedness matrix it already holds.
+
+Conflation is star linkage under a name-only guard: in canonical order,
+each key no group has taken takes the untaken keys related to it at tau or
+more whose names merge_guard matches with its own, so no chain of aliases
+joins two topics whose names do not match.
 """
 
 from __future__ import annotations
@@ -484,16 +489,15 @@ def extract_acronym_aliases(sentences) -> list[tuple[str, str]]:
 def trigram_jaccard(a: str, b: str) -> float:
     def grams(s):
         s = f"  {s} "
-        return {s[i : i + 3] for i in range(len(s) - 2)}
+        return set(zip(s, s[1:], s[2:]))
 
-    ga, gb = grams(a), grams(b)
-    union = ga | gb
-    return len(ga & gb) / len(union) if union else 0.0
+    ga, gb = grams(a), grams(b)  # never empty: each holds its padding
+    shared = len(ga & gb)
+    return shared / (len(ga) + len(gb) - shared)
 
 
 TAU_RATIO = 0.6  # tau, as a fraction of the max observed relatedness
-TRIGRAM_THRESHOLD = 0.4
-DOC_JACCARD_THRESHOLD = 0.3
+TRIGRAM_THRESHOLD = 0.5
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -502,33 +506,21 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def merge_guard(cand_a, cand_b, acronym_pairs: set[tuple[str, str]]) -> bool:
-    """The over-merge guard of a topic pair whose relatedness clears tau:
-    the surfaces are an acronym pair, their names are similar (trigram
-    Jaccard), or they share enough of their documents."""
+    """Whether two topic names may name one topic: an acronym pair; the
+    same word set, or one string once spaces and hyphens are dropped
+    ("data lake", "data-lake"); or the words each has and the other lacks,
+    joined, at a trigram Jaccard of TRIGRAM_THRESHOLD or more ("falcon",
+    "falcons", but not "arbor gateway", "harbor gateway")."""
     na, nb = cand_a.norm_surface, cand_b.norm_surface
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
-    if trigram_jaccard(na, nb) >= TRIGRAM_THRESHOLD:
+    wa, wb = na.split(), nb.split()
+    if set(wa) == set(wb) or "".join(wa).replace("-", "") == "".join(wb).replace("-", ""):
         return True
-    union = cand_a.doc_ids | cand_b.doc_ids
-    shared = len(cand_a.doc_ids & cand_b.doc_ids)
-    return bool(union) and shared / len(union) >= DOC_JACCARD_THRESHOLD
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    # if one side has no words of its own, the two share no trigram
+    only_a = " ".join([w for w in wa if w not in wb])
+    only_b = " ".join([w for w in wb if w not in wa])
+    return trigram_jaccard(only_a, only_b) >= TRIGRAM_THRESHOLD
 
 
 def conflate_all(
@@ -537,11 +529,18 @@ def conflate_all(
     space: EmbeddingSpace,
     acronym_pairs: list[tuple[str, str]],
 ) -> dict[str, list[str]]:
-    """Union-find over the pairs whose relatedness (on normalized vectors)
-    is at least tau, TAU_RATIO times the largest relatedness between
-    distinct topics, and that pass merge_guard; returns canonical key ->
-    sorted alias keys. Canonical = highest NER frequency, ties by key."""
-    keys = [k for k in keys if k in space.topic_index]
+    """Star linkage; returns canonical key -> sorted alias keys.
+
+    The keys go in canonical order, highest NER frequency first, ties by
+    key. Each key no group has taken becomes a canonical and takes every
+    untaken key whose relatedness to it (on normalized vectors) is at least
+    tau, TAU_RATIO times the largest relatedness between distinct topics,
+    and that passes merge_guard against it. An alias is checked against its
+    canonical only, so A~B and B~C do not chain A to C."""
+    keys = sorted(
+        (k for k in keys if k in space.topic_index),
+        key=lambda k: (-candidates[k].ner_frequency, k),
+    )
     if len(keys) < 2:
         return {k: [] for k in keys}
 
@@ -553,25 +552,19 @@ def conflate_all(
     vecs = np.vstack([_unit(space.topic_vector(k)) for k in keys])
     rel = vecs @ vecs.T
     np.fill_diagonal(rel, -np.inf)
-    max_rel = float(rel.max())
-    if not np.isfinite(max_rel):
-        return {k: [] for k in keys}
-    tau = TAU_RATIO * max_rel
+    tau = TAU_RATIO * float(rel.max())
 
-    uf = _UnionFind(keys)
+    result: dict[str, list[str]] = {}
+    taken = np.zeros(len(keys), dtype=bool)
     for i, key in enumerate(keys):
-        # pairs (i, j > i) at or above tau, in the nested loop's order
-        for j in (np.flatnonzero(rel[i, i + 1 :] >= tau) + (i + 1)).tolist():
-            if merge_guard(candidates[key], candidates[keys[j]], norm_pairs):
-                uf.union(key, keys[j])
-
-    groups: dict[str, list[str]] = {}
-    for k in keys:
-        groups.setdefault(uf.find(k), []).append(k)
-    result = {}
-    for members in groups.values():
-        canonical = min(members, key=lambda k: (-candidates[k].ner_frequency, k))
-        result[canonical] = sorted(m for m in members if m != canonical)
+        if taken[i]:
+            continue
+        # every key before i is a canonical or taken, so look after it
+        near = np.flatnonzero((rel[i, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
+        cand = candidates[key]
+        aliases = [j for j in near.tolist() if merge_guard(cand, candidates[keys[j]], norm_pairs)]
+        taken[aliases] = True
+        result[key] = sorted(keys[j] for j in aliases)
     return result
 
 

@@ -566,20 +566,27 @@ def _parse_event(obj) -> UpdateEvent:
     return UpdateEvent(kind, doc_id=corpus.parse_doc_id(obj["doc_id"]))
 
 
+def _siblings(out_dir: Path) -> tuple[Path, Path]:
+    """<out>.staging and <out>.old, which _write_dir_atomically replaces."""
+    return out_dir.parent / (out_dir.name + ".staging"), out_dir.parent / (out_dir.name + ".old")
+
+
 def check_output_dir(out_dir: str | Path, marker: str) -> None:
     """ValueError if out_dir, where a directory is to be written whole, is
-    the working directory or holds it, exists and is not a directory, or is
-    a non-empty directory without marker, the file its writer writes: it is
-    then no earlier output, and replacing it would lose what it holds.
-    Callers check before any work whose result goes there."""
+    the working directory or holds it; or if out_dir, or the <out>.staging
+    or <out>.old that the write also replaces, exists and is not a
+    directory, or is a non-empty directory without marker, the file its
+    writer writes: it is then no earlier output, and replacing it would lose
+    what it holds. Callers check before any work whose result goes there."""
     out_dir = Path(out_dir)
     resolved, cwd = out_dir.resolve(), Path.cwd().resolve()
     if resolved == cwd or resolved in cwd.parents:
         raise ValueError(f"{out_dir} is the working directory or holds it")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"{out_dir} exists and is not a directory")
-    if out_dir.is_dir() and not (out_dir / marker).is_file() and any(out_dir.iterdir()):
-        raise ValueError(f"{out_dir} is not empty and has no {marker}, so it is not replaced")
+    for path in (out_dir, *_siblings(out_dir)):
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"{path} exists and is not a directory")
+        if path.is_dir() and not (path / marker).is_file() and any(path.iterdir()):
+            raise ValueError(f"{path} is not empty and has no {marker}, so it is not replaced")
 
 
 def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
@@ -588,7 +595,7 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
     output and the old tree as it was, and a rewrite replaces the old tree.
     check_output_dir runs before anything is written."""
     check_output_dir(out_dir, marker)
-    staging = out_dir.parent / (out_dir.name + ".staging")
+    staging, trash = _siblings(out_dir)
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
@@ -598,7 +605,6 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
         shutil.rmtree(staging, ignore_errors=True)
         raise
     if out_dir.exists():
-        trash = out_dir.parent / (out_dir.name + ".old")
         if trash.exists():
             shutil.rmtree(trash)
         out_dir.rename(trash)

@@ -72,7 +72,6 @@ class TopicCandidate:
     ner_frequency: int = 0
     document_frequency: int = 0
     title_frequency: int = 0
-    doc_ids: set[str] = field(default_factory=set)
     surface_counts: Counter = field(default_factory=Counter)
 
     @property
@@ -147,8 +146,8 @@ class CandidateStore:
         """The topic candidates the live ledger adds up to."""
         if self._candidates is None:
             self._candidates = {}
-            for doc_id, contrib in self.ledger.items():
-                self._apply(doc_id, contrib)
+            for contrib in self.ledger.values():
+                self._apply(contrib)
         return self._candidates
 
     def accumulate(self, mentions: list[Mention], doc) -> None:
@@ -165,7 +164,7 @@ class CandidateStore:
         self._candidates = None
         return True
 
-    def _apply(self, doc_id: str, contrib: dict[str, dict]) -> None:
+    def _apply(self, contrib: dict[str, dict]) -> None:
         """Add one document's contribution to the candidates."""
         for key, c in contrib.items():
             cand = self._candidates.get(key)
@@ -177,7 +176,6 @@ class CandidateStore:
             cand.ner_frequency += mention_count(c)
             cand.title_frequency += c["titles"]
             cand.document_frequency += 1
-            cand.doc_ids.add(doc_id)
             cand.surface_counts.update(c["surfaces"])
 
     def snapshot(self) -> dict:
@@ -192,7 +190,6 @@ class CandidateStore:
                 "ner_frequency": c.ner_frequency,
                 "document_frequency": c.document_frequency,
                 "title_frequency": c.title_frequency,
-                "doc_ids": sorted(c.doc_ids),
                 "surface_counts": dict(sorted(c.surface_counts.items())),
             }
         return out

@@ -1,10 +1,12 @@
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import csc_of, dense_of
 from kbmine import cardbuild
@@ -29,6 +31,13 @@ from kbmine.cardbuild import (
     write_embeddings,
 )
 from kbmine.topicrank import TopicCandidate, normalize_key
+
+# bench/gen.py's word lists: export_wide's topics are "Brand Head" names
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+)
+BENCH_GEN = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(BENCH_GEN)
 
 
 def sparse(arr, prefix=("t", "d")):
@@ -575,15 +584,14 @@ class TestAcronyms:
         assert extract_acronym_aliases(["the big data platform (BDP)"]) == []
 
 
-def make_candidate(key, norm, docs, freq=5):
+def make_candidate(key, norm, freq=5):
     return TopicCandidate(
         key=key,
         norm_surface=norm,
         entity_type="product",
         ner_frequency=freq,
-        document_frequency=len(docs),
+        document_frequency=1,
         title_frequency=0,
-        doc_ids=set(docs),
     )
 
 
@@ -593,7 +601,7 @@ class TestConflation:
             [
                 [1.0, 0.0, 0.0],   # long form
                 [0.98, 0.05, 0.0], # acronym, nearly same direction
-                [0.95, 0.1, 0.05], # related but dissimilar names / docs
+                [0.95, 0.1, 0.05], # related but dissimilar names
                 [0.0, 0.0, 1.0],   # unrelated
             ]
         )
@@ -615,16 +623,13 @@ class TestConflation:
     def candidates(self):
         return {
             "managed virtual testbed||product": make_candidate(
-                "managed virtual testbed||product",
-                "managed virtual testbed",
-                {"d1", "d2"},
-                freq=10,
+                "managed virtual testbed||product", "managed virtual testbed", freq=10
             ),
-            "mvt||product": make_candidate("mvt||product", "mvt", {"d9"}, freq=3),
+            "mvt||product": make_candidate("mvt||product", "mvt", freq=3),
             "fabrikam cloud||product": make_candidate(
-                "fabrikam cloud||product", "fabrikam cloud", {"d7"}, freq=5
+                "fabrikam cloud||product", "fabrikam cloud", freq=5
             ),
-            "zebra||product": make_candidate("zebra||product", "zebra", {"d8"}, freq=2),
+            "zebra||product": make_candidate("zebra||product", "zebra", freq=2),
         }
 
     def test_acronym_pair_merges(self):
@@ -675,21 +680,22 @@ class TestConflation:
             monkeypatch.setattr(cardbuild, "TAU_RATIO", tau_ratio)
         rng = np.random.default_rng(seed)
         n = 30
-        # a few directions with jitter, so many pairs clear tau; short
-        # shared-letter surfaces and overlapping doc sets, so guards pass too
+        # a few directions with jitter, so many pairs clear tau; one- and
+        # two-word surfaces over a few words with plural, hyphen and
+        # acronym variants among them, so every branch of the guard passes
         centers = rng.standard_normal((4, 3))
         vectors = centers[rng.integers(0, 4, n)] + 0.3 * rng.standard_normal((n, 3))
         keys = [f"k{i:02d}||product" for i in rng.permutation(n)]
+        words = ["abc", "abcs", "cab", "ab-c", "bca", "zed"]
         cands = {
             k: make_candidate(
                 k,
-                "".join(rng.choice(list("abc"), 3)),
-                {f"d{j}" for j in rng.choice(8, 2, replace=False)},
+                " ".join(rng.choice(words, int(rng.integers(1, 3)))),
                 freq=int(rng.integers(1, 4)),
             )
             for k in keys
         }
-        pairs = [("Abc", "CAB"), ("Bca", "ACB")]  # normalize to surfaces drawn above
+        pairs = [("Abc", "CAB"), ("Bca", "ZED")]  # normalize to surfaces drawn above
         space = EmbeddingSpace(
             topic_keys=keys,
             topic_vectors=vectors,
@@ -699,45 +705,116 @@ class TestConflation:
             user_vectors=np.zeros((0, 3)),
         )
 
-        # reference: the nested loop over all pairs, then the same grouping
+        # reference: star linkage by a plain loop over every key in
+        # canonical order, with the guard written out
         units = np.vstack([v / np.linalg.norm(v) for v in vectors])
         rel = units @ units.T
         off_diagonal = rel[~np.eye(n, dtype=bool)]
         threshold = cardbuild.TAU_RATIO * float(off_diagonal.max())
         norm_pairs = {(normalize_key(lf), normalize_key(a)) for lf, a in pairs}
-        parent = {k: k for k in keys}
+        index = {k: i for i, k in enumerate(keys)}
 
         def guard(ca, cb):
             na, nb = ca.norm_surface, cb.norm_surface
-            shared = len(ca.doc_ids & cb.doc_ids) / len(ca.doc_ids | cb.doc_ids)
+            wa, wb = na.split(), nb.split()
+            only_a = " ".join(w for w in wa if w not in wb)
+            only_b = " ".join(w for w in wb if w not in wa)
             return (
                 (na, nb) in norm_pairs
                 or (nb, na) in norm_pairs
-                or trigram_jaccard(na, nb) >= cardbuild.TRIGRAM_THRESHOLD
-                or shared >= cardbuild.DOC_JACCARD_THRESHOLD
+                or set(wa) == set(wb)
+                or na.replace(" ", "").replace("-", "") == nb.replace(" ", "").replace("-", "")
+                or (
+                    only_a != ""
+                    and only_b != ""
+                    and trigram_jaccard(only_a, only_b) >= cardbuild.TRIGRAM_THRESHOLD
+                )
             )
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rel[a, b] >= threshold and guard(cands[keys[a]], cands[keys[b]]):
-                    ra, rb = find(keys[a]), find(keys[b])
-                    if ra != rb:
-                        parent[rb] = ra
-        groups = {}
-        for k in keys:
-            groups.setdefault(find(k), []).append(k)
+        order = sorted(keys, key=lambda k: (-cands[k].ner_frequency, k))
         expected = {}
-        for members in groups.values():
-            canonical = min(members, key=lambda k: (-cands[k].ner_frequency, k))
-            expected[canonical] = sorted(m for m in members if m != canonical)
+        grouped = set()
+        for a in order:
+            if a in grouped:
+                continue
+            grouped.add(a)
+            expected[a] = []
+            for b in order:
+                if (
+                    b not in grouped
+                    and rel[index[a], index[b]] >= threshold
+                    and guard(cands[a], cands[b])
+                ):
+                    grouped.add(b)
+                    expected[a].append(b)
+            expected[a].sort()
 
         assert any(expected.values())  # some pairs merge
         assert conflate_all(keys, cands, space, pairs) == expected
+
+    def test_aliases_do_not_chain(self):
+        """A~B (an acronym pair) and B~C (a plural) pass the guard and A~C
+        does not. A union-find closure made one group of the three; star
+        linkage lets the canonical A take B, and C stays alone."""
+        keys = ["managed virtual testbed||product", "mvt||product", "mvts||product"]
+        cands = {
+            k: make_candidate(k, k.split("||")[0], freq=freq) for k, freq in zip(keys, (9, 5, 3))
+        }
+        a, b, c = (cands[k] for k in keys)
+        pairs = {("managed virtual testbed", "mvt")}
+        assert merge_guard(a, b, pairs) and merge_guard(b, c, pairs)
+        assert not merge_guard(a, c, pairs)
+        space = EmbeddingSpace(
+            topic_keys=keys,
+            topic_vectors=np.ones((3, 2)),  # every pair at the largest relatedness
+            doc_ids=[],
+            doc_vectors=np.zeros((0, 2)),
+            user_ids=[],
+            user_vectors=np.zeros((0, 2)),
+        )
+        groups = conflate_all(keys, cands, space, [("Managed Virtual Testbed", "MVT")])
+        assert groups == {keys[0]: [keys[1]], keys[2]: []}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(BENCH_GEN.BRAND_WORDS),
+        st.sampled_from(BENCH_GEN.BRAND_WORDS),
+        st.sampled_from(BENCH_GEN.HEAD_WORDS),
+        st.sampled_from(BENCH_GEN.HEAD_WORDS),
+        st.booleans(),
+    )
+    def test_names_sharing_a_word_never_merge(self, brand_a, brand_b, head_a, head_b, share_head):
+        """Two distinct 'Brand Head' names that share their head or their
+        brand are two topics."""
+        if share_head:
+            head_b = head_a
+        else:
+            brand_b = brand_a
+        name_a, name_b = f"{brand_a} {head_a}", f"{brand_b} {head_b}"
+        assume(name_a != name_b)
+        a, b = (make_candidate(n, normalize_key(n)) for n in (name_a, name_b))
+        assert not merge_guard(a, b, set())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(BENCH_GEN.BRAND_WORDS),
+        st.sampled_from(BENCH_GEN.HEAD_WORDS),
+        st.sampled_from(["upper", "lower", "plural", "hyphen", "acronym"]),
+    )
+    def test_variants_of_a_name_always_merge(self, brand, head, variant):
+        """Case, plural, hyphen-for-space and acronym variants of one name
+        name the same topic."""
+        name = f"{brand} {head}"
+        other = {
+            "upper": name.upper(),
+            "lower": name.lower(),
+            "plural": f"{name}s",
+            "hyphen": f"{brand}-{head}",
+            "acronym": brand[0] + head[0],
+        }[variant]
+        pairs = {(normalize_key(name), normalize_key(brand[0] + head[0]))}
+        a, b = (make_candidate(n, normalize_key(n)) for n in (name, other))
+        assert merge_guard(a, b, pairs) and merge_guard(b, a, pairs)
 
     def test_trigram_jaccard(self):
         assert trigram_jaccard("abc", "abc") == 1.0

@@ -246,6 +246,32 @@ class TestRunFull:
             assert key in state.store.candidates
             assert key in card_keys or name in alt_names
 
+    def test_co_occurring_names_sharing_a_word_stay_two_cards(self, tmp_path):
+        """'Arbor Gateway' and 'Harbor Gateway' occur in the same documents,
+        so their relatedness is the largest, and their names share a word
+        and most trigrams; they are still two products, with a card each."""
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps(asdict(Document(f"d{i}", "Notes", "Arbor Gateway and Harbor Gateway",
+                                       "u1", float(i)))) + "\n"
+            for i in range(3)
+        ))
+        # sentence 1 is the body: B I O B I over labels O, B-product, I-product
+        o, b, i = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"doc_id": f"d{n}", "sentence_index": 1, "scores": [b, i, o, b, i]})
+            + "\n"
+            for n in range(3)
+        ))
+        _, kb = run_full(PipelineConfig(
+            corpus_path=str(corpus_path), score_file=str(scores), entity_types=("product",),
+        ))
+        assert [(c.key, c.alternate_names) for c in kb.cards] == [
+            ("arbor gateway||product", []),
+            ("harbor gateway||product", []),
+        ]
+
     def test_related_docs_match_exhaustive_signals(self, config, full_run):
         # the rerank signals of every document, as the card loop once built
         # them for each card, and a full sort in place of the partial top-k
@@ -1644,6 +1670,59 @@ class TestCli:
         assert work == []
         assert _tree_bytes(data) == before
         assert sorted(p.name for p in tmp_path.glob("data*")) == ["data"]
+
+    @pytest.mark.parametrize("suffix, kind", [(".staging", "dir"), (".old", "file")])
+    @pytest.mark.parametrize(
+        "command, flag, marker",
+        [
+            ("mine", "--out", pipeline.MANIFEST_FILE),
+            ("mine", "--state", pipeline.STATE_FILE),
+            ("update", "--state", pipeline.STATE_FILE),
+            ("export", "--out", pipeline.MANIFEST_FILE),
+        ],
+        ids=["mine_out", "mine_state", "update_state", "export_out"],
+    )
+    def test_sibling_of_other_files_is_not_replaced(
+        self, config, models, tmp_path, capsys, monkeypatch, command, flag, marker, suffix, kind
+    ):
+        """The write replaces <out>.staging and <out>.old as well as <out>,
+        so either one that holds something other than an earlier output is
+        refused with one line before any work, and its file survives."""
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        args = {"--config": cfg_path}
+        if command != "mine":
+            args["--state"] = _saved_state(models, tmp_path / "state")
+        if command == "update":
+            args["--events"] = events
+        target = tmp_path / ("state" if command == "update" else "out")
+        args[flag] = target
+        sibling = tmp_path / (target.name + suffix)
+        if kind == "dir":
+            sibling.mkdir()
+            kept = sibling / "notes.txt"
+        else:
+            kept = sibling
+        kept.write_bytes(b"keep me\n")
+        work = []
+        for name in ("run_full", "build_knowledge_base", "apply_update"):
+            monkeypatch.setattr(pipeline, name, lambda *a: work.append(a))
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        rc = cli.main([command, *(str(x) for item in args.items() for x in item)])
+        assert rc == cli.EXIT_CONFIG
+        reason = (
+            f"is not empty and has no {marker}, so it is not replaced"
+            if kind == "dir" else "exists and is not a directory"
+        )
+        assert capsys.readouterr().err == f"error: {sibling} {reason}\n"
+        assert work == []
+        assert kept.read_bytes() == b"keep me\n"
+        assert _tree_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("path", [".", ".."])
     @pytest.mark.parametrize(

@@ -99,7 +99,6 @@ class TestAccumulate:
             for c in store.candidates.values():
                 assert c.ner_frequency >= c.document_frequency >= 1
                 assert c.title_frequency <= c.ner_frequency
-                assert len(c.doc_ids) == c.document_frequency
 
     def test_remove_doc_restores_state(self):
         store = CandidateStore()
