@@ -6,10 +6,11 @@ output entry sequentially, columns ascending and rows ascending within a
 column, which is the order of SciPy's csc kernels, so the factors are
 bitwise-equal to SciPy-backed ones; a test holds them to that while SciPy is
 installed. The SVD streams the matrix by windows of document columns, which
-are views. One bound, _working_bytes, accounts for its memory: the SVD runs
-at the largest batch (up to SvdConfig.batch_size) whose bound fits the memory
-budget, and a test checks that bound against what tracemalloc sees NumPy
-allocate.
+are views; one seeded Gaussian stream in document order and one sign rule
+keep the factors independent of the batch size. One bound, _working_bytes,
+accounts for its memory: the SVD runs at the largest batch (up to
+SvdConfig.batch_size) whose bound fits the memory budget, and a test checks
+that bound against what tracemalloc sees NumPy allocate.
 
 Card assembly stays off O(K*D) Python loops: each related list is a partial
 top-k over one score vector, the rerank signals are asked for the recalled
@@ -231,10 +232,10 @@ class MemoryBudgetError(RuntimeError):
         self.minimum = minimum
 
 
-# Bytes of Python objects (column window objects, the per-column generators
-# in _omega_block, array headers) that tracemalloc sees on top of the arrays
-# counted in _working_bytes.
-_PY_OVERHEAD = 16 * 1024
+# Bytes of Python objects (column window objects, the generator, array
+# headers) that tracemalloc sees on top of the arrays counted in
+# _working_bytes: at most 5.6 KiB on the tests' shapes.
+_PY_OVERHEAD = 8 * 1024
 
 
 def _working_bytes(M: CscMatrix, l: int, r: int, batch: int, q: int) -> int:
@@ -262,17 +263,6 @@ def _working_bytes(M: CscMatrix, l: int, r: int, batch: int, q: int) -> int:
     return max(sketch, qr, gram, docs) + _PY_OVERHEAD
 
 
-def _omega_block(seed: int, cols: range, l: int) -> np.ndarray:
-    """Gaussian test block, seeded per document column so results do not
-    depend on the batch size."""
-    block = np.empty((len(cols), l))
-    for row, j in enumerate(cols):
-        block[row] = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(j,))
-        ).standard_normal(l)
-    return block
-
-
 def batched_randomized_svd(
     matrix: SparseTopicDocMatrix, config: SvdConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -284,7 +274,9 @@ def batched_randomized_svd(
     at the configured rank, and the _working_bytes bound of the batch size
     used, checked against the memory budget before anything was allocated.
     That batch is the largest one up to config.batch_size whose bound fits
-    the budget; the factors do not depend on it.
+    the budget. The factors do not depend on it: the test matrix is one
+    seeded stream drawn in document order, and eigh's arbitrary signs give
+    way to one rule, U_k's largest-magnitude entry is positive.
     """
     M = matrix.matrix
     n_topics, n_docs = M.shape
@@ -306,15 +298,18 @@ def batched_randomized_svd(
         raise MemoryBudgetError(config.memory_budget, working)
 
     def accumulate(out, term):
-        # out += term(first column, column window); each window dies with its batch
+        # out += term(column window), windows in column order; each dies with its batch
         for start in range(0, n_docs, batch):
-            out += term(start, M.columns(start, start + batch))
+            out += term(M.columns(start, start + batch))
         return out
 
-    def sketch(start, Mb):
-        return Mb @ _omega_block(config.seed, range(start, start + Mb.shape[1]), l)
+    # consecutive draws of one stream: the same (n_docs, l) matrix at every batch
+    rng = np.random.default_rng(config.seed)
 
-    def gram(_, Mb):
+    def sketch(Mb):
+        return Mb @ rng.standard_normal((Mb.shape[1], l))
+
+    def gram(Mb):
         Bb = Mb.tmatmul(Q).T  # Q^T Mb
         return Bb @ Bb.T
 
@@ -323,7 +318,7 @@ def batched_randomized_svd(
     for _ in range(q):
         Q = np.linalg.qr(Y)[0]
         Y[:] = 0.0
-        accumulate(Y, lambda _, Mb: Mb @ Mb.tmatmul(Q))
+        accumulate(Y, lambda Mb: Mb @ Mb.tmatmul(Q))
         del Q
     Q = np.linalg.qr(Y)[0]
     del Y
@@ -345,12 +340,14 @@ def batched_randomized_svd(
         V[start : start + batch] = M.columns(start, start + batch).tmatmul(Q) @ W
     del Q
 
-    # scale column by column: in-place ufuncs on 1-D views allocate nothing
+    # scale column by column, negating U_k, V_k (exact) where U_k's largest-magnitude
+    # entry is negative; in-place ufuncs on 1-D views allocate nothing
     for k, s in enumerate(sigma):
-        U[:, k] *= np.sqrt(s)
+        scale = -np.sqrt(s) if -U[:, k].min() > U[:, k].max() else np.sqrt(s)
+        U[:, k] *= scale
         if s > 1e-12:
             V[:, k] /= s
-            V[:, k] *= np.sqrt(s)
+            V[:, k] *= scale
         else:
             V[:, k] = 0.0
     return U, V, sigma, working

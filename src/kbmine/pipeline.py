@@ -380,8 +380,6 @@ def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> Pi
 
 def rank_refresh(state: PipelineState, config: PipelineConfig, models: Models):
     """Shortlist + rerank on current counters, no document reprocessing."""
-    if not state.store.candidates:
-        return topicrank.RankedTopicList(entries=[])
     keys = topicrank.shortlist(state.store, config.shortlist_n)
     if models.ranker is None:
         # no ranker model: fall back to NER-frequency order with score 1.0
@@ -422,12 +420,10 @@ def build_knowledge_base(
         "n_topics": len(ranked.entries),
         "timestamp": time.time(),
     }
-    if not ranked.entries or not state.documents:
+    if not ranked.entries:
         return KnowledgeBase(cards=[], manifest=manifest)
 
     matrix = cardbuild.build_matrix(ranked.keys(), _doc_tf_stats(state))
-    if matrix.n_topics == 0 or matrix.n_docs == 0:
-        return KnowledgeBase(cards=[], manifest=manifest)
 
     # clamp the sketch size to what the matrix supports
     limit = min(matrix.n_topics, matrix.n_docs)
@@ -616,11 +612,11 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
 
 def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
     """Write manifest, one JSON file per card, and the embedding files,
-    atomically (see _write_dir_atomically); the directory is the result."""
+    atomically (see _write_dir_atomically); the directory is the result.
+    The manifest goes first: a crash leaves a staging directory that the
+    next export recognizes and replaces."""
 
     def write(staging: Path) -> None:
-        cards_dir = staging / "cards"
-        cards_dir.mkdir()
         card_index = {}
         for card in kb.cards:
             fname = urllib.parse.quote(card.key, safe="") + ".json"
@@ -628,7 +624,11 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
                 # a quoted key holds %7C%7C (KEY_SEP): a digest name is never a quoted one
                 fname = hashlib.sha256(card.key.encode()).hexdigest() + ".json"
             card_index[card.key] = f"cards/{fname}"
-            with open(cards_dir / fname, "w", encoding="utf-8") as fh:
+        with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as fh:
+            json.dump({**kb.manifest, "cards": card_index}, fh, sort_keys=True, indent=1)
+        (staging / "cards").mkdir()
+        for card in kb.cards:
+            with open(staging / card_index[card.key], "w", encoding="utf-8") as fh:
                 json.dump(card.to_dict(), fh, sort_keys=True, indent=1)
         if kb.space is not None:
             cardbuild.write_embeddings(
@@ -640,9 +640,5 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
             cardbuild.write_embeddings(
                 staging / "users.emb", kb.space.user_ids, kb.space.user_vectors, "user"
             )
-        manifest = dict(kb.manifest)
-        manifest["cards"] = card_index
-        with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
 
     _write_dir_atomically(Path(out_dir), MANIFEST_FILE, write)

@@ -81,16 +81,17 @@ def traced_svd(m, cfg):
 
 def svd_run(m, cfg):
     """(factors, returned working bytes, batch size used) of an SVD run. The
-    batch used is the column count of the first Gaussian test block."""
+    batch used is the column count of the first column window."""
     widths = []
-    real = cardbuild._omega_block
+    real = CscMatrix.columns
 
-    def spy(seed, cols, l):
-        widths.append(len(cols))
-        return real(seed, cols, l)
+    def spy(self, start, stop):
+        window = real(self, start, stop)
+        widths.append(window.shape[1])
+        return window
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cardbuild, "_omega_block", spy)
+        mp.setattr(CscMatrix, "columns", spy)
         tv, dv, sig, working = batched_randomized_svd(m, cfg)
     return (tv, dv, sig), working, widths[0]
 
@@ -283,16 +284,55 @@ class TestBatchedSvd:
         oracle = np.linalg.svd(A, compute_uv=False)[:8]
         assert np.allclose(sig, oracle, rtol=1e-8)
 
-    def test_batch_invariance(self):
-        rng = np.random.default_rng(4)
-        A = rng.normal(size=(80, 6)) @ rng.normal(size=(6, 400))
-        m = sparse(A)
-        kwargs = dict(rank=6, oversampling=4, power_iterations=1, seed=5)
-        tv1, dv1, s1, _ = batched_randomized_svd(m, SvdConfig(batch_size=64, **kwargs))
-        tv2, dv2, s2, _ = batched_randomized_svd(m, SvdConfig(batch_size=400, **kwargs))
-        assert np.abs(tv1 - tv2).max() <= 1e-8
-        assert np.abs(dv1 - dv2).max() <= 1e-8
-        assert np.abs(s1 - s2).max() <= 1e-8
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "shape",
+        # matrix seed, topics, rank, docs and the two batch sizes; the second
+        # is acceptance criterion 4's matrix
+        [(4, 80, 6, 400, (64, 400)), (3, 500, 8, 5000, (64, 5000))],
+        ids=lambda s: f"{s[1]}x{s[3]}",
+    )
+    def test_batch_invariance(self, shape, seed):
+        matrix_seed, n_topics, rank, n_docs, batches = shape
+        rng = np.random.default_rng(matrix_seed)
+        m = sparse(rng.normal(size=(n_topics, rank)) @ rng.normal(size=(rank, n_docs)))
+        small, full = (
+            batched_randomized_svd(
+                m, SvdConfig(rank=rank, oversampling=4, batch_size=b, seed=seed)
+            )[:3]
+            for b in batches
+        )
+        for a, b in zip(small, full):
+            assert np.abs(a - b).max() <= 1e-8
+
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    def test_one_gaussian_stream_in_document_order(self, batch, monkeypatch):
+        real = np.random.default_rng
+        seeds, draws = [], []
+
+        class Recorder:
+            def __init__(self, seed):
+                seeds.append(seed)
+                self.rng = real(seed)
+
+            def standard_normal(self, size):
+                draws.append(self.rng.standard_normal(size))
+                return draws[-1]
+
+        m = random_sparse(60, 300)
+        cfg = SvdConfig(rank=5, oversampling=3, batch_size=batch, seed=11)
+        monkeypatch.setattr(cardbuild.np.random, "default_rng", Recorder)
+        batched_randomized_svd(m, cfg)
+        assert seeds == [11]
+        assert [d.shape[0] for d in draws] == [min(batch, 300 - s) for s in range(0, 300, batch)]
+        assert np.array_equal(np.concatenate(draws), real(11).standard_normal((300, 8)))
+
+    def test_largest_entry_of_each_topic_factor_is_positive(self):
+        for seed in range(10):
+            tv = batched_randomized_svd(
+                random_sparse(100, 600, seed=seed), SvdConfig(rank=8, seed=seed)
+            )[0]
+            assert np.all(tv.max(axis=0) >= -tv.min(axis=0))
 
     def test_general_matrix_near_best_rank_r(self):
         rng = np.random.default_rng(6)

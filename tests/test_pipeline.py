@@ -4,6 +4,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1670,6 +1671,42 @@ class TestCli:
         assert work == []
         assert _tree_bytes(data) == before
         assert sorted(p.name for p in tmp_path.glob("data*")) == ["data"]
+
+    def test_export_killed_mid_write_is_replaced_by_the_next(self, config, models, tmp_path):
+        """An export killed while it writes its cards leaves <out>.staging
+        behind; the next export to that --out replaces it and exits 0."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        cfg_path = self.write_config(tmp_path, config, min_topic_score=0.0)
+        out = tmp_path / "kb"
+        args = ["export", "--config", str(cfg_path), "--state", str(state_dir), "--out", str(out)]
+        # SIGKILL on the second card, as a crash or an OOM kill would end it
+        code = (
+            "import os, signal, sys\n"
+            "from kbmine import cardbuild, cli\n"
+            "to_dict, cards = cardbuild.TopicCard.to_dict, []\n"
+            "def killing_to_dict(card):\n"
+            "    cards.append(card)\n"
+            "    if len(cards) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return to_dict(card)\n"
+            "cardbuild.TopicCard.to_dict = killing_to_dict\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = Path(pipeline.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+        assert child.returncode == -signal.SIGKILL
+        assert (tmp_path / "kb.staging").is_dir()
+        assert not out.exists()
+        assert cli.main(args) == cli.EXIT_OK
+        assert not (tmp_path / "kb.staging").exists()
+        manifest = json.loads((out / pipeline.MANIFEST_FILE).read_text())
+        assert len(manifest["cards"]) >= 2
+        for rel in manifest["cards"].values():
+            assert (out / rel).is_file()
 
     @pytest.mark.parametrize("suffix, kind", [(".staging", "dir"), (".old", "file")])
     @pytest.mark.parametrize(
