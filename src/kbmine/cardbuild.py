@@ -25,6 +25,7 @@ joins two topics whose names do not match.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -483,11 +484,13 @@ def extract_acronym_aliases(sentences) -> list[tuple[str, str]]:
     return list(pairs)
 
 
-def trigram_jaccard(a: str, b: str) -> float:
-    def grams(s):
-        s = f"  {s} "
-        return set(zip(s, s[1:], s[2:]))
+def _trigrams(s: str) -> set[tuple[str, str, str]]:
+    s = f"  {s} "
+    return set(zip(s, s[1:], s[2:]))
 
+
+def trigram_jaccard(a: str, b: str, grams=_trigrams) -> float:
+    """Jaccard of the padded trigram sets grams gives for a and b."""
     ga, gb = grams(a), grams(b)  # never empty: each holds its padding
     shared = len(ga & gb)
     return shared / (len(ga) + len(gb) - shared)
@@ -502,22 +505,34 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
+def _name(surface: str) -> tuple[str, list[str], set[str], str]:
+    """A topic name as merge_guard reads it: the name, its words, their set,
+    and the name with spaces and hyphens dropped."""
+    words = surface.split()
+    return surface, words, set(words), "".join(words).replace("-", "")
+
+
 def merge_guard(cand_a, cand_b, acronym_pairs: set[tuple[str, str]]) -> bool:
     """Whether two topic names may name one topic: an acronym pair; the
     same word set, or one string once spaces and hyphens are dropped
     ("data lake", "data-lake"); or the words each has and the other lacks,
     joined, at a trigram Jaccard of TRIGRAM_THRESHOLD or more ("falcon",
     "falcons", but not "arbor gateway", "harbor gateway")."""
-    na, nb = cand_a.norm_surface, cand_b.norm_surface
+    a, b = _name(cand_a.norm_surface), _name(cand_b.norm_surface)
+    return _names_merge(a, b, acronym_pairs, _trigrams)
+
+
+def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams) -> bool:
+    """merge_guard on two _name tuples; grams gives a string's trigram set."""
+    (na, wa, sa, ja), (nb, wb, sb, jb) = a, b
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
-    wa, wb = na.split(), nb.split()
-    if set(wa) == set(wb) or "".join(wa).replace("-", "") == "".join(wb).replace("-", ""):
+    if sa == sb or ja == jb:
         return True
     # if one side has no words of its own, the two share no trigram
-    only_a = " ".join([w for w in wa if w not in wb])
-    only_b = " ".join([w for w in wb if w not in wa])
-    return trigram_jaccard(only_a, only_b) >= TRIGRAM_THRESHOLD
+    only_a = " ".join([w for w in wa if w not in sb])
+    only_b = " ".join([w for w in wb if w not in sa])
+    return trigram_jaccard(only_a, only_b, grams) >= TRIGRAM_THRESHOLD
 
 
 def conflate_all(
@@ -551,6 +566,9 @@ def conflate_all(
     np.fill_diagonal(rel, -np.inf)
     tau = TAU_RATIO * float(rel.max())
 
+    # each name split once, and each string's trigram set built once, per call
+    names = [_name(candidates[k].norm_surface) for k in keys]
+    grams = functools.cache(_trigrams)
     result: dict[str, list[str]] = {}
     taken = np.zeros(len(keys), dtype=bool)
     for i, key in enumerate(keys):
@@ -558,8 +576,7 @@ def conflate_all(
             continue
         # every key before i is a canonical or taken, so look after it
         near = np.flatnonzero((rel[i, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
-        cand = candidates[key]
-        aliases = [j for j in near.tolist() if merge_guard(cand, candidates[keys[j]], norm_pairs)]
+        aliases = [j for j in near.tolist() if _names_merge(names[i], names[j], norm_pairs, grams)]
         taken[aliases] = True
         result[key] = sorted(keys[j] for j in aliases)
     return result

@@ -1,16 +1,20 @@
 """Token tagging over the BIO label set.
 
 A hashed-feature softmax classifier scores every token of a document against
-the label set in one pass; Viterbi decoding then finds each sentence's
-highest-scoring *valid* BIO path, taking at each step the best allowed
-previous label of every label. The decoder and loss are scorer-agnostic:
-score matrices may also come from an external file (see
-load_external_scores).
+the label set in one pass; decoding then finds each sentence's
+highest-scoring *valid* BIO path. Viterbi takes at each step the best
+allowed previous label of every label; decode runs it only for the
+sentences whose per-token argmax path is not provably its answer (see
+decode). The decoder and loss are scorer-agnostic: score matrices may also
+come from an external file (see load_external_scores).
 
 Hashing makes the weight matrix sparse: training touches only the rows of
 the features its data holds. A model therefore stores just those rows, as
 their sorted hash ids plus the rows themselves, and a feature whose id has
 no stored row adds nothing to a score, as its all-zero dense row would.
+Every token has at most FEATURE_WIDTH features, so a document's row numbers
+are one fixed-width array, sorted per token, in which the zero row (one
+past the stored rows) stands for each missing id and each repeat.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import math
 import zipfile
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +234,20 @@ def hash_features(feats: list[str], dim: int) -> np.ndarray:
 _MEMO_LIMIT = 1 << 16
 
 
+def _remember(memo: dict, key, value):
+    """memo[key] = value, clearing memo first when it is full; returns value."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+# Row numbers per token in TaggerModel.feature_ids: up to 8 word features,
+# prev=, next=, bias and title.
+FEATURE_WIDTH = 12
+_WORD_WIDTH = 8
+
+
 @dataclass
 class TaggerModel:
     """Stored rows of a (hash_dim, n_labels) weight matrix, all others zero:
@@ -238,17 +258,19 @@ class TaggerModel:
     weights: np.ndarray  # (n_rows, n_labels)
     labelset: LabelSet
     hash_dim: int
-    # stored-row memos, never saved: word -> sorted row numbers of its word
-    # features, lowercased word -> (its prev= row numbers, its next= row
-    # numbers); an id without a stored row is dropped
+    # row-number memos, never saved, each id without a stored row given as
+    # the zero row len(weights): word -> the rows of its word features,
+    # padded to _WORD_WIDTH with the zero row; lowercased word -> (its prev=
+    # row, its next= row)
     _word_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _context_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the row numbers of bias, and of bias and title, indexed by from_title
+    # (bias row, title row), the title row being the zero row when from_title
+    # is False; indexed by from_title
     _fixed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bias = self._stored([_feature_id(_BIAS, self.hash_dim)])
-        self._fixed = (bias, bias + self._stored([_feature_id(_TITLE, self.hash_dim)]))
+        bias, title = self._row_numbers(_feature_ids((_BIAS, _TITLE), self.hash_dim))
+        self._fixed = ((bias, len(self.weights)), (bias, title))
 
     @classmethod
     def from_dense(cls, weights: np.ndarray, labelset: LabelSet) -> "TaggerModel":
@@ -258,38 +280,47 @@ class TaggerModel:
 
     @cached_property
     def _padded_weights(self) -> np.ndarray:
-        """weights plus one zero row, which score_tokens pads row numbers with."""
+        """weights plus the zero row, row number len(weights)."""
         return np.vstack([self.weights, np.zeros((1, self.weights.shape[1]))])
 
-    def _stored(self, ids: list[int]) -> tuple[int, ...]:
-        """The sorted unique row numbers of the ids that have a stored row."""
-        rows = self.rows
+    def _row_numbers(self, ids) -> tuple[int, ...]:
+        """Each id's row number, or the zero row where it has no stored row."""
+        rows, zero = self.rows, len(self.weights)
         pos = np.searchsorted(rows, ids).tolist()
-        return tuple(sorted({p for p, i in zip(pos, ids) if p < len(rows) and rows[p] == i}))
+        return tuple(p if p < zero and rows[p] == i else zero for p, i in zip(pos, ids))
 
-    def feature_ids(self, tokens: list[str], from_title: bool = False) -> list[tuple[int, ...]]:
-        """Per token, the sorted row numbers of the ids of
-        hash_features(featurize(...)) that have a stored row."""
-        dim = self.hash_dim
+    def _word_rows(self, word: str) -> tuple[int, ...]:
+        """word's memo entry, made on a miss."""
+        rows = self._row_numbers(_feature_ids(_word_features(word), self.hash_dim))
+        rows += (len(self.weights),) * (_WORD_WIDTH - len(rows))
+        return _remember(self._word_ids, word, rows)
+
+    def _context_rows(self, lower: str) -> tuple[int, int]:
+        """lower's memo entry, made on a miss."""
+        rows = self._row_numbers(_feature_ids(_context_features(lower), self.hash_dim))
+        return _remember(self._context_ids, lower, rows)
+
+    def feature_ids(self, sentences: list[tuple[list[str], bool]]) -> np.ndarray:
+        """(n_tokens, FEATURE_WIDTH) row numbers of a document's sentences,
+        given as (tokens, from_title) pairs: per token, the stored rows of
+        the ids of hash_features(featurize(...)) in ascending order, with
+        the zero row len(weights) in place of every repeat and of every id
+        that has no stored row."""
         word_ids, context_ids = self._word_ids, self._context_ids
-        fixed = self._fixed[from_title]
-        context = []
-        for lower in ("<s>", *(t.lower() for t in tokens), "</s>"):
-            ids = context_ids.get(lower)
-            if ids is None:
-                if len(context_ids) >= _MEMO_LIMIT:
-                    context_ids.clear()
-                prev_id, next_id = _feature_ids(_context_features(lower), dim)
-                ids = context_ids[lower] = (self._stored([prev_id]), self._stored([next_id]))
-            context.append(ids)
-        out = []
-        for i, word in enumerate(tokens):
-            ids = word_ids.get(word)
-            if ids is None:
-                if len(word_ids) >= _MEMO_LIMIT:
-                    word_ids.clear()
-                ids = word_ids[word] = self._stored(_feature_ids(_word_features(word), dim))
-            out.append(tuple(sorted({*ids, *fixed, *context[i][0], *context[i + 2][1]})))
+        flat: list[int] = []
+        for tokens, from_title in sentences:
+            fixed = self._fixed[from_title]
+            context = [
+                context_ids.get(lower) or self._context_rows(lower)
+                for lower in ("<s>", *(t.lower() for t in tokens), "</s>")
+            ]
+            # a token's prev= row is its left neighbour's, its next= row its right one's
+            for word, (prev, _), (_, nxt) in zip(tokens, context, context[2:]):
+                flat += word_ids.get(word) or self._word_rows(word)
+                flat += (prev, nxt, *fixed)
+        out = np.fromiter(flat, np.intp, len(flat)).reshape(-1, FEATURE_WIDTH)
+        out.sort(axis=1)
+        out[:, 1:][out[:, 1:] == out[:, :-1]] = len(self.weights)
         return out
 
     def save(self, path: str | Path) -> None:
@@ -428,10 +459,10 @@ def train_tagger(
     model = TaggerModel(np.arange(config.hash_dim), weights, labelset, config.hash_dim)
     rng = np.random.default_rng(config.seed)
 
-    examples = []
-    for sent in data:
-        for ids, label in zip(model.feature_ids(sent.tokens, sent.from_title), sent.labels):
-            examples.append((np.array(ids), labelset.index(label)))
+    # a token's stored ids are the entries below the zero row, hash_dim here
+    ids = model.feature_ids([(sent.tokens, sent.from_title) for sent in data])
+    labels = [labelset.index(label) for sent in data for label in sent.labels]
+    examples = [(row[row < config.hash_dim], gold) for row, gold in zip(ids, labels)]
 
     order = np.arange(len(examples))
     final_loss = 0.0
@@ -461,27 +492,21 @@ def score_tokens(
 
     Bitwise equal to _log_softmax(dense[hash_features(featurize(i, ...))]
     .sum(axis=0)) per token, dense being the matrix whose nonzero rows the
-    model stores: every token's row numbers are padded with the zero row to
-    one width, and the gather is one (tokens, width, L) array summed over
-    width, which adds each token's nonzero rows in the same order as the
-    per-token sum. The zero rows, left out or padded, add +0.0, which changes
-    no sum of weights that hold no -0.0, as trained weights never do.
-    np.add.reduceat over a flat gather does not keep the order.
+    model stores: feature_ids gives each token FEATURE_WIDTH row numbers,
+    its stored rows in ascending order with the zero row in place of each
+    repeat and each id without a stored row, and the gather is one
+    (tokens, FEATURE_WIDTH, L) array summed over its middle axis, which
+    adds each token's stored rows in the same order as the per-token sum.
+    The zero rows add +0.0, which changes no sum of weights that hold no
+    -0.0, as trained weights never do. np.add.reduceat over a flat gather
+    does not keep the order.
     """
-    ids: list[tuple[int, ...]] = []
-    ends = []
-    for tokens, from_title in sentences:
-        if not tokens:
-            raise ValueError("no tokens to score")
-        ids += model.feature_ids(tokens, from_title)
-        ends.append(len(ids))
-    width = max(map(len, ids), default=0)
-    pad = (len(model.weights),) * width  # the zero row of _padded_weights
-    # intp: when no token has a stored row, every entry is () and would make floats
-    index = np.array([t + pad[len(t):] for t in ids], dtype=np.intp).reshape(len(ids), width)
-    logits = model._padded_weights[index].sum(axis=1)
+    if not all(tokens for tokens, _ in sentences):
+        raise ValueError("no tokens to score")
+    logits = model._padded_weights[model.feature_ids(sentences)].sum(axis=1)
     z = logits - logits.max(axis=1, keepdims=True)
     scores = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    ends = list(accumulate(len(tokens) for tokens, _ in sentences))
     return [scores[start:end] for start, end in zip([0, *ends], ends)]
 
 
@@ -525,6 +550,51 @@ def viterbi_decode(scores: np.ndarray, labelset: LabelSet) -> list[int]:
         path.append(last)
     path.reverse()
     return path
+
+
+def decode(sentence_scores: list[np.ndarray], labelset: LabelSet) -> list[list[int]]:
+    """viterbi_decode's path of each of a document's sentence score
+    matrices, checked for all of them in one pass over the stacked rows.
+
+    A sentence whose per-token argmax path g may open a sentence and makes
+    only allowed transitions takes g, as long as no rounding tie could move
+    Viterbi's first-max choices: with prefix[t] the scores of g summed in
+    the decoder's order, (prefix[t - 1] + scores[t]).argmax() must be g[t]
+    at every t >= 1. Float addition is monotone, so Viterbi's best score at
+    t is then prefix[t], reached first at g[t], and its back pointers follow
+    g. Every other sentence goes to viterbi_decode.
+    """
+    lengths = [len(scores) for scores in sentence_scores]
+    if not lengths:
+        return []
+    if min(lengths) < 1:
+        raise ValueError("need at least one token")
+    scores = np.concatenate(sentence_scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != len(labelset):
+        raise ValueError(f"scores have shape {scores.shape}, not (tokens, {len(labelset)})")
+    ends = list(accumulate(lengths))
+    starts = [0, *ends[:-1]]
+    g = scores.argmax(axis=1)
+    best = scores[np.arange(len(g)), g].tolist()
+    prefix = np.fromiter(
+        chain.from_iterable(accumulate(best[a:b]) for a, b in zip(starts, ends)),
+        np.float64,
+        len(best),
+    )
+    # pair t joins tokens t and t + 1, so a sentence's pairs are a .. b - 2
+    # and a failed pair across two sentences fails neither
+    failed = ~labelset.transition_mask[g[:-1], g[1:]]
+    failed |= (prefix[:-1, None] + scores[1:]).argmax(axis=1) != g[1:]
+    failed = np.flatnonzero(failed).tolist()
+    g = g.tolist()
+    paths = []
+    for a, b, sentence in zip(starts, ends, sentence_scores):
+        i = bisect_left(failed, a)
+        if labelset.start_mask[g[a]] and not (i < len(failed) and failed[i] < b - 1):
+            paths.append(g[a:b])
+        else:
+            paths.append(viterbi_decode(sentence, labelset))
+    return paths
 
 
 @dataclass(frozen=True)

@@ -242,20 +242,31 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
     """The document's record; reads no state and writes none. The only
     reader of document text: one sentence split feeds the tagger, the
     definition miner and the acronym extractor. The tagger scores all the
-    document's tokenized sentences in one call; each is decoded alone."""
+    document's tokenized sentences in one call, and one call decodes them.
+    A score-file matrix whose row count is not its sentence's token count
+    raises ValueError naming the document and sentence."""
     sentences = corpus.split_sentences(doc, models.abbreviations)
     tokenized = [(sent, tokens) for sent in sentences if (tokens := corpus.tokenize(sent))]
+    tagged = tokenized
     if models.external_scores is None:
         doc_scores = nertag.score_tokens(
             models.tagger, [(tokens, sent.from_title) for sent, tokens in tokenized]
         )
     else:
-        doc_scores = [models.external_scores.get((doc.doc_id, sent.index)) for sent, _ in tokenized]
+        tagged, doc_scores = [], []
+        for sent, tokens in tokenized:
+            scores = models.external_scores.get((doc.doc_id, sent.index))
+            if scores is None:
+                continue
+            if len(scores) != len(tokens):
+                raise ValueError(
+                    f"doc_id {doc.doc_id!r} sentence_index {sent.index}: the score file "
+                    f"gives {len(scores)} rows for its {len(tokens)} tokens"
+                )
+            tagged.append((sent, tokens))
+            doc_scores.append(scores)
     mentions: list[nertag.Mention] = []
-    for (sent, tokens), scores in zip(tokenized, doc_scores):
-        if scores is None:
-            continue
-        labels = nertag.viterbi_decode(scores, models.labelset)
+    for (sent, tokens), labels in zip(tagged, nertag.decode(doc_scores, models.labelset)):
         mentions += nertag.extract_mentions(
             tokens, labels, models.labelset, from_title=sent.from_title
         )

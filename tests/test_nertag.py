@@ -259,14 +259,24 @@ class TestScoreTokens:
         return np.vstack(rows)
 
     def test_feature_ids_match_featurize(self):
+        """Each token's row numbers below the zero row are its hashed
+        featurize ids in ascending order, in one array over a document of
+        title and body sentences."""
         model = all_rows_tagger(np.zeros((1 << 16, 17)), LabelSet())
-        for sent in make_tagger_training_data():
-            for from_title in (False, True):
-                expected = [
-                    tuple(hash_features(featurize(i, sent.tokens, from_title), 1 << 16).tolist())
-                    for i in range(len(sent.tokens))
-                ]
-                assert model.feature_ids(sent.tokens, from_title) == expected
+        zero = len(model.weights)
+        sentences = [
+            (sent.tokens, from_title)
+            for sent in make_tagger_training_data()
+            for from_title in (False, True)
+        ]
+        expected = [
+            hash_features(featurize(i, tokens, from_title), 1 << 16).tolist()
+            for tokens, from_title in sentences
+            for i in range(len(tokens))
+        ]
+        ids = model.feature_ids(sentences)
+        assert ids.shape == (len(expected), nertag.FEATURE_WIDTH)
+        assert [[r for r in row if r != zero] for row in ids.tolist()] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -412,7 +422,7 @@ class TestScoreTokens:
         dense = np.zeros((1 << 16, 17))
         dense[nertag._feature_id("w=contoso", 1 << 16)] = np.arange(17.0)
         model = nertag.TaggerModel.from_dense(dense, LabelSet())
-        assert model.feature_ids(tokens) == [(0,), ()]
+        assert model.feature_ids([(tokens, False)]).tolist() == [[0] + [1] * 11, [1] * 12]
         (scores,) = score_tokens(model, [(tokens, False)])
         assert scores.tobytes() == self.reference_scores(dense, tokens).tobytes()
         assert np.all(scores[1] == scores[1, 0]) and not np.all(scores[0] == scores[0, 0])
@@ -527,6 +537,96 @@ class TestViterbi:
         for _ in range(50):
             scores = rng.normal(size=(6, len(ls)))
             assert viterbi_decode(scores, ls) == viterbi_decode(scores + 13.7, ls)
+
+
+def _document(data, ls: LabelSet) -> list[np.ndarray]:
+    """1-4 sentences of 1-8 tokens each, as views of one score array like
+    score_tokens returns, drawn from ties, rounding ties, integers and
+    values near NEG_INF; sometimes the first token of a later sentence
+    scores I-t highest after a sentence that ends on B-t."""
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    n = sum(lengths)
+    elements = data.draw(
+        st.sampled_from(
+            [
+                st.floats(-50, 50),
+                st.integers(-1, 1),
+                st.sampled_from([1e16, 0.9, 1.0, 0.0, -5.0, 2.0**53, 2.0]),
+                st.one_of(
+                    st.sampled_from([-1e30, -2e30, -1e30 + 1e14, -3e30, 0.0, 1.0]),
+                    st.floats(-1e31, -1e29),
+                    st.floats(-10, 10),
+                ),
+            ]
+        )
+    )
+    values = data.draw(st.lists(elements, min_size=n * len(ls), max_size=n * len(ls)))
+    scores = np.array(values, dtype=np.float64).reshape(n, len(ls))
+    ends = np.cumsum(lengths).tolist()
+    if len(lengths) > 1 and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(ls.entity_types))
+        scores[ends[0] - 1, ls.index(f"B-{t}")] = 100.0
+        scores[ends[0], ls.index(f"I-{t}")] = 100.0
+    return [scores[a:b] for a, b in zip([0, *ends], ends)]
+
+
+class TestDecode:
+    @pytest.mark.parametrize("types", [("wrk",), TWO_TYPES, nertag.DEFAULT_ENTITY_TYPES])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_viterbi_per_sentence(self, types, data):
+        ls = LabelSet(types)
+        document = _document(data, ls)
+        assert nertag.decode(document, ls) == [viterbi_decode(s, ls) for s in document]
+
+    def test_rounding_tie_goes_to_viterbi(self):
+        """The argmax path O, B is BIO-valid, but 1e16 + 0.9 and 1e16 + 1.0
+        round to one sum, and Viterbi takes the smaller ordinal, O."""
+        ls = LabelSet(("wrk",))
+        scores = np.array([[1e16, 0.0, -5.0], [0.9, 1.0, -5.0]])
+        o, b = ls.index("O"), ls.index("B-wrk")
+        assert scores.argmax(axis=1).tolist() == [o, b]
+        assert ls.is_valid_sequence([o, b])
+        assert viterbi_decode(scores, ls) == [o, o]
+        assert nertag.decode([scores], ls) == [[o, o]]
+
+    def test_viterbi_runs_only_where_the_argmax_path_is_not_exact(self, monkeypatch):
+        """A sentence that opens on I-t, one with an I-t after O, and one
+        I-t opening a sentence after B-t all go to viterbi_decode; valid
+        argmax paths do not."""
+        ls = LabelSet(TWO_TYPES)
+        calls = []
+        viterbi = nertag.viterbi_decode
+
+        def counted(scores, labelset):
+            calls.append(len(scores))
+            return viterbi(scores, labelset)
+
+        monkeypatch.setattr(nertag, "viterbi_decode", counted)
+
+        def sentence(*labels):
+            scores = np.full((len(labels), len(ls)), -3.0)
+            scores[np.arange(len(labels)), [ls.index(lab) for lab in labels]] = -0.1
+            return scores
+
+        document = [
+            sentence("B-person", "I-person", "O"),
+            sentence("I-person"),
+            sentence("O", "O", "I-person", "O"),
+            sentence("O", "B-creative_work"),
+            sentence("I-creative_work", "I-creative_work"),
+            sentence("O", "B-person", "I-person", "I-person", "O"),
+        ]
+        assert nertag.decode(document, ls) == [viterbi(s, ls) for s in document]
+        assert calls == [1, 4, 2]
+
+    def test_empty_document_and_bad_shapes(self):
+        ls = LabelSet(TWO_TYPES)
+        assert nertag.decode([], ls) == []
+        with pytest.raises(ValueError, match="need at least one token"):
+            nertag.decode([np.zeros((2, len(ls))), np.zeros((0, len(ls)))], ls)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\), not \(tokens, 5\)"):
+            nertag.decode([np.zeros((2, 3))], ls)
 
 
 class TestGreedy:

@@ -1153,6 +1153,45 @@ class TestCli:
         assert "config error" not in err
         assert _tree_bytes(state_dir) == before
 
+    @pytest.mark.parametrize("n_rows", [5, 7])
+    def test_misaligned_score_matrix_names_its_sentence(self, tmp_path, capsys, n_rows):
+        """A score-file matrix with more or fewer rows than its sentence has
+        tokens: update exits 2 with one line naming the document, the
+        sentence and both counts, and keeps the state."""
+        body = "We shipped Contoso Falcon today."  # 6 tokens, sentence 1
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(json.dumps(asdict(Document("d0", "Notes", body, "u1", 1.0))) + "\n")
+        o, b, i = [-0.01, -6.0, -6.0], [-6.0, -0.01, -6.0], [-6.0, -6.0, -0.01]
+        good = [o, o, b, i, o, o]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"doc_id": doc_id, "sentence_index": 1, "scores": rows}) + "\n"
+            for doc_id, rows in [("d0", good), ("d9", (good + [o])[:n_rows])]
+        ))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus_path": str(corpus_path), "score_file": str(scores),
+            "entity_types": ["product"], "output_dir": str(tmp_path / "kb"),
+        }))
+        state_dir = tmp_path / "state"
+        assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        before = _tree_bytes(state_dir)
+        events = tmp_path / "events.jsonl"
+        doc = {"doc_id": "d9", "title": "Notes", "body": body, "author_id": "u1", "timestamp": 2}
+        events.write_text(json.dumps({"kind": "upsert", "document": doc}) + "\n")
+        capsys.readouterr()
+        rc = cli.main(
+            ["update", "--config", str(cfg_path), "--state", str(state_dir),
+             "--events", str(events)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: doc_id 'd9' sentence_index 1: the score file gives {n_rows} rows "
+            "for its 6 tokens\n"
+        )
+        assert _tree_bytes(state_dir) == before
+
     @pytest.mark.parametrize(
         "edit, reason",
         [
