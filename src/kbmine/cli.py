@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bad input (config file, event file, saved state, an
-unreadable input path, an output or state directory that
+Exit codes: 0 success, 2 bad input (config file, event file, saved state, a
+model, score, pattern, lexicon or abbreviation file that the command reads,
+an unreadable input path, an output or state directory that
 pipeline.check_output_dir refuses, or output and state directories that
-overlap), 3 stage failure.
+overlap), 3 stage failure. Each command reads only the model inputs it uses
+(see pipeline.Models), so a bad file fails only a command that reads it.
 """
 
 from __future__ import annotations

@@ -121,59 +121,67 @@ _CONFIG_MINIMA = {
 
 @dataclass
 class Models:
-    """Loaded model bundle shared by batch and streaming paths."""
+    """The model bundle shared by batch and streaming paths. Each input is
+    read and checked on its first use, once per bundle, so a command reads
+    only the files it uses: export and refresh the ranker, update all but
+    the ranker, mine all. A bad file fails that first use; after it, each
+    attribute is a plain instance-dict lookup."""
 
-    tagger: nertag.TaggerModel | None
-    external_scores: dict | None
-    labelset: nertag.LabelSet
-    ranker: topicrank.GbdtModel | None
-    classifier: object
-    patterns: tuple
-    lexicon: defmine.OpinionLexicon
-    abbreviations: frozenset
+    config: PipelineConfig
 
     @classmethod
     def load(cls, config: PipelineConfig) -> "Models":
-        tagger = None
-        external = None
-        if config.score_file:
-            labelset = nertag.LabelSet(config.entity_types)
-            external = nertag.load_external_scores(config.score_file, len(labelset))
-        elif config.tagger_model:
-            tagger = nertag.TaggerModel.load(config.tagger_model)
-            labelset = tagger.labelset
-        else:
+        """The bundle for config; reads no file."""
+        if not (config.score_file or config.tagger_model):
             raise ConfigError("config needs either tagger_model or score_file")
-        ranker = (
-            topicrank.GbdtModel.load(config.ranker_model) if config.ranker_model else None
-        )
-        patterns = (
-            defmine.load_patterns(config.patterns_file)
-            if config.patterns_file
-            else defmine.DEFAULT_PATTERNS
-        )
+        return cls(config)
+
+    @functools.cached_property
+    def external_scores(self) -> dict | None:
+        """The score file's matrices; None if the tagger scores instead."""
+        if not self.config.score_file:
+            return None
+        return nertag.load_external_scores(self.config.score_file, len(self.labelset))
+
+    @functools.cached_property
+    def tagger(self) -> nertag.TaggerModel | None:
+        """None when a score file is configured: it takes the tagger's place."""
+        if self.config.score_file:
+            return None
+        return nertag.TaggerModel.load(self.config.tagger_model)
+
+    @functools.cached_property
+    def labelset(self) -> nertag.LabelSet:
+        if self.config.score_file:
+            return nertag.LabelSet(self.config.entity_types)
+        return self.tagger.labelset
+
+    @functools.cached_property
+    def ranker(self) -> topicrank.GbdtModel | None:
+        path = self.config.ranker_model
+        return topicrank.GbdtModel.load(path) if path else None
+
+    @functools.cached_property
+    def patterns(self) -> tuple:
+        path = self.config.patterns_file
+        return defmine.load_patterns(path) if path else defmine.DEFAULT_PATTERNS
+
+    @functools.cached_property
+    def classifier(self):
         # the rule classifier and the extractor read one pattern tuple
-        classifier = (
-            defmine.LinearClassifier.load(config.def_classifier)
-            if config.def_classifier
-            else defmine.RuleClassifier(patterns)
-        )
-        lexicon = defmine.OpinionLexicon.load(config.negative_lexicon or None)
-        abbreviations = (
-            corpus.load_abbreviations(config.abbreviations_file)
-            if config.abbreviations_file
-            else corpus.DEFAULT_ABBREVIATIONS
-        )
-        return cls(
-            tagger=tagger,
-            external_scores=external,
-            labelset=labelset,
-            ranker=ranker,
-            classifier=classifier,
-            patterns=patterns,
-            lexicon=lexicon,
-            abbreviations=abbreviations,
-        )
+        path = self.config.def_classifier
+        if path:
+            return defmine.LinearClassifier.load(path)
+        return defmine.RuleClassifier(self.patterns)
+
+    @functools.cached_property
+    def lexicon(self) -> defmine.OpinionLexicon:
+        return defmine.OpinionLexicon.load(self.config.negative_lexicon or None)
+
+    @functools.cached_property
+    def abbreviations(self) -> frozenset:
+        path = self.config.abbreviations_file
+        return corpus.load_abbreviations(path) if path else corpus.DEFAULT_ABBREVIATIONS
 
 
 @dataclass(frozen=True)
@@ -530,7 +538,10 @@ def _corpus_snapshot_id(state: PipelineState) -> str:
 
 
 def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
-    """Batch run: ingest, per-document extraction, ranking, embeddings, cards."""
+    """Batch run: ingest, per-document extraction, ranking, embeddings, cards.
+    A failure raises StageError naming its stage, except a ValueError from
+    extract or build: bad input, such as a model or score file read on its
+    first use there, which passes as it is."""
     try:
         models = Models.load(config)
     except Exception as exc:
@@ -542,16 +553,17 @@ def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
             logger.warning("corpus line %d skipped: %s", err.line_number, err.reason)
     except OSError as exc:
         raise StageError("ingest", exc) from exc
+    stage = "extract"
     try:
         for doc in docs:
             if not doc.deleted:
                 state.process_document(doc, models)
-    except Exception as exc:
-        raise StageError("extract", exc) from exc
-    try:
+        stage = "build"
         kb = build_knowledge_base(state, config, models)
+    except ValueError:
+        raise
     except Exception as exc:
-        raise StageError("build", exc) from exc
+        raise StageError(stage, exc) from exc
     return state, kb
 
 

@@ -833,5 +833,6 @@ class TestExternalScores:
         path.write_text(json.dumps(GOOD_SCORE_ROW) + "\n")
         models = Models.load(PipelineConfig(score_file=str(path), entity_types=("product",)))
         assert models.external_scores[("d1", 0)].shape == (1, 3)
+        wide = Models.load(PipelineConfig(score_file=str(path), entity_types=("product", "person")))
         with pytest.raises(ValueError, match="score file line 1: .*3 columns, not 5 labels"):
-            Models.load(PipelineConfig(score_file=str(path), entity_types=("product", "person")))
+            wide.external_scores

@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import logging
 import os
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbmine import cardbuild, cli, corpus, defmine, nertag, pipeline
+from kbmine import cardbuild, cli, corpus, defmine, nertag, pipeline, topicrank
 from kbmine.corpus import Document
 from kbmine.pipeline import (
     KnowledgeBase,
@@ -219,6 +221,57 @@ class TestModels:
         loaded = Models.load(replace(config, patterns_file=str(path)))
         assert loaded.classifier.patterns is loaded.patterns
         assert [p.connective for p in loaded.patterns] == ["is known as"]
+
+    def test_load_opens_no_file(self, config, tmp_path, monkeypatch):
+        """Models.load checks the config only; each input is read on its
+        first use."""
+        opened = []
+        for owner, name in [
+            (nertag, "load_external_scores"), (nertag.TaggerModel, "load"),
+            (topicrank.GbdtModel, "load"), (defmine.LinearClassifier, "load"),
+            (defmine, "load_patterns"), (defmine.OpinionLexicon, "load"),
+            (corpus, "load_abbreviations"), (np, "load"), (builtins, "open"), (io, "open"),
+        ]:
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(
+                owner, name, lambda *args, label=label, **kwargs: opened.append(label)
+            )
+        files = {key: str(tmp_path / key) for key in (
+            "tagger_model", "score_file", "ranker_model", "def_classifier", "patterns_file",
+            "negative_lexicon", "abbreviations_file",
+        )}
+        loaded = Models.load(replace(config, **files))
+        assert opened == []
+        loaded.ranker
+        assert opened == ["GbdtModel.load"]
+
+    @pytest.mark.parametrize("scorer", ["tagger_model", "score_file"])
+    def test_upserts_read_each_input_once(self, config, tmp_path, monkeypatch, scorer):
+        """A delete reads no model; three upserts through one bundle read
+        the tagger or the score file once, and never the ranker."""
+        calls = []
+
+        for owner, name in [
+            (nertag, "load_external_scores"), (nertag.TaggerModel, "load"),
+            (topicrank.GbdtModel, "load"),
+        ]:
+            label, real = f"{owner.__name__}.{name}", getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, label=label, real=real: (
+                calls.append(label) or real(*args)
+            ))
+        cfg = config
+        if scorer == "score_file":
+            scores = tmp_path / "scores.jsonl"
+            scores.write_text("")
+            cfg = replace(config, score_file=str(scores))
+        bundle = Models.load(cfg)
+        state = PipelineState()
+        apply_update(state, UpdateEvent("delete", doc_id="d0"), bundle)
+        assert calls == []
+        for i, topic in enumerate(["Atlas Engine", "Contoso Falcon", "Atlas Engine"]):
+            apply_update(state, UpdateEvent("upsert", document=make_doc(f"d{i}", topic)), bundle)
+        assert calls == [{"tagger_model": "TaggerModel.load",
+                          "score_file": "kbmine.nertag.load_external_scores"}[scorer]]
 
 
 class TestRunFull:
@@ -676,7 +729,7 @@ class TestRankRefresh:
         for i in range(3):
             state.process_document(make_doc(f"d{i}", "Atlas Engine"), models)
         state.process_document(make_doc("d9", "Quantum Mesh"), models)
-        bare = Models(**{**models.__dict__, "ranker": None})
+        bare = Models.load(replace(config, ranker_model=""))
         ranked = rank_refresh(state, config, bare)
         assert ranked.entries[0][0] == "atlas engine||product"
         assert all(s == 1.0 for _, s in ranked.entries)
@@ -1192,6 +1245,85 @@ class TestCli:
         )
         assert _tree_bytes(state_dir) == before
 
+    @pytest.mark.parametrize("bad", ["misaligned_scores", "corrupt_tagger", "corrupt_ranker"])
+    def test_mine_bad_model_input_exits_2(self, tmp_path, capsys, bad):
+        """mine reads the score file and tagger in extract and the ranker in
+        build, on first use: bad input there exits 2 with one line naming the
+        document or the file, as update does, and writes nothing."""
+        body = "We shipped the Contoso Falcon today."  # 7 tokens, sentence 1
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(json.dumps(asdict(Document("d0", "Notes", body, "u1", 1.0))) + "\n")
+        o, b, i = [-0.01, -6.0, -6.0], [-6.0, -0.01, -6.0], [-6.0, -6.0, -0.01]
+        rows = [o, o, o, b, i, o, o][:5 if bad == "misaligned_scores" else 7]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({"doc_id": "d0", "sentence_index": 1, "scores": rows}) + "\n")
+        model = tmp_path / "model"
+        model.write_text(json.dumps({"trees": []}) if bad == "corrupt_ranker" else "not an archive")
+        cfg = {"corpus_path": str(corpus_path), "entity_types": ["product"],
+               "output_dir": str(tmp_path / "kb"), "score_file": str(scores)}
+        if bad == "corrupt_tagger":
+            cfg = {**cfg, "score_file": "", "tagger_model": str(model)}
+        elif bad == "corrupt_ranker":
+            cfg["ranker_model"] = str(model)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["mine", "--config", str(cfg_path), "--state", str(tmp_path / "state")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith({
+            "misaligned_scores": "error: doc_id 'd0' sentence_index 1: the score file gives "
+                                 "5 rows for its 7 tokens\n",
+            "corrupt_tagger": f"error: tagger model {model}: ",
+            "corrupt_ranker": f"error: ranker model {model}: missing key 'learning_rate'\n",
+        }[bad])
+        assert not (tmp_path / "kb").exists() and not (tmp_path / "state").exists()
+
+    def test_export_and_refresh_read_only_the_ranker(self, config, full_run, tmp_path, capsys):
+        """export and refresh read no score, tagger, classifier or pattern
+        file: with those files gone they write the same cards, embeddings and
+        ranking as with good files there."""
+        state_dir = tmp_path / "state"
+        full_run[0].save(state_dir)
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        files = {key: inputs / name for key, name in [
+            ("tagger_model", "tagger.npz"), ("score_file", "scores.jsonl"),
+            ("def_classifier", "classifier.npz"), ("patterns_file", "patterns.json"),
+        ]}
+        shutil.copy(config.tagger_model, files["tagger_model"])
+        width = len(nertag.LabelSet(config.entity_types))
+        files["score_file"].write_text(
+            json.dumps({"doc_id": "d1", "sentence_index": 0, "scores": [[0.0] * width]}) + "\n"
+        )
+        np.savez(files["def_classifier"], weights=np.zeros((8, 5)), hash_dim=8)
+        files["patterns_file"].write_text(
+            json.dumps([{"template": "{topic} is known as {description}", "priority": 0}])
+        )
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"),
+            **{key: str(path) for key, path in files.items()},
+        )
+        # the files are good
+        good = Models.load(PipelineConfig.from_file(cfg_path))
+        assert good.external_scores and good.patterns and good.classifier.weights.shape == (8, 5)
+        assert nertag.TaggerModel.load(files["tagger_model"]).labelset
+
+        def run():
+            capsys.readouterr()
+            for command in ("export", "refresh"):
+                argv = [command, "--config", str(cfg_path), "--state", str(state_dir)]
+                assert cli.main(argv) == cli.EXIT_OK
+            tree = _tree_bytes(tmp_path / "kb")
+            manifest = json.loads(tree.pop(pipeline.MANIFEST_FILE))
+            del manifest["timestamp"]
+            return tree, manifest, capsys.readouterr()
+
+        with_files = run()
+        shutil.rmtree(inputs)
+        without = run()
+        assert len(with_files[0]) > 10 and "topics.emb" in with_files[0]
+        assert without == with_files
+
     @pytest.mark.parametrize(
         "edit, reason",
         [
@@ -1433,7 +1565,7 @@ class TestCli:
         "command, key, write, reason",
         [
             (
-                "export", "tagger_model",
+                "update", "tagger_model",
                 lambda p: np.savez(p, weights=np.zeros((4, 3)), gamma=1.6, hash_dim=4),
                 "missing key 'entity_types'",
             ),
@@ -1444,12 +1576,12 @@ class TestCli:
                 "weights have shape (4, 3), not (64, 3)",
             ),
             (
-                "export", "tagger_model",
+                "update", "tagger_model",
                 lambda p: p.write_text("not an archive"),
                 "tagger model ",
             ),
             (
-                "export", "tagger_model",
+                "update", "tagger_model",
                 lambda p: p.write_bytes(b"PK\x03\x04" + bytes(40)),
                 "tagger model ",
             ),
@@ -1472,7 +1604,7 @@ class TestCli:
                 "learning_rate is nan, not a finite number",
             ),
             (
-                "export", "tagger_model",
+                "update", "tagger_model",
                 lambda p: np.savez(p, weights=np.zeros((4, 3)), entity_types=np.array(["product"]),
                                    gamma=1.6, hash_dim=np.array([4, 4])),
                 "hash_dim is not an integer >= 1",
@@ -1483,7 +1615,7 @@ class TestCli:
                 "missing key 'hash_dim'",
             ),
             (
-                "export", "def_classifier",
+                "update", "def_classifier",
                 lambda p: np.savez(p, weights=np.zeros((0, 5)), hash_dim=0),
                 "hash_dim is not an integer >= 1",
             ),
@@ -1493,7 +1625,7 @@ class TestCli:
                 "hash_dim is not an integer >= 1",
             ),
             (
-                "export", "patterns_file",
+                "update", "patterns_file",
                 lambda p: p.write_text(json.dumps([{"template": "{topic} is {description}"}])),
                 "entry 0: missing or unknown keys: priority",
             ),
@@ -1931,9 +2063,16 @@ class TestCli:
             tmp_path, config, output_dir=str(tmp_path / "kb"),
             **({field: str(bad)} if field else {}),
         )
+        # export reads neither the score file nor the patterns: an upsert does
+        upsert = tmp_path / "upsert.jsonl"
+        upsert.write_text(json.dumps({"kind": "upsert", "document": asdict(make_doc(
+            "d3", "Atlas Engine"))}) + "\n")
+        update = ["update", "--config", cfg_path, "--state", state_dir, "--events"]
         argv = {
             "corpus": ["ingest", "--corpus", bad],
-            "events": ["update", "--config", cfg_path, "--state", state_dir, "--events", bad],
+            "events": update + [bad],
+            "score_file": update + [upsert],
+            "patterns": update + [upsert],
             "config": ["export", "--config", bad, "--state", state_dir],
         }.get(path_kind, ["export", "--config", cfg_path, "--state", state_dir])
         capsys.readouterr()
