@@ -80,8 +80,15 @@ DEFAULT_PATTERNS = tuple(
 
 def _find_connective(text: str, patterns) -> tuple[DefinitionPattern, int, int] | None:
     """First pattern (by priority) whose connective occurs; returns the
-    pattern and the [start, end) of the connective match."""
+    pattern and the [start, end) of the connective match. IGNORECASE folds
+    an ASCII letter onto ASCII letters only, so where the text and the
+    connective are both ASCII, a regex match needs the lowered connective in
+    the lowered text, and a pattern without it is skipped unsearched."""
+    lowered = text.lower() if text.isascii() else None
     for pat in sorted(patterns, key=lambda p: p.priority):
+        if lowered is not None and pat.connective.isascii():
+            if pat.connective.lower() not in lowered:
+                continue
         m = pat.regex.search(text)
         if m:
             return pat, m.start(), m.end()

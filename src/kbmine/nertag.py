@@ -56,7 +56,9 @@ class LabelSet:
     are read-only: transition_mask[p, c] is True where label c may follow
     label p, and start_mask[c] where c may open a sentence. allowed_prevs
     holds (c, the labels c may follow) for each label c that not every
-    label may follow: the I-t labels.
+    label may follow: the I-t labels. For the per-token loops, begin_type[c]
+    is the type of a B-t label c (None for the rest), inside[c] is
+    is_inside(c), and _transitions is transition_mask as nested lists.
 
     The one entity-type rule: each type is a non-empty string, named once,
     without KEY_SEP, so a candidate key splits back into its surface and
@@ -88,6 +90,9 @@ class LabelSet:
             for c, column in enumerate(self.transition_mask.T)
             if not column.all()
         )
+        self.begin_type = tuple(lab[2:] if lab.startswith("B-") else None for lab in labels)
+        self.inside = tuple(self.is_inside(c) for c in range(L))
+        self._transitions = self.transition_mask.tolist()
 
     def __len__(self):
         return len(self.labels)
@@ -121,7 +126,7 @@ class LabelSet:
     def is_valid_sequence(self, ordinals) -> bool:
         prev = None
         for cur in ordinals:
-            if not (self.start_mask[cur] if prev is None else self.transition_mask[prev, cur]):
+            if not (self.start_mask[cur] if prev is None else self._transitions[prev][cur]):
                 return False
             prev = cur
         return True
@@ -616,18 +621,19 @@ def extract_mentions(
         raise ValueError("labels and tokens must align")
     if not labelset.is_valid_sequence(labels):
         raise ValueError("label sequence is not BIO-valid")
+    begin_type, inside = labelset.begin_type, labelset.inside
     mentions = []
-    i = 0
-    while i < len(labels):
-        if labelset.is_begin(labels[i]):
-            etype = labelset.entity_type_of(labels[i])
-            j = i + 1
-            while j < len(labels) and labelset.is_inside(labels[j]):
-                j += 1
-            mentions.append(Mention(" ".join(tokens[i:j]), etype, from_title))
-            i = j
-        else:
+    i, n = 0, len(labels)
+    while i < n:
+        etype = begin_type[labels[i]]
+        if etype is None:
             i += 1
+            continue
+        j = i + 1
+        while j < n and inside[labels[j]]:
+            j += 1
+        mentions.append(Mention(" ".join(tokens[i:j]), etype, from_title))
+        i = j
     return mentions
 
 

@@ -349,31 +349,29 @@ def _parse_ledger(contrib) -> dict[str, dict]:
     builds. json.loads shares equal strings within one line only, so each
     topic key and surface is interned to share it across the lines that
     repeat it, and the literal field names are shared constants, as in
-    contribution's entries."""
+    contribution's entries. One loop checks and interns each surface and
+    sums the counts; on a decoded JSON value, `type(v) is int` is
+    corpus.has_type(v, int), as a bool or float is never of type int."""
     if not isinstance(contrib, dict):
         raise ValueError("ledger is not an object")
     ledger = {}
     for key, c in contrib.items():
-        surfaces = c.get("surfaces") if isinstance(c, dict) else None
-        if not (
-            isinstance(surfaces, dict)
-            and surfaces
-            and len(c) == 2
-            and corpus.has_type(c.get("titles"), int)
-            and all(
-                isinstance(s, str) and corpus.has_type(m, int) and m >= 1
-                for s, m in surfaces.items()
-            )
-            and 0 <= c["titles"] <= topicrank.mention_count(c)
-        ):
+        surfaces = c.get("surfaces") if type(c) is dict and len(c) == 2 else None
+        total, interned = 0, {}  # total stays 0 unless every count is an int >= 1
+        if type(surfaces) is dict:
+            for s, n in surfaces.items():
+                if type(s) is not str or type(n) is not int or n < 1:
+                    total = 0
+                    break
+                total += n
+                interned[sys.intern(s)] = n
+        titles = c.get("titles") if total else None
+        if not (type(titles) is int and 0 <= titles <= total):
             raise ValueError(
                 f"ledger entry for {key!r} needs a non-empty surfaces mapping str to "
                 "int >= 1, int titles from 0 to the sum of those counts, and no other key"
             )
-        ledger[sys.intern(key)] = {
-            "titles": c["titles"],
-            "surfaces": {sys.intern(s): n for s, n in surfaces.items()},
-        }
+        ledger[sys.intern(key)] = {"titles": titles, "surfaces": interned}
     return ledger
 
 
@@ -539,28 +537,27 @@ def _corpus_snapshot_id(state: PipelineState) -> str:
 
 def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
     """Batch run: ingest, per-document extraction, ranking, embeddings, cards.
-    A failure raises StageError naming its stage, except a ValueError from
-    extract or build: bad input, such as a model or score file read on its
-    first use there, which passes as it is."""
+    A failure raises StageError naming its stage, except a ValueError or
+    OSError from ingest, extract or build: bad input or a path that cannot
+    be read, such as the corpus or a model or score file read on its first
+    use there, which passes as it is."""
     try:
         models = Models.load(config)
     except Exception as exc:
         raise StageError("load_models", exc) from exc
     state = PipelineState()
+    stage = "ingest"
     try:
         docs, errors = corpus.ingest_jsonl(config.corpus_path)
         for err in errors:
             logger.warning("corpus line %d skipped: %s", err.line_number, err.reason)
-    except OSError as exc:
-        raise StageError("ingest", exc) from exc
-    stage = "extract"
-    try:
+        stage = "extract"
         for doc in docs:
             if not doc.deleted:
                 state.process_document(doc, models)
         stage = "build"
         kb = build_knowledge_base(state, config, models)
-    except ValueError:
+    except (ValueError, OSError):
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc

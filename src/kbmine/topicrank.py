@@ -173,10 +173,14 @@ class CandidateStore:
                 norm, _, entity_type = key.rpartition(KEY_SEP)
                 cand = TopicCandidate(key=key, norm_surface=norm, entity_type=entity_type)
                 self._candidates[key] = cand
-            cand.ner_frequency += mention_count(c)
+            # Counter.update's sums in its insertion order, and mention_count's total
+            counts, total = cand.surface_counts, 0
+            for s, n in c["surfaces"].items():
+                counts[s] = counts.get(s, 0) + n
+                total += n
+            cand.ner_frequency += total
             cand.title_frequency += c["titles"]
             cand.document_frequency += 1
-            cand.surface_counts.update(c["surfaces"])
 
     def snapshot(self) -> dict:
         """Canonical view of all counters, suitable for equality checks."""

@@ -1,7 +1,7 @@
 """Shared fixtures: the reference sentence splitter, brute-force and dense
-decoding oracles, the greedy decoding and rule-classifier baselines,
-synthetic training data, and the planted-topic corpus used by the
-end-to-end tests."""
+decoding oracles, the reference BIO loops and ledger-entry parser, the
+greedy decoding and rule-classifier baselines, synthetic training data, and
+the planted-topic corpus used by the end-to-end tests."""
 
 from __future__ import annotations
 
@@ -156,6 +156,79 @@ def greedy_decode(scores: np.ndarray, labelset: nertag.LabelSet) -> list[int]:
         out.append(cur)
         prev = cur
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference BIO loops
+# ---------------------------------------------------------------------------
+
+
+def loop_is_valid_sequence(labelset: nertag.LabelSet, ordinals) -> bool:
+    """The reference for LabelSet.is_valid_sequence: the start mask, then
+    the numpy transition mask at each step."""
+    prev = None
+    for cur in ordinals:
+        if not (labelset.start_mask[cur] if prev is None else labelset.transition_mask[prev, cur]):
+            return False
+        prev = cur
+    return True
+
+
+def loop_extract_mentions(
+    tokens: list[str], labels: list[int], labelset: nertag.LabelSet, from_title: bool = False
+) -> list[nertag.Mention]:
+    """The reference for nertag.extract_mentions: the label methods asked
+    at each token."""
+    if len(labels) != len(tokens):
+        raise ValueError("labels and tokens must align")
+    if not loop_is_valid_sequence(labelset, labels):
+        raise ValueError("label sequence is not BIO-valid")
+    mentions = []
+    i = 0
+    while i < len(labels):
+        if labelset.is_begin(labels[i]):
+            etype = labelset.entity_type_of(labels[i])
+            j = i + 1
+            while j < len(labels) and labelset.is_inside(labels[j]):
+                j += 1
+            mentions.append(nertag.Mention(" ".join(tokens[i:j]), etype, from_title))
+            i = j
+        else:
+            i += 1
+    return mentions
+
+
+# ---------------------------------------------------------------------------
+# Reference ledger-entry parser
+# ---------------------------------------------------------------------------
+
+
+def has_type_parse_ledger(contrib) -> dict[str, dict]:
+    """The reference for pipeline._parse_ledger: corpus.has_type on each
+    value, an all() over the surfaces, then topicrank.mention_count for the
+    titles bound."""
+    if not isinstance(contrib, dict):
+        raise ValueError("ledger is not an object")
+    ledger = {}
+    for key, c in contrib.items():
+        surfaces = c.get("surfaces") if isinstance(c, dict) else None
+        if not (
+            isinstance(surfaces, dict)
+            and surfaces
+            and len(c) == 2
+            and corpus.has_type(c.get("titles"), int)
+            and all(
+                isinstance(s, str) and corpus.has_type(m, int) and m >= 1
+                for s, m in surfaces.items()
+            )
+            and 0 <= c["titles"] <= topicrank.mention_count(c)
+        ):
+            raise ValueError(
+                f"ledger entry for {key!r} needs a non-empty surfaces mapping str to "
+                "int >= 1, int titles from 0 to the sum of those counts, and no other key"
+            )
+        ledger[key] = {"titles": c["titles"], "surfaces": dict(surfaces)}
+    return ledger
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,63 @@ class TestFindConnective:
         assert len(records) == 5
 
 
+# letters that IGNORECASE folds onto ASCII ones: long s, dotless i, dotted
+# capital I, Kelvin sign
+FOLDING_WORDS = ["iſ", "ıs", "İS", "\u212anown", "ſtands", "meanſ", "referſ"]
+FOLDING_CONNECTIVES = ["ſtands for", "ıs a", "\u212anown as", "iſ defined as"]
+
+
+class _CountingRegex:
+    """A pattern's regex that counts its searches."""
+
+    def __init__(self, regex, calls):
+        self.regex, self.calls = regex, calls
+
+    def search(self, text):
+        self.calls.append(self.regex.pattern)
+        return self.regex.search(text)
+
+
+class TestConnectivePrecheck:
+    @pytest.mark.parametrize("text", ["Falcon iſ a tool", "Falcon ıs a tool"])
+    def test_folding_letter_in_text_still_matches(self, text):
+        pat, start, end = defmine._find_connective(text, DEFAULT_PATTERNS)
+        assert pat.connective == "is a" and (start, end) == (7, 11)
+        assert extract_topic(text)[:2] == ("Falcon", "tool")
+
+    def test_folding_letter_in_connective_still_matches(self):
+        pattern = DefinitionPattern("{topic} ſtands for {description}", 0)
+        assert defmine._find_connective("X stands for Y", (pattern,)) == (pattern, 2, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.lists(st.sampled_from(WORDS + FOLDING_WORDS), max_size=12).map(" ".join),
+        picks=st.lists(
+            st.tuples(st.sampled_from(CONNECTIVES + FOLDING_CONNECTIVES), st.integers(0, 3)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_equals_search_loop_with_folding_letters(self, text, picks):
+        patterns = tuple(DefinitionPattern(f"{{topic}} {c} {{description}}", p) for c, p in picks)
+        assert defmine._find_connective(text, patterns) == _search_loop(text, patterns)
+
+    def test_ascii_sentence_without_connective_runs_no_regex(self):
+        calls = []
+        patterns = []
+        for pat in DEFAULT_PATTERNS:
+            pat = DefinitionPattern(pat.template, pat.priority)
+            object.__setattr__(pat, "regex", _CountingRegex(pat.regex, calls))
+            patterns.append(pat)
+        patterns = tuple(patterns)
+        for text in ("We met the island team on Monday.", "This IS Orion."):
+            assert defmine._find_connective(text, patterns) is None
+        assert calls == []
+        # only the patterns whose connective the lowered text holds are searched
+        hit = defmine._find_connective("Atlas Means it IS A tool.", patterns)
+        assert hit[0].connective == "is a"
+        assert calls == [r"\bis\ a\b"]
+
+
 class TestOpinionFilter:
     def test_caterpillar_dropped(self, lexicon):
         keep, reason = opinion_filter(CATERPILLAR, lexicon)

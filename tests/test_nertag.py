@@ -11,6 +11,8 @@ from helpers import (
     dense_viterbi_decode,
     dense_weights,
     greedy_decode,
+    loop_extract_mentions,
+    loop_is_valid_sequence,
     make_tagger_training_data,
 )
 from kbmine import nertag
@@ -687,6 +689,45 @@ class TestExtractMentions:
         tokens = self.toks("x y")
         with pytest.raises(ValueError):
             extract_mentions(tokens, [0, ls.index("I-person")], ls)
+
+
+class TestLabelTables:
+    @pytest.mark.parametrize("types", [nertag.DEFAULT_ENTITY_TYPES, TWO_TYPES])
+    def test_tables_follow_label_methods(self, types):
+        ls = LabelSet(types)
+        L = range(len(ls))
+        assert ls.begin_type == tuple(ls.entity_type_of(c) if ls.is_begin(c) else None for c in L)
+        assert ls.inside == tuple(ls.is_inside(c) for c in L)
+        assert ls._transitions == [[bool(ls.transition_mask[p, c]) for c in L] for p in L]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        types=st.sampled_from([nertag.DEFAULT_ENTITY_TYPES, TWO_TYPES]),
+        data=st.data(),
+        repair=st.booleans(),
+        from_title=st.booleans(),
+    )
+    def test_equal_to_label_method_loops(self, types, data, repair, from_title):
+        """Random label sequences, valid and invalid: the table loops give
+        the reference loops' answer, mentions or ValueError message."""
+        ls = LabelSet(types)
+        labels = data.draw(st.lists(st.integers(0, len(ls) - 1), max_size=12))
+        if repair:  # an I-t that may not follow its predecessor becomes B-t
+            for t, cur in enumerate(labels):
+                prev = labels[t - 1] if t else None
+                if not ls.transition_ok(prev, cur):
+                    labels[t] = ls.index("B-" + ls.entity_type_of(cur))
+            assert ls.is_valid_sequence(labels)
+        tokens = [f"w{t}" for t in range(len(labels))]
+        assert ls.is_valid_sequence(labels) == loop_is_valid_sequence(ls, labels)
+        try:
+            expected = loop_extract_mentions(tokens, labels, ls, from_title)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                extract_mentions(tokens, labels, ls, from_title)
+            assert str(got.value) == str(exc)
+        else:
+            assert extract_mentions(tokens, labels, ls, from_title) == expected
 
 
 class TestModelPersistence:

@@ -380,14 +380,23 @@ class TestRunFull:
             run_full(cfg)
         assert exc.value.stage == "load_models"
 
-    def test_missing_corpus_is_stage_error(self, tmp_path, fixture_models_dir):
-        cfg = PipelineConfig(
-            corpus_path=str(tmp_path / "missing.jsonl"),
-            tagger_model=str(fixture_models_dir / "tagger.npz"),
-        )
-        with pytest.raises(StageError) as exc:
+    @pytest.mark.parametrize("key", ["corpus_path", "tagger_model"])
+    def test_missing_input_exits_2(self, key, config, tmp_path, capsys):
+        """A corpus or model path that cannot be read is bad input, as under
+        update and export: run_full passes the OSError through, and mine
+        exits 2 with one error line and writes nothing."""
+        missing = str(tmp_path / "missing")
+        cfg = replace(config, output_dir=str(tmp_path / "kb"), **{key: missing})
+        with pytest.raises(FileNotFoundError):
             run_full(cfg)
-        assert exc.value.stage == "ingest"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        rc = cli.main(["mine", "--config", str(cfg_path), "--state", str(tmp_path / "state")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: [Errno 2] No such file or directory: ") and missing in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestDeterminism:
@@ -740,6 +749,99 @@ class TestRankRefresh:
         scores = [s for _, s in ranked.entries]
         assert scores == sorted(scores, reverse=True)
         assert all(s >= config.min_topic_score for s in scores)
+
+
+# JSON values for a saved ledger: right and wrong count kinds (bools, 1.0,
+# counts of 0 and below), empty or non-mapping surfaces, extra keys, and
+# entries or ledgers that are no object at all
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([0.0, 1.0, 2.5]),
+    st.text(max_size=2),
+)
+_ledger_count = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.sampled_from([1.0, 2.0]), _json_scalar
+)
+_ledger_surfaces = st.one_of(
+    st.dictionaries(st.sampled_from(["Falcon", "falcon", "Atlas"]), _ledger_count, max_size=3),
+    _json_scalar,
+    st.lists(_json_scalar, max_size=2),
+)
+
+
+@st.composite
+def _valid_ledger_entry(draw):
+    surfaces = draw(st.dictionaries(st.sampled_from(["Falcon", "falcon", "Atlas"]),
+                                    st.integers(1, 3), min_size=1, max_size=3))
+    return {"titles": draw(st.integers(0, sum(surfaces.values()))), "surfaces": surfaces}
+
+
+@st.composite
+def _near_valid_ledger_entry(draw):
+    """A valid entry with one count, the titles or the keys made wrong."""
+    entry = draw(_valid_ledger_entry())
+    bad = draw(st.sampled_from([0, -1, True, False, 1.0, None, "1"]))
+    where = draw(st.sampled_from(["surface", "titles", "titles_above", "extra", "empty"]))
+    if where == "surface":
+        entry["surfaces"][draw(st.sampled_from(sorted(entry["surfaces"])))] = bad
+    elif where == "titles":
+        entry["titles"] = bad
+    elif where == "titles_above":
+        entry["titles"] = sum(entry["surfaces"].values()) + 1
+    elif where == "extra":
+        entry["extra"] = bad
+    else:
+        entry["surfaces"] = {}
+    return entry
+
+
+_ledger_entry = st.one_of(
+    _valid_ledger_entry(),
+    _near_valid_ledger_entry(),
+    st.fixed_dictionaries(
+        {"surfaces": _ledger_surfaces},
+        optional={"titles": st.one_of(st.integers(0, 5), _ledger_count), "extra": _json_scalar},
+    ),
+    _json_scalar,
+    st.lists(_json_scalar, max_size=2),
+)
+_ledger_json = st.one_of(
+    st.dictionaries(st.sampled_from(["falcon||product", "atlas||product"]), _valid_ledger_entry(),
+                    max_size=2),
+    st.dictionaries(st.sampled_from(["falcon||product", "atlas||product"]), _ledger_entry,
+                    max_size=2),
+    _json_scalar,
+)
+
+
+class TestParseLedger:
+    @settings(max_examples=500, deadline=None)
+    @given(_ledger_json)
+    def test_equals_has_type_parse(self, value):
+        from helpers import has_type_parse_ledger
+
+        value = json.loads(json.dumps(value))  # the values json.loads yields
+        try:
+            expected = has_type_parse_ledger(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                pipeline._parse_ledger(value)
+            assert str(got.value) == str(exc)
+        else:
+            parsed = pipeline._parse_ledger(value)
+            assert parsed == expected
+            assert json.dumps(parsed) == json.dumps(expected)  # 1 and 1.0 differ here
+
+    def test_repeated_strings_are_interned_across_lines(self):
+        lines = [
+            '{"falcon||product": {"titles": 1, "surfaces": {"Falcon": 2, "falcon": 1}}}',
+            '{"falcon||product": {"titles": 0, "surfaces": {"falcon": 3}}}',
+        ]
+        first, second = (pipeline._parse_ledger(json.loads(line)) for line in lines)
+        (k1,), (k2,) = first, second
+        assert k1 == k2 and k1 is k2
+        s1 = [s for s in first[k1]["surfaces"] if s == "falcon"][0]
+        s2 = [s for s in second[k2]["surfaces"] if s == "falcon"][0]
+        assert s1 is s2
 
 
 class TestStatePersistence:
