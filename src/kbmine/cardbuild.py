@@ -671,7 +671,7 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray, kind:
         fh.write(matrix.tobytes())
     index = {ids[i]: i for i in range(n)}
     with open(path.with_suffix(path.suffix + ".index.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True)
+        fh.write(json.dumps(index, sort_keys=True))
 
 
 def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray, str]:

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,9 @@ DEFAULT_PATTERNS = tuple(
 )
 
 
+_BY_PRIORITY = attrgetter("priority")
+
+
 def _find_connective(text: str, patterns) -> tuple[DefinitionPattern, int, int] | None:
     """First pattern (by priority) whose connective occurs; returns the
     pattern and the [start, end) of the connective match. IGNORECASE folds
@@ -85,7 +89,7 @@ def _find_connective(text: str, patterns) -> tuple[DefinitionPattern, int, int] 
     connective are both ASCII, a regex match needs the lowered connective in
     the lowered text, and a pattern without it is skipped unsearched."""
     lowered = text.lower() if text.isascii() else None
-    for pat in sorted(patterns, key=lambda p: p.priority):
+    for pat in sorted(patterns, key=_BY_PRIORITY):
         if lowered is not None and pat.connective.isascii():
             if pat.connective.lower() not in lowered:
                 continue

@@ -508,7 +508,7 @@ def score_tokens(
     """
     if not all(tokens for tokens, _ in sentences):
         raise ValueError("no tokens to score")
-    logits = model._padded_weights[model.feature_ids(sentences)].sum(axis=1)
+    logits = model._padded_weights.take(model.feature_ids(sentences), axis=0).sum(axis=1)
     z = logits - logits.max(axis=1, keepdims=True)
     scores = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     ends = list(accumulate(len(tokens) for tokens, _ in sentences))

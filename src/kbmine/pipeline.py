@@ -631,10 +631,10 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
 
 
 def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
-    """Write manifest, one JSON file per card, and the embedding files,
-    atomically (see _write_dir_atomically); the directory is the result.
-    The manifest goes first: a crash leaves a staging directory that the
-    next export recognizes and replaces."""
+    """Write the manifest, one JSON file per card and the embedding files
+    atomically (see _write_dir_atomically), each JSON file in one json.dumps
+    (json.dump or indent runs the pure-Python encoder). The manifest goes
+    first: a crash leaves a staging directory the next export replaces."""
 
     def write(staging: Path) -> None:
         card_index = {}
@@ -645,11 +645,11 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
                 fname = hashlib.sha256(card.key.encode()).hexdigest() + ".json"
             card_index[card.key] = f"cards/{fname}"
         with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-            json.dump({**kb.manifest, "cards": card_index}, fh, sort_keys=True, indent=1)
+            fh.write(json.dumps({**kb.manifest, "cards": card_index}, sort_keys=True))
         (staging / "cards").mkdir()
         for card in kb.cards:
             with open(staging / card_index[card.key], "w", encoding="utf-8") as fh:
-                json.dump(card.to_dict(), fh, sort_keys=True, indent=1)
+                fh.write(json.dumps(card.to_dict(), sort_keys=True))
         if kb.space is not None:
             cardbuild.write_embeddings(
                 staging / "topics.emb", kb.space.topic_keys, kb.space.topic_vectors, "topic"

@@ -1101,6 +1101,28 @@ class TestExport:
         for rel in manifest["cards"].values():
             assert (out / rel).exists()
 
+    def test_json_files_are_one_sorted_dumps(self, full_run, tmp_path):
+        _, kb = full_run
+        out = tmp_path / "kb"
+        export_kb(kb, out)
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        index = json.loads(text)["cards"]
+        assert text == json.dumps({**kb.manifest, "cards": index}, sort_keys=True)
+        for card in kb.cards:
+            text = (out / index[card.key]).read_text(encoding="utf-8")
+            assert text == json.dumps(card.to_dict(), sort_keys=True)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    def test_export_runs_only_the_c_encoder(self, full_run, tmp_path, monkeypatch):
+        # json.dump, and json.dumps with indent, take the pure-Python encoder
+        def boom(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder")
+
+        _, kb = full_run
+        monkeypatch.setattr(json.encoder, "_make_iterencode", boom)
+        export_kb(kb, tmp_path / "kb")
+        assert (tmp_path / "kb" / "topics.emb.index.json").exists()
+
     def test_card_key_urlencoding_round_trip(self, models, config, tmp_path):
         state = PipelineState()
         for i in range(2):
