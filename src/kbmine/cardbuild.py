@@ -14,8 +14,11 @@ that bound against what tracemalloc sees NumPy allocate.
 
 Card assembly stays off O(K*D) Python loops: each related list is a partial
 top-k over one score vector, the rerank signals are asked for the recalled
-documents only, and conflation decides just the pairs at or above tau, from
-the relatedness matrix it already holds.
+documents only, and conflation decides just the pairs at or above tau.
+Conflation never holds the K x K relatedness matrix: it computes it twice
+over in row blocks of at most REL_BLOCK_ENTRIES entries (512 KiB) while K
+is at most 4096, and of REL_BLOCK_ALIGN rows past that, so its memory grows
+with K, not K^2.
 
 Conflation is star linkage under a name-only guard: in canonical order,
 each key no group has taken takes the untaken keys related to it at tau or
@@ -535,6 +538,32 @@ def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams)
     return trigram_jaccard(only_a, only_b, grams) >= TRIGRAM_THRESHOLD
 
 
+REL_BLOCK_ENTRIES = 1 << 16  # float64 entries in one row block of the relatedness, 512 KiB
+REL_BLOCK_ALIGN = 16  # each block starts on a multiple of this many rows
+
+
+def relatedness_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) that cover n >= 2 rows in order, one per block
+    vecs[a:b] @ vecs.T of the relatedness of n vectors. Each block has
+    REL_BLOCK_ENTRIES // n rows rounded down to a multiple of
+    REL_BLOCK_ALIGN, and at least REL_BLOCK_ALIGN; the last has the rest,
+    and a 1-row rest joins the block before it. Up to 256 rows are one
+    block, the whole product.
+
+    The row counts keep the whole product's bits. NumPy runs a 1-row
+    product as a gemv, and OpenBLAS rounds some entries of blocks of 2, 3,
+    5 or 65 rows differently from the whole product, on some CPU kernels.
+    Blocks on multiples of 16 rows matched it bitwise on every kernel
+    tried, where n is a multiple of 8 (a test holds them to that); for
+    other n, NumPy runs the whole product as a syrk, which rounds a few
+    entries in a thousand differently from any gemm, by an ulp."""
+    rows = max(REL_BLOCK_ENTRIES // n // REL_BLOCK_ALIGN, 1) * REL_BLOCK_ALIGN
+    bounds = [(a, min(a + rows, n)) for a in range(0, n, rows)]
+    if bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
+
+
 def conflate_all(
     keys: list[str],
     candidates: dict[str, "object"],
@@ -548,7 +577,12 @@ def conflate_all(
     untaken key whose relatedness to it (on normalized vectors) is at least
     tau, TAU_RATIO times the largest relatedness between distinct topics,
     and that passes merge_guard against it. An alias is checked against its
-    canonical only, so A~B and B~C do not chain A to C."""
+    canonical only, so A~B and B~C do not chain A to C.
+
+    The relatedness is never held whole: one pass over the row blocks of
+    relatedness_blocks finds tau, and the walk in canonical order computes
+    each block again when it first needs one of its rows, so the memory is
+    O(K) for K topics and the time stays O(K^2)."""
     keys = sorted(
         (k for k in keys if k in space.topic_index),
         key=lambda k: (-candidates[k].ner_frequency, k),
@@ -562,23 +596,33 @@ def conflate_all(
     }
 
     vecs = np.vstack([_unit(space.topic_vector(k)) for k in keys])
-    rel = vecs @ vecs.T
-    np.fill_diagonal(rel, -np.inf)
-    tau = TAU_RATIO * float(rel.max())
+    blocks = relatedness_blocks(len(keys))
+    top = -np.inf
+    for a, b in blocks:
+        rel = vecs[a:b] @ vecs.T
+        rel[np.arange(b - a), np.arange(a, b)] = -np.inf  # a topic's relatedness to itself
+        top = max(top, float(rel.max()))
+    tau = TAU_RATIO * top
 
     # each name split once, and each string's trigram set built once, per call
     names = [_name(candidates[k].norm_surface) for k in keys]
     grams = functools.cache(_trigrams)
     result: dict[str, list[str]] = {}
     taken = np.zeros(len(keys), dtype=bool)
-    for i, key in enumerate(keys):
-        if taken[i]:
-            continue
-        # every key before i is a canonical or taken, so look after it
-        near = np.flatnonzero((rel[i, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
-        aliases = [j for j in near.tolist() if _names_merge(names[i], names[j], norm_pairs, grams)]
-        taken[aliases] = True
-        result[key] = sorted(keys[j] for j in aliases)
+    for a, b in blocks:
+        rel = None  # computed when the walk reaches an untaken key of the block
+        for i in range(a, b):
+            if taken[i]:
+                continue
+            if rel is None:
+                rel = vecs[a:b] @ vecs.T
+            # every key before i is a canonical or taken, so look after it
+            near = np.flatnonzero((rel[i - a, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
+            aliases = [
+                j for j in near.tolist() if _names_merge(names[i], names[j], norm_pairs, grams)
+            ]
+            taken[aliases] = True
+            result[keys[i]] = sorted(keys[j] for j in aliases)
     return result
 
 

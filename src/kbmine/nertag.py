@@ -500,15 +500,16 @@ def score_tokens(
     model stores: feature_ids gives each token FEATURE_WIDTH row numbers,
     its stored rows in ascending order with the zero row in place of each
     repeat and each id without a stored row, and the gather is one
-    (tokens, FEATURE_WIDTH, L) array summed over its middle axis, which
-    adds each token's stored rows in the same order as the per-token sum.
+    (FEATURE_WIDTH, tokens, L) array summed over its first axis: NumPy adds
+    its FEATURE_WIDTH (tokens, L) slices one after another, so it adds each
+    token's stored rows in the same order as the per-token sum.
     The zero rows add +0.0, which changes no sum of weights that hold no
     -0.0, as trained weights never do. np.add.reduceat over a flat gather
     does not keep the order.
     """
     if not all(tokens for tokens, _ in sentences):
         raise ValueError("no tokens to score")
-    logits = model._padded_weights.take(model.feature_ids(sentences), axis=0).sum(axis=1)
+    logits = model._padded_weights.take(model.feature_ids(sentences).T, axis=0).sum(axis=0)
     z = logits - logits.max(axis=1, keepdims=True)
     scores = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     ends = list(accumulate(len(tokens) for tokens, _ in sentences))

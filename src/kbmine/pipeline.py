@@ -624,10 +624,11 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
         if trash.exists():
             shutil.rmtree(trash)
         out_dir.rename(trash)
-        staging.rename(out_dir)
+    staging.rename(out_dir)
+    # also when there was no out_dir: a crash between the two renames leaves
+    # <out>.old, and a state directory's copy holds deleted documents' records
+    if trash.exists():
         shutil.rmtree(trash)
-    else:
-        staging.rename(out_dir)
 
 
 def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:

@@ -791,6 +791,80 @@ class TestConflation:
 
         assert any(expected.values())  # some pairs merge
         assert conflate_all(keys, cands, space, pairs) == expected
+        # the same from 16-row blocks, so the walk crosses a block boundary
+        monkeypatch.setattr(cardbuild, "REL_BLOCK_ENTRIES", n * cardbuild.REL_BLOCK_ALIGN)
+        assert cardbuild.relatedness_blocks(n) == [(0, 16), (16, n)]
+        assert conflate_all(keys, cands, space, pairs) == expected
+
+    @pytest.mark.parametrize("n", [2, 17, 33, 255, 256, 257, 1000, 1009, 2000, 4097, 10000])
+    def test_relatedness_blocks_tile_the_rows(self, n):
+        blocks = cardbuild.relatedness_blocks(n)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == n
+        align = cardbuild.REL_BLOCK_ALIGN
+        rows = max(cardbuild.REL_BLOCK_ENTRIES // n // align * align, align)
+        assert all(b - a == rows for a, b in blocks[:-1])
+        # the rest, or the last block with a 1-row rest joined to it
+        assert 2 <= blocks[-1][1] - blocks[-1][0] <= rows + 1
+        assert (len(blocks) == 1) == (n <= 256)
+
+    @pytest.mark.parametrize(
+        "n, d, rows",
+        [
+            (1000, 16, None),  # export_wide's topic vectors: 64-row blocks
+            (2000, 32, None),
+            (512, 8, None),
+            (40, 16, 16),
+            (33, 3, 16),  # 16-row blocks, then a 1-row rest: one block of 17
+            (1009, 16, 16),
+            (961, 16, None),  # 64-row blocks with a 1-row rest
+        ],
+    )
+    def test_blocks_match_whole_product(self, n, d, rows, monkeypatch):
+        """The stacked blocks are the whole product bitwise where n is a
+        multiple of 8. For other n, NumPy's whole product is a syrk, which
+        rounds a few entries differently from any gemm: there they agree
+        within the dot products' rounding error bound."""
+        if rows is not None:
+            monkeypatch.setattr(cardbuild, "REL_BLOCK_ENTRIES", n * rows)
+        rng = np.random.default_rng(n + d)
+        vecs = rng.standard_normal((n, d))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        whole = vecs @ vecs.T
+        blocks = cardbuild.relatedness_blocks(n)
+        assert len(blocks) > 1
+        stacked = np.vstack([vecs[a:b] @ vecs.T for a, b in blocks])
+        if n % 8 == 0:
+            assert stacked.tobytes() == whole.tobytes()
+        else:
+            # each is within d units of roundoff of the exact sum of d terms
+            # whose magnitudes sum to 1 at most
+            assert np.abs(stacked - whole).max() <= d * np.finfo(np.float64).eps
+
+    def test_conflate_all_memory_is_linear(self):
+        """At K=2000 the dense relatedness alone is 32 MB; conflation's
+        traced peak stays below 8 MB."""
+        n, d = 2000, 32
+        rng = np.random.default_rng(0)
+        keys = [f"topic {i:04d}||product" for i in range(n)]
+        cands = {k: make_candidate(k, k.split("||")[0]) for k in keys}
+        space = EmbeddingSpace(
+            topic_keys=keys,
+            topic_vectors=rng.standard_normal((n, d)),
+            doc_ids=[],
+            doc_vectors=np.zeros((0, d)),
+            user_ids=[],
+            user_vectors=np.zeros((0, d)),
+        )
+        conflate_all(keys, cands, space, [])  # fills one-time caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conflate_all(keys, cands, space, [])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_aliases_do_not_chain(self):
         """A~B (an acronym pair) and B~C (a plural) pass the guard and A~C

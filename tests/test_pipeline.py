@@ -1157,6 +1157,17 @@ class TestExport:
         assert not stale.exists()
         assert (out / "manifest.json").exists()
 
+    def test_export_removes_old_tree_left_without_out(self, full_run, tmp_path):
+        """A crash between the two renames leaves <out>.old and no <out>;
+        the next export writes <out> and removes the old tree."""
+        _, kb = full_run
+        out, old = tmp_path / "kb", tmp_path / "kb.old"
+        export_kb(kb, old)
+        assert not out.exists()
+        export_kb(kb, out)
+        assert (out / "manifest.json").is_file()
+        assert not old.exists()
+
     def test_failed_export_leaves_no_partial_output(self, full_run, tmp_path, monkeypatch):
         _, kb = full_run
         out = tmp_path / "kb"
