@@ -23,7 +23,13 @@ with K, not K^2.
 Conflation is star linkage under a name-only guard: in canonical order,
 each key no group has taken takes the untaken keys related to it at tau or
 more whose names merge_guard matches with its own, so no chain of aliases
-joins two topics whose names do not match.
+joins two topics whose names do not match. Each name's words are split, and
+the trigram set of those words joined by single spaces built, once per
+call. Names that are one string once spaces and hyphens are dropped merge.
+For two names that share no word and are not both in acronym pairs,
+merge_guard otherwise comes down to the Jaccard of those two sets, which
+conflation computes directly; every other pair goes through merge_guard's
+own steps.
 """
 
 from __future__ import annotations
@@ -169,35 +175,45 @@ def build_matrix(topic_keys: list[str], doc_stats: dict[str, dict]) -> SparseTop
     """BM25 matrix over the given topics and documents.
 
     doc_stats maps doc_id -> {"length": tokens, "tf": {topic_key: count}}.
-    Topics absent from every document are dropped with a warning.
+    The topic keys are distinct. Topics absent from every document are
+    dropped with a warning.
+
+    One walk over the documents counts each topic's df (the documents that
+    list it, whatever its tf) and collects the entries with tf >= 1. Each
+    kept topic's idf is taken with math.log, as bm25_weight does, and the
+    rest of bm25_weight runs elementwise in its order of operations, so
+    every weight is bm25_weight's bit for bit.
     """
     doc_ids = sorted(doc_stats)
     n_docs = len(doc_ids)
-    avgdl = (
-        sum(max(1, doc_stats[d]["length"]) for d in doc_ids) / n_docs if n_docs else 0.0
-    )
-    df = {k: 0 for k in topic_keys}
-    for d in doc_ids:
-        for k in doc_stats[d]["tf"]:
-            if k in df:
-                df[k] += 1
-    kept = [k for k in topic_keys if df[k] >= 1]
-    for k in topic_keys:
-        if df[k] == 0:
-            logger.warning("topic %r absent from corpus, excluded from matrix", k)
-
-    topic_index = {k: i for i, k in enumerate(kept)}
-    rows, cols, vals = [], [], []
+    lengths = [max(1, doc_stats[d]["length"]) for d in doc_ids]
+    avgdl = sum(lengths) / n_docs if n_docs else 0.0
+    position = {k: i for i, k in enumerate(topic_keys)}
+    df = [0] * len(topic_keys)
+    rows, cols, tfs = [], [], []
     for j, d in enumerate(doc_ids):
-        stats = doc_stats[d]
-        dl = max(1, stats["length"])
-        for k, tf in stats["tf"].items():
-            i = topic_index.get(k)
-            if i is None or tf < 1:
+        for k, tf in doc_stats[d]["tf"].items():
+            i = position.get(k)
+            if i is None:
                 continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(bm25_weight(tf, dl, avgdl, df[k], n_docs))
+            df[i] += 1
+            if tf >= 1:
+                rows.append(i)
+                cols.append(j)
+                tfs.append(tf)
+    for k, n in zip(topic_keys, df):
+        if n == 0:
+            logger.warning("topic %r absent from corpus, excluded from matrix", k)
+    kept = [k for k, n in zip(topic_keys, df) if n >= 1]
+
+    # a kept topic's row: its position among the kept topics
+    row_of = np.cumsum(np.array(df) >= 1) - 1
+    idf = np.array([math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5)) for n in df if n >= 1])
+    rows = row_of[np.array(rows, dtype=np.int64)]
+    tf = np.array(tfs, dtype=np.float64)
+    dl = np.array(lengths, dtype=np.float64)[np.array(cols, dtype=np.int64)]
+    denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
+    vals = idf[rows] * tf * (BM25_K1 + 1.0) / denom
     matrix = CscMatrix.from_coo(vals, rows, cols, (len(kept), n_docs))
     return SparseTopicDocMatrix(matrix=matrix, topic_keys=kept, doc_ids=doc_ids)
 
@@ -494,7 +510,11 @@ def _trigrams(s: str) -> set[tuple[str, str, str]]:
 
 def trigram_jaccard(a: str, b: str, grams=_trigrams) -> float:
     """Jaccard of the padded trigram sets grams gives for a and b."""
-    ga, gb = grams(a), grams(b)  # never empty: each holds its padding
+    return _jaccard(grams(a), grams(b))
+
+
+def _jaccard(ga: set, gb: set) -> float:
+    """Jaccard of two trigram sets, never empty: each holds its padding."""
     shared = len(ga & gb)
     return shared / (len(ga) + len(gb) - shared)
 
@@ -536,6 +556,32 @@ def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams)
     only_a = " ".join([w for w in wa if w not in sb])
     only_b = " ".join([w for w in wb if w not in sa])
     return trigram_jaccard(only_a, only_b, grams) >= TRIGRAM_THRESHOLD
+
+
+def _pair_guard(
+    surfaces: list[str], acronym_pairs: set[tuple[str, str]]
+) -> Callable[[int, int], bool]:
+    """merge_guard on surfaces[i] and surfaces[j], as a function of (i, j).
+    Each name is split, and the trigram set of its words joined by single
+    spaces built, once. Equal names once spaces and hyphens are dropped
+    merge. Two names that share no word and are not both in acronym_pairs
+    have all their words as their own, so _names_merge comes down to the
+    Jaccard of those two trigram sets; every other pair goes to it."""
+    names = [_name(s) for s in surfaces]
+    grams = functools.cache(_trigrams)
+    spaced = [grams(" ".join(words)) for _, words, _, _ in names]
+    in_pairs = {n for pair in acronym_pairs for n in pair}
+    paired = [n in in_pairs for n, _, _, _ in names]
+
+    def merges(i: int, j: int) -> bool:
+        (_, _, sa, ja), (_, _, sb, jb) = names[i], names[j]
+        if ja == jb:
+            return True
+        if sa.isdisjoint(sb) and not (paired[i] and paired[j]):
+            return _jaccard(spaced[i], spaced[j]) >= TRIGRAM_THRESHOLD
+        return _names_merge(names[i], names[j], acronym_pairs, grams)
+
+    return merges
 
 
 REL_BLOCK_ENTRIES = 1 << 16  # float64 entries in one row block of the relatedness, 512 KiB
@@ -604,9 +650,7 @@ def conflate_all(
         top = max(top, float(rel.max()))
     tau = TAU_RATIO * top
 
-    # each name split once, and each string's trigram set built once, per call
-    names = [_name(candidates[k].norm_surface) for k in keys]
-    grams = functools.cache(_trigrams)
+    merges = _pair_guard([candidates[k].norm_surface for k in keys], norm_pairs)
     result: dict[str, list[str]] = {}
     taken = np.zeros(len(keys), dtype=bool)
     for a, b in blocks:
@@ -618,9 +662,7 @@ def conflate_all(
                 rel = vecs[a:b] @ vecs.T
             # every key before i is a canonical or taken, so look after it
             near = np.flatnonzero((rel[i - a, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
-            aliases = [
-                j for j in near.tolist() if _names_merge(names[i], names[j], norm_pairs, grams)
-            ]
+            aliases = [j for j in near.tolist() if merges(i, j)]
             taken[aliases] = True
             result[keys[i]] = sorted(keys[j] for j in aliases)
     return result

@@ -206,7 +206,11 @@ MANIFEST_FILE = "manifest.json"
 @dataclass(frozen=True, slots=True)
 class DocRecord:
     """Everything the state knows about one live document, and the state
-    line that saves it."""
+    line that saves it.
+
+    A loaded record's ledger entries are shared: PipelineState.load gives
+    equal entries of different documents one dict. So no code writes to an
+    entry; an upsert's record gets fresh ones from topicrank.contribution."""
 
     doc_id: str
     author_id: str
@@ -223,16 +227,17 @@ class DocRecord:
         return json.dumps(line)
 
     @classmethod
-    def from_line(cls, obj, seen=()) -> "DocRecord":
+    def from_line(cls, obj, seen=(), entries: dict | None = None) -> "DocRecord":
         """Inverse of to_line on a decoded line; ValueError names the first
-        value that is not of the kind to_line writes, or a doc_id in seen."""
+        value that is not of the kind to_line writes, or a doc_id in seen.
+        entries is _parse_ledger's table of shared ledger entries."""
         corpus.check_record(obj, STATE_KEYS, exact=True)
         doc_id, author_id, timestamp = corpus.parse_source(obj)
         if doc_id in seen:
             raise ValueError(f"doc_id {doc_id!r} is on an earlier line too")
         if not (corpus.has_type(obj["length"], int) and obj["length"] >= 1):
             raise ValueError(f"length is {obj['length']!r}, not an int >= 1")
-        ledger = _parse_ledger(obj["ledger"])
+        ledger = _parse_ledger(obj["ledger"], entries)
         if not isinstance(obj["acronyms"], list):
             raise ValueError("acronyms is not a list")
         pairs = tuple(_acronym_pair(p) for p in obj["acronyms"])
@@ -337,41 +342,56 @@ class PipelineState:
     def load(cls, state_dir: str | Path) -> "PipelineState":
         state = cls()
         # read_records is lazy: each record is added before the next line is parsed
-        parse = functools.partial(DocRecord.from_line, seen=state.documents)
+        # one table per load: equal ledger entries are one shared dict
+        parse = functools.partial(DocRecord.from_line, seen=state.documents, entries={})
         path = Path(state_dir) / STATE_FILE
         for rec in corpus.read_records(path, parse, f"corrupt state: {STATE_FILE}"):
             state.documents[rec.doc_id] = rec
         return state
 
 
-def _parse_ledger(contrib) -> dict[str, dict]:
-    """A saved ledger entry, checked to be of the kind topicrank.contribution
-    builds. json.loads shares equal strings within one line only, so each
-    topic key and surface is interned to share it across the lines that
-    repeat it, and the literal field names are shared constants, as in
-    contribution's entries. One loop checks and interns each surface and
-    sums the counts; on a decoded JSON value, `type(v) is int` is
-    corpus.has_type(v, int), as a bool or float is never of type int."""
+def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
+    """A saved ledger, each entry checked to be of the kind
+    topicrank.contribution builds. json.loads shares equal strings within
+    one line only, so each topic key and surface is interned to share it
+    across the lines that repeat it, and the literal field names are shared
+    constants, as in contribution's entries. One loop checks each surface
+    and sums the counts; on a decoded JSON value, `type(v) is int` is
+    corpus.has_type(v, int), as a bool or float is never of type int.
+
+    entries hash-conses the entries: it maps an entry's signature (its key,
+    titles and each (surface, count) pair in file order) to the first entry
+    parsed with it, and an equal entry parsed later is that same dict. So
+    one table passed for every line of a file makes equal entries one
+    object, which must never be written to; without a table nothing is
+    shared."""
     if not isinstance(contrib, dict):
         raise ValueError("ledger is not an object")
+    if entries is None:
+        entries = {}  # the signature holds the key, unique in one ledger: nothing is shared
     ledger = {}
     for key, c in contrib.items():
         surfaces = c.get("surfaces") if type(c) is dict and len(c) == 2 else None
-        total, interned = 0, {}  # total stays 0 unless every count is an int >= 1
+        total = 0  # stays 0 unless every count is an int >= 1
         if type(surfaces) is dict:
             for s, n in surfaces.items():
                 if type(s) is not str or type(n) is not int or n < 1:
                     total = 0
                     break
                 total += n
-                interned[sys.intern(s)] = n
         titles = c.get("titles") if total else None
         if not (type(titles) is int and 0 <= titles <= total):
             raise ValueError(
                 f"ledger entry for {key!r} needs a non-empty surfaces mapping str to "
                 "int >= 1, int titles from 0 to the sum of those counts, and no other key"
             )
-        ledger[sys.intern(key)] = {"titles": titles, "surfaces": interned}
+        key = sys.intern(key)
+        signature = (key, titles, *surfaces.items())
+        entry = entries.get(signature)
+        if entry is None:
+            interned = {sys.intern(s): n for s, n in surfaces.items()}
+            entry = entries[signature] = {"titles": titles, "surfaces": interned}
+        ledger[key] = entry
     return ledger
 
 

@@ -409,14 +409,22 @@ def auc(scores, labels) -> float:
 
 def load_label_file(path: str | Path) -> dict[str, int]:
     """Ranker training labels: CSV 'key,label' lines, each label 0 or 1, with
-    an optional 'key,...' header. ValueError names the file and the line."""
+    an optional 'key,...' header. Only the first non-blank line can be the
+    header, and only if its label field is neither 0 nor 1, so a first line
+    'key, inc||organization,1' is a label. ValueError names the file and the
+    line."""
+    first = True
 
     def parse(line: str) -> tuple[str, int] | None:
+        nonlocal first
         line = line.strip()
-        if line.lower().startswith("key,"):
-            return None
         key, _, lab = line.rpartition(",")
-        if not key or lab.strip() not in ("0", "1"):
+        lab = lab.strip()
+        header = first and lab not in ("0", "1") and line.lower().startswith("key,")
+        first = False
+        if header:
+            return None
+        if not key or lab not in ("0", "1"):
             raise ValueError(f"{line!r} is not 'key,label' with label 0 or 1")
         return key, int(lab)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -243,6 +244,51 @@ class TestBuildMatrix:
         }
         m = build_matrix(["a", "b"], stats)
         assert m.matrix.nnz == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_are_bm25_weight_bitwise(self, seed, caplog):
+        """Against the per-entry loop: df counts the documents listing a key
+        whatever its tf, tf-0 entries are left out, and absent topics warn in
+        topic order."""
+        import logging
+
+        rng = np.random.default_rng(seed)
+        topics = [f"t{i}" for i in range(15)]
+        vocab = topics + ["other"]  # "other" is no topic
+        stats = {
+            f"d{j:02d}": {
+                "length": int(rng.integers(0, 60)),
+                "tf": {
+                    str(k): int(rng.integers(0, 5))
+                    for k in rng.choice(vocab, int(rng.integers(0, 7)), replace=False)
+                },
+            }
+            for j in rng.permutation(int(rng.integers(1, 40)))
+        }
+        keys = [str(k) for k in rng.permutation(topics)] + ["ghost"]
+        with caplog.at_level(logging.WARNING, logger="kbmine.cardbuild"):
+            m = build_matrix(keys, stats)
+
+        doc_ids = sorted(stats)
+        n = len(doc_ids)
+        avgdl = sum(max(1, stats[d]["length"]) for d in doc_ids) / n
+        df = {k: sum(k in stats[d]["tf"] for d in doc_ids) for k in keys}
+        kept = [k for k in keys if df[k] >= 1]
+        rows, cols, vals = [], [], []
+        for j, d in enumerate(doc_ids):
+            for k, tf in stats[d]["tf"].items():
+                if k in kept and tf >= 1:
+                    rows.append(kept.index(k))
+                    cols.append(j)
+                    vals.append(bm25_weight(tf, max(1, stats[d]["length"]), avgdl, df[k], n))
+        ref = CscMatrix.from_coo(vals, rows, cols, (len(kept), n))
+        assert m.topic_keys == kept and m.doc_ids == doc_ids
+        assert m.matrix.data.tobytes() == ref.data.tobytes()
+        assert np.array_equal(m.matrix.indices, ref.indices)
+        assert np.array_equal(m.matrix.indptr, ref.indptr)
+        absent = [k for k in keys if df[k] == 0]
+        assert "ghost" in absent
+        assert [r.args[0] for r in caplog.records] == absent
 
     def test_absent_topic_excluded_with_warning(self, caplog):
         import logging
@@ -635,6 +681,10 @@ def make_candidate(key, norm, freq=5):
     )
 
 
+# words for names that share, repeat, hyphenate and pluralize them
+_GUARD_WORDS = ["data", "lake", "lakes", "data-lake", "datalake", "falcon", "falcons", "mvt"]
+
+
 class TestConflation:
     def conflation_space(self):
         tv = np.array(
@@ -933,6 +983,64 @@ class TestConflation:
     def test_trigram_jaccard(self):
         assert trigram_jaccard("abc", "abc") == 1.0
         assert trigram_jaccard("abc", "xyz") == 0.0
+
+    @staticmethod
+    def assert_pair_guard_is_names_merge(surfaces, pairs):
+        merges = cardbuild._pair_guard(surfaces, pairs)
+        for i, a in enumerate(surfaces):
+            for j, b in enumerate(surfaces):
+                expected = cardbuild._names_merge(
+                    cardbuild._name(a), cardbuild._name(b), pairs, cardbuild._trigrams
+                )
+                assert merges(i, j) == expected, (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_GUARD_WORDS), max_size=3),
+                st.sampled_from([" ", "  "]),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+    )
+    def test_pair_guard_equals_names_merge(self, names, pair_ids):
+        """Names over a few words, some repeated or shared, single- or
+        double-spaced, with acronym pairs among them."""
+        surfaces = [sep.join(words) for words, sep in names]
+        pairs = {(surfaces[i], surfaces[j]) for i, j in pair_ids if max(i, j) < len(surfaces)}
+        self.assert_pair_guard_is_names_merge(surfaces, pairs)
+
+    def test_pair_guard_branches(self):
+        surfaces = ["data-lake", "data lake", "data lakes", "falcon", "falcons", "mvt",
+                    "managed virtual testbed", "arbor gateway", "harbor gateway"]
+        pairs = {("managed virtual testbed", "mvt")}
+        self.assert_pair_guard_is_names_merge(surfaces, pairs)
+        merges = cardbuild._pair_guard(surfaces, pairs)
+        assert merges(0, 1)  # the same once spaces and hyphens are dropped
+        assert merges(3, 4)  # no word shared: the trigram Jaccard
+        assert merges(5, 6) and merges(6, 5)  # an acronym pair
+        assert not merges(7, 8)  # a shared word: _names_merge
+
+    def test_pair_guard_on_double_spaced_keys_from_a_state_file(self, tmp_path):
+        """A saved key is not normalized again on load, so its name can hold
+        two spaces in a row."""
+        from kbmine import pipeline
+
+        keys = ["data  lake", "data lake", "data-lake", "lake  data", "falcon  works",
+                "falcons works", "falcons"]
+        line = {
+            "doc_id": "d1", "author_id": "u1", "timestamp": 0.0, "length": 5,
+            "ledger": {f"{k}||product": {"titles": 0, "surfaces": {k: 1}} for k in keys},
+            "acronyms": [], "definitions": [],
+        }
+        (tmp_path / pipeline.STATE_FILE).write_text(json.dumps(line) + "\n")
+        state = pipeline.PipelineState.load(tmp_path)
+        surfaces = [c.norm_surface for c in state.store.candidates.values()]
+        assert surfaces == keys
+        self.assert_pair_guard_is_names_merge(surfaces, set())
 
 
 class TestEmbeddingExport:

@@ -1,4 +1,5 @@
 import builtins
+import copy
 import hashlib
 import io
 import json
@@ -844,7 +845,67 @@ class TestParseLedger:
         assert s1 is s2
 
 
+    def test_table_shares_equal_entries(self):
+        lines = [
+            '{"falcon||product": {"titles": 1, "surfaces": {"Falcon": 2, "falcon": 1}},'
+            ' "atlas||product": {"titles": 0, "surfaces": {"Atlas": 1}}}',
+            '{"falcon||product": {"titles": 1, "surfaces": {"Falcon": 2, "falcon": 1}},'
+            ' "vega||product": {"titles": 0, "surfaces": {"Atlas": 1}}}',
+            # the same counts with the surfaces in another order, and other titles
+            '{"falcon||product": {"titles": 1, "surfaces": {"falcon": 1, "Falcon": 2}},'
+            ' "atlas||product": {"titles": 1, "surfaces": {"Atlas": 1}}}',
+        ]
+        entries = {}
+        first, second, third = (
+            pipeline._parse_ledger(json.loads(line), entries) for line in lines
+        )
+        for line, parsed in zip(lines, (first, second, third)):
+            assert parsed == pipeline._parse_ledger(json.loads(line))
+            assert json.dumps(parsed) == json.dumps(pipeline._parse_ledger(json.loads(line)))
+        assert first["falcon||product"] is second["falcon||product"]
+        # a different key, surfaces in another order or other titles: not shared
+        assert second["vega||product"] is not first["atlas||product"]
+        assert third["falcon||product"] is not first["falcon||product"]
+        assert third["atlas||product"] is not first["atlas||product"]
+        assert len(entries) == 5
+
+
 class TestStatePersistence:
+    def test_load_shares_equal_ledger_entries(self, full_run, tmp_path):
+        state, _ = full_run
+        state.save(tmp_path / "state")
+        loaded = PipelineState.load(tmp_path / "state")
+        entries = [e for rec in loaded.documents.values() for e in rec.ledger.items()]
+        by_signature = {}
+        for key, entry in entries:
+            signature = (key, entry["titles"], *entry["surfaces"].items())
+            assert by_signature.setdefault(signature, entry) is entry
+        assert len(by_signature) < len(entries)  # some entries repeat
+        assert len({id(e) for _, e in entries}) == len(by_signature)
+        assert loaded.documents == state.documents
+
+    def test_shared_entries_are_never_written(self, config, models, full_run, tmp_path):
+        """Upserts, deletes, ranking, the build, export and save leave every
+        loaded ledger entry as it was loaded."""
+        state, _ = full_run
+        state.save(tmp_path / "state")
+        loaded = PipelineState.load(tmp_path / "state")
+        entries = [e for rec in loaded.documents.values() for e in rec.ledger.values()]
+        at_load = copy.deepcopy(entries)
+        first, second, *_ = sorted(loaded.documents)
+        for event in [
+            UpdateEvent(kind="upsert", document=make_doc(first, "Contoso Falcon")),
+            UpdateEvent(kind="upsert", document=make_doc("new", "Atlas Engine")),
+            UpdateEvent(kind="delete", doc_id=second),
+        ]:
+            apply_update(loaded, event, models)
+        rank_refresh(loaded, config, models)
+        kb = build_knowledge_base(loaded, config, models)
+        assert kb.cards
+        export_kb(kb, tmp_path / "kb")
+        loaded.save(tmp_path / "again")
+        assert entries == at_load
+
     def test_load_shares_repeated_strings(self, models, tmp_path):
         state = PipelineState()
         for doc_id in ("d1", "d2"):

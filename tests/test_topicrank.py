@@ -386,6 +386,34 @@ class TestLabelFile:
             "a, b||organization": 0,
         }
 
+    def test_header_then_a_key_starting_with_key(self, tmp_path):
+        """The key candidate_key gives "Key, Inc" starts with 'key,'; after
+        the header it is a label like any other."""
+        assert topicrank.candidate_key("Key, Inc", "organization") == "key, inc||organization"
+        path = tmp_path / "labels.csv"
+        path.write_text("key,label\nkey, inc||organization,1\nfalcon||product,0\n")
+        assert topicrank.load_label_file(path) == {
+            "key, inc||organization": 1,
+            "falcon||product": 0,
+        }
+
+    def test_headerless_first_line_starting_with_key(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("\nKEY, inc||organization, 0\nfalcon||product,1\n")
+        assert topicrank.load_label_file(path) == {
+            "KEY, inc||organization": 0,
+            "falcon||product": 1,
+        }
+
+    def test_header_only_on_the_first_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("falcon||product,1\nkey,label\n")
+        with pytest.raises(ValueError) as exc:
+            topicrank.load_label_file(path)
+        assert str(exc.value) == (
+            f"label file {path} line 2: 'key,label' is not 'key,label' with label 0 or 1"
+        )
+
     @pytest.mark.parametrize("line", ["x||product,abc", "x||product,2", "x||product,", "1"])
     def test_bad_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "labels.csv"
