@@ -22,14 +22,12 @@ with K, not K^2.
 
 Conflation is star linkage under a name-only guard: in canonical order,
 each key no group has taken takes the untaken keys related to it at tau or
-more whose names merge_guard matches with its own, so no chain of aliases
-joins two topics whose names do not match. Each name's words are split, and
-the trigram set of those words joined by single spaces built, once per
-call. Names that are one string once spaces and hyphens are dropped merge.
-For two names that share no word and are not both in acronym pairs,
-merge_guard otherwise comes down to the Jaccard of those two sets, which
-conflation computes directly; every other pair goes through merge_guard's
-own steps.
+more whose names _names_merge matches with its own, so no chain of aliases
+joins two topics whose names do not match. Each name is split into words,
+and each string's trigram set built, once per call. For two names that
+share no word, the words each has and the other lacks are all its words,
+so the guard takes the Jaccard of the two names' words joined by single
+spaces, which _name joins once.
 """
 
 from __future__ import annotations
@@ -57,7 +55,12 @@ BM25_B = 0.75
 
 def bm25_weight(tf: int, dl: int, avgdl: float, df: int, n_docs: int) -> float:
     """idf * tf*(k1+1) / (tf + k1*(1-b+b*dl/avgdl)) with the nonnegative
-    log idf variant idf = ln(1 + (N-df+0.5)/(df+0.5))."""
+    log idf variant idf = ln(1 + (N-df+0.5)/(df+0.5)).
+
+    The per-entry reference for build_matrix, which computes the same
+    formula over arrays and must match this bit for bit
+    (test_weights_are_bm25_weight_bitwise): change neither without the
+    other."""
     if tf < 1 or df < 1 or n_docs < df or dl < 1 or avgdl <= 0:
         raise ValueError("invalid BM25 inputs")
     idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
@@ -510,11 +513,7 @@ def _trigrams(s: str) -> set[tuple[str, str, str]]:
 
 def trigram_jaccard(a: str, b: str, grams=_trigrams) -> float:
     """Jaccard of the padded trigram sets grams gives for a and b."""
-    return _jaccard(grams(a), grams(b))
-
-
-def _jaccard(ga: set, gb: set) -> float:
-    """Jaccard of two trigram sets, never empty: each holds its padding."""
+    ga, gb = grams(a), grams(b)  # never empty: each holds its padding
     shared = len(ga & gb)
     return shared / (len(ga) + len(gb) - shared)
 
@@ -528,60 +527,32 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def _name(surface: str) -> tuple[str, list[str], set[str], str]:
-    """A topic name as merge_guard reads it: the name, its words, their set,
-    and the name with spaces and hyphens dropped."""
+def _name(surface: str) -> tuple[str, list[str], set[str], str, str]:
+    """A topic name as _names_merge reads it: the name, its words, their
+    set, the name with spaces and hyphens dropped, and its words joined by
+    single spaces."""
     words = surface.split()
-    return surface, words, set(words), "".join(words).replace("-", "")
-
-
-def merge_guard(cand_a, cand_b, acronym_pairs: set[tuple[str, str]]) -> bool:
-    """Whether two topic names may name one topic: an acronym pair; the
-    same word set, or one string once spaces and hyphens are dropped
-    ("data lake", "data-lake"); or the words each has and the other lacks,
-    joined, at a trigram Jaccard of TRIGRAM_THRESHOLD or more ("falcon",
-    "falcons", but not "arbor gateway", "harbor gateway")."""
-    a, b = _name(cand_a.norm_surface), _name(cand_b.norm_surface)
-    return _names_merge(a, b, acronym_pairs, _trigrams)
+    return surface, words, set(words), "".join(words).replace("-", ""), " ".join(words)
 
 
 def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams) -> bool:
-    """merge_guard on two _name tuples; grams gives a string's trigram set."""
-    (na, wa, sa, ja), (nb, wb, sb, jb) = a, b
+    """Whether two topic names, as _name tuples, may name one topic: an
+    acronym pair; the same word set, or one string once spaces and hyphens
+    are dropped ("data lake", "data-lake"); or the words each has and the
+    other lacks, joined, at a trigram Jaccard of TRIGRAM_THRESHOLD or more
+    ("falcon", "falcons", but not "arbor gateway", "harbor gateway").
+    grams gives a string's trigram set."""
+    (na, wa, sa, ja, spa), (nb, wb, sb, jb, spb) = a, b
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
     if sa == sb or ja == jb:
         return True
-    # if one side has no words of its own, the two share no trigram
-    only_a = " ".join([w for w in wa if w not in sb])
-    only_b = " ".join([w for w in wb if w not in sa])
+    if sa.isdisjoint(sb):  # every word is its own
+        only_a, only_b = spa, spb
+    else:  # if one side has no words of its own, the two share no trigram
+        only_a = " ".join([w for w in wa if w not in sb])
+        only_b = " ".join([w for w in wb if w not in sa])
     return trigram_jaccard(only_a, only_b, grams) >= TRIGRAM_THRESHOLD
-
-
-def _pair_guard(
-    surfaces: list[str], acronym_pairs: set[tuple[str, str]]
-) -> Callable[[int, int], bool]:
-    """merge_guard on surfaces[i] and surfaces[j], as a function of (i, j).
-    Each name is split, and the trigram set of its words joined by single
-    spaces built, once. Equal names once spaces and hyphens are dropped
-    merge. Two names that share no word and are not both in acronym_pairs
-    have all their words as their own, so _names_merge comes down to the
-    Jaccard of those two trigram sets; every other pair goes to it."""
-    names = [_name(s) for s in surfaces]
-    grams = functools.cache(_trigrams)
-    spaced = [grams(" ".join(words)) for _, words, _, _ in names]
-    in_pairs = {n for pair in acronym_pairs for n in pair}
-    paired = [n in in_pairs for n, _, _, _ in names]
-
-    def merges(i: int, j: int) -> bool:
-        (_, _, sa, ja), (_, _, sb, jb) = names[i], names[j]
-        if ja == jb:
-            return True
-        if sa.isdisjoint(sb) and not (paired[i] and paired[j]):
-            return _jaccard(spaced[i], spaced[j]) >= TRIGRAM_THRESHOLD
-        return _names_merge(names[i], names[j], acronym_pairs, grams)
-
-    return merges
 
 
 REL_BLOCK_ENTRIES = 1 << 16  # float64 entries in one row block of the relatedness, 512 KiB
@@ -622,7 +593,7 @@ def conflate_all(
     key. Each key no group has taken becomes a canonical and takes every
     untaken key whose relatedness to it (on normalized vectors) is at least
     tau, TAU_RATIO times the largest relatedness between distinct topics,
-    and that passes merge_guard against it. An alias is checked against its
+    and that passes _names_merge against it. An alias is checked against its
     canonical only, so A~B and B~C do not chain A to C.
 
     The relatedness is never held whole: one pass over the row blocks of
@@ -650,7 +621,9 @@ def conflate_all(
         top = max(top, float(rel.max()))
     tau = TAU_RATIO * top
 
-    merges = _pair_guard([candidates[k].norm_surface for k in keys], norm_pairs)
+    # each name split once, and each string's trigram set built once, per call
+    names = [_name(candidates[k].norm_surface) for k in keys]
+    grams = functools.cache(_trigrams)
     result: dict[str, list[str]] = {}
     taken = np.zeros(len(keys), dtype=bool)
     for a, b in blocks:
@@ -662,7 +635,9 @@ def conflate_all(
                 rel = vecs[a:b] @ vecs.T
             # every key before i is a canonical or taken, so look after it
             near = np.flatnonzero((rel[i - a, i + 1 :] >= tau) & ~taken[i + 1 :]) + (i + 1)
-            aliases = [j for j in near.tolist() if merges(i, j)]
+            aliases = [
+                j for j in near.tolist() if _names_merge(names[i], names[j], norm_pairs, grams)
+            ]
             taken[aliases] = True
             result[keys[i]] = sorted(keys[j] for j in aliases)
     return result

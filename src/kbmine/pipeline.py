@@ -355,14 +355,18 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
     topicrank.contribution builds. json.loads shares equal strings within
     one line only, so each topic key and surface is interned to share it
     across the lines that repeat it, and the literal field names are shared
-    constants, as in contribution's entries. One loop checks each surface
-    and sums the counts; on a decoded JSON value, `type(v) is int` is
-    corpus.has_type(v, int), as a bool or float is never of type int.
+    constants, as in contribution's entries. One loop checks and interns
+    each surface and sums the counts; on a decoded JSON value,
+    `type(v) is int` is corpus.has_type(v, int), as a bool or float is never
+    of type int.
 
-    entries hash-conses the entries: it maps an entry's signature (its key,
-    titles and each (surface, count) pair in file order) to the first entry
-    parsed with it, and an equal entry parsed later is that same dict. So
-    one table passed for every line of a file makes equal entries one
+    entries hash-conses the entries: it maps an entry's signature, the flat
+    tuple (key, titles, surface, count, surface, count, ...) in file order,
+    to the first entry parsed with it, and an equal entry parsed later is
+    that same dict, so only a new entry builds its surfaces dict. The
+    signature holds the interned strings and the counts of its entry, so
+    the table adds one tuple per distinct entry and no copy of a string.
+    One table passed for every line of a file makes equal entries one
     object, which must never be written to; without a table nothing is
     shared."""
     if not isinstance(contrib, dict):
@@ -372,13 +376,14 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
     ledger = {}
     for key, c in contrib.items():
         surfaces = c.get("surfaces") if type(c) is dict and len(c) == 2 else None
-        total = 0  # stays 0 unless every count is an int >= 1
+        total, flat = 0, []  # total stays 0 unless every count is an int >= 1
         if type(surfaces) is dict:
             for s, n in surfaces.items():
                 if type(s) is not str or type(n) is not int or n < 1:
                     total = 0
                     break
                 total += n
+                flat += (sys.intern(s), n)
         titles = c.get("titles") if total else None
         if not (type(titles) is int and 0 <= titles <= total):
             raise ValueError(
@@ -386,11 +391,11 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
                 "int >= 1, int titles from 0 to the sum of those counts, and no other key"
             )
         key = sys.intern(key)
-        signature = (key, titles, *surfaces.items())
+        signature = (key, titles, *flat)
         entry = entries.get(signature)
         if entry is None:
-            interned = {sys.intern(s): n for s, n in surfaces.items()}
-            entry = entries[signature] = {"titles": titles, "surfaces": interned}
+            pairs = iter(flat)  # zip(pairs, pairs) yields (surface, count)
+            entry = entries[signature] = {"titles": titles, "surfaces": dict(zip(pairs, pairs))}
         ledger[key] = entry
     return ledger
 

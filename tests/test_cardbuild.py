@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -23,7 +24,6 @@ from kbmine.cardbuild import (
     build_user_vectors,
     conflate_all,
     extract_acronym_aliases,
-    merge_guard,
     read_embeddings,
     rerank_related_docs,
     top_k_related,
@@ -685,6 +685,33 @@ def make_candidate(key, norm, freq=5):
 _GUARD_WORDS = ["data", "lake", "lakes", "data-lake", "datalake", "falcon", "falcons", "mvt"]
 
 
+def merge_guard(cand_a, cand_b, acronym_pairs) -> bool:
+    """conflate_all's name guard on two candidates."""
+    a, b = (cardbuild._name(c.norm_surface) for c in (cand_a, cand_b))
+    return cardbuild._names_merge(a, b, acronym_pairs, cardbuild._trigrams)
+
+
+def reference_guard(na: str, nb: str, norm_pairs) -> bool:
+    """The name guard written out on two normalized surfaces: an acronym
+    pair, the same word set, one string once spaces and hyphens are
+    dropped, or the words each has and the other lacks at a trigram Jaccard
+    of TRIGRAM_THRESHOLD or more."""
+    wa, wb = na.split(), nb.split()
+    only_a = " ".join(w for w in wa if w not in wb)
+    only_b = " ".join(w for w in wb if w not in wa)
+    return (
+        (na, nb) in norm_pairs
+        or (nb, na) in norm_pairs
+        or set(wa) == set(wb)
+        or na.replace(" ", "").replace("-", "") == nb.replace(" ", "").replace("-", "")
+        or (
+            only_a != ""
+            and only_b != ""
+            and trigram_jaccard(only_a, only_b) >= cardbuild.TRIGRAM_THRESHOLD
+        )
+    )
+
+
 class TestConflation:
     def conflation_space(self):
         tv = np.array(
@@ -804,23 +831,6 @@ class TestConflation:
         norm_pairs = {(normalize_key(lf), normalize_key(a)) for lf, a in pairs}
         index = {k: i for i, k in enumerate(keys)}
 
-        def guard(ca, cb):
-            na, nb = ca.norm_surface, cb.norm_surface
-            wa, wb = na.split(), nb.split()
-            only_a = " ".join(w for w in wa if w not in wb)
-            only_b = " ".join(w for w in wb if w not in wa)
-            return (
-                (na, nb) in norm_pairs
-                or (nb, na) in norm_pairs
-                or set(wa) == set(wb)
-                or na.replace(" ", "").replace("-", "") == nb.replace(" ", "").replace("-", "")
-                or (
-                    only_a != ""
-                    and only_b != ""
-                    and trigram_jaccard(only_a, only_b) >= cardbuild.TRIGRAM_THRESHOLD
-                )
-            )
-
         order = sorted(keys, key=lambda k: (-cands[k].ner_frequency, k))
         expected = {}
         grouped = set()
@@ -833,7 +843,7 @@ class TestConflation:
                 if (
                     b not in grouped
                     and rel[index[a], index[b]] >= threshold
-                    and guard(cands[a], cands[b])
+                    and reference_guard(cands[a].norm_surface, cands[b].norm_surface, norm_pairs)
                 ):
                     grouped.add(b)
                     expected[a].append(b)
@@ -985,14 +995,15 @@ class TestConflation:
         assert trigram_jaccard("abc", "xyz") == 0.0
 
     @staticmethod
-    def assert_pair_guard_is_names_merge(surfaces, pairs):
-        merges = cardbuild._pair_guard(surfaces, pairs)
-        for i, a in enumerate(surfaces):
-            for j, b in enumerate(surfaces):
-                expected = cardbuild._names_merge(
-                    cardbuild._name(a), cardbuild._name(b), pairs, cardbuild._trigrams
-                )
-                assert merges(i, j) == expected, (a, b)
+    def assert_names_merge_is_reference(surfaces, pairs):
+        """_names_merge, with trigram sets cached as conflate_all has them,
+        decides every ordered pair of surfaces as reference_guard does."""
+        names = [cardbuild._name(s) for s in surfaces]
+        grams = functools.cache(cardbuild._trigrams)
+        for a, name_a in zip(surfaces, names):
+            for b, name_b in zip(surfaces, names):
+                merges = cardbuild._names_merge(name_a, name_b, pairs, grams)
+                assert merges == reference_guard(a, b, pairs), (a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1006,25 +1017,29 @@ class TestConflation:
         ),
         st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
     )
-    def test_pair_guard_equals_names_merge(self, names, pair_ids):
+    def test_names_merge_equals_reference(self, names, pair_ids):
         """Names over a few words, some repeated or shared, single- or
         double-spaced, with acronym pairs among them."""
         surfaces = [sep.join(words) for words, sep in names]
         pairs = {(surfaces[i], surfaces[j]) for i, j in pair_ids if max(i, j) < len(surfaces)}
-        self.assert_pair_guard_is_names_merge(surfaces, pairs)
+        self.assert_names_merge_is_reference(surfaces, pairs)
 
-    def test_pair_guard_branches(self):
+    def test_names_merge_branches(self):
         surfaces = ["data-lake", "data lake", "data lakes", "falcon", "falcons", "mvt",
                     "managed virtual testbed", "arbor gateway", "harbor gateway"]
         pairs = {("managed virtual testbed", "mvt")}
-        self.assert_pair_guard_is_names_merge(surfaces, pairs)
-        merges = cardbuild._pair_guard(surfaces, pairs)
-        assert merges(0, 1)  # the same once spaces and hyphens are dropped
-        assert merges(3, 4)  # no word shared: the trigram Jaccard
-        assert merges(5, 6) and merges(6, 5)  # an acronym pair
-        assert not merges(7, 8)  # a shared word: _names_merge
+        self.assert_names_merge_is_reference(surfaces, pairs)
+        names = [cardbuild._name(s) for s in surfaces]
 
-    def test_pair_guard_on_double_spaced_keys_from_a_state_file(self, tmp_path):
+        def merges(i, j):
+            return cardbuild._names_merge(names[i], names[j], pairs, cardbuild._trigrams)
+
+        assert merges(0, 1)  # the same once spaces and hyphens are dropped
+        assert merges(3, 4)  # no word shared: the Jaccard of the whole names
+        assert merges(5, 6) and merges(6, 5)  # an acronym pair
+        assert not merges(7, 8)  # a shared word: the Jaccard of the words not shared
+
+    def test_names_merge_on_double_spaced_keys_from_a_state_file(self, tmp_path):
         """A saved key is not normalized again on load, so its name can hold
         two spaces in a row."""
         from kbmine import pipeline
@@ -1040,7 +1055,7 @@ class TestConflation:
         state = pipeline.PipelineState.load(tmp_path)
         surfaces = [c.norm_surface for c in state.store.candidates.values()]
         assert surfaces == keys
-        self.assert_pair_guard_is_names_merge(surfaces, set())
+        self.assert_names_merge_is_reference(surfaces, set())
 
 
 class TestEmbeddingExport:

@@ -844,7 +844,6 @@ class TestParseLedger:
         s2 = [s for s in second[k2]["surfaces"] if s == "falcon"][0]
         assert s1 is s2
 
-
     def test_table_shares_equal_entries(self):
         lines = [
             '{"falcon||product": {"titles": 1, "surfaces": {"Falcon": 2, "falcon": 1}},'
@@ -868,6 +867,13 @@ class TestParseLedger:
         assert third["falcon||product"] is not first["falcon||product"]
         assert third["atlas||product"] is not first["atlas||product"]
         assert len(entries) == 5
+        # the table holds flat signatures of the parsed strings themselves, no copy
+        held = {
+            id(s) for parsed in (first, second, third) for k, e in parsed.items()
+            for s in (k, *e["surfaces"])
+        }
+        assert all(type(x) in (str, int) for sig in entries for x in sig)
+        assert {id(x) for sig in entries for x in sig if type(x) is str} <= held
 
 
 class TestStatePersistence:
