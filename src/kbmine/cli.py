@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 bad input (config file, event file, saved state, a
 model, score, pattern, lexicon or abbreviation file that the command reads,
-an unreadable input path, an output or state directory that
-pipeline.check_output_dir refuses, or output and state directories that
-overlap), 3 stage failure. Each command reads only the model inputs it uses
-(see pipeline.Models), so a bad file fails only a command that reads it.
+an unreadable input path, an output directory that pipeline.check_output_dir
+refuses, a state path that is not a directory, or output and state
+directories that overlap), 3 stage failure. Each command reads only the
+model inputs it uses (see pipeline.Models), so a bad file fails only a
+command that reads it.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ def _load_state(args, writes_kb=False):
     cfg = _load_config(args)
     if writes_kb:
         _check_apart(cfg.output_dir, args.state)
-        pipeline.check_output_dir(cfg.output_dir, pipeline.MANIFEST_FILE)
+        pipeline.check_output_dir(cfg.output_dir)
     return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
 
 
 def _check_apart(out_dir, state_dir) -> None:
     """ValueError if the output and state directories are one directory or
-    one holds the other: writing either swaps out its whole tree, and the
-    other would go with it."""
+    one holds the other: an export swaps out the output directory's whole
+    tree, so a state in it would go with it. (A save touches only the
+    state directory's documents.jsonl.)"""
     out, state = Path(out_dir).resolve(), Path(state_dir).resolve()
     if out == state or out in state.parents or state in out.parents:
         raise ValueError(f"output directory {out_dir} and state directory {state_dir} overlap")
@@ -122,9 +124,9 @@ def cmd_mine(args) -> int:
     # refused before the batch runs, not after
     if args.state:
         _check_apart(cfg.output_dir, args.state)
-    pipeline.check_output_dir(cfg.output_dir, pipeline.MANIFEST_FILE)
-    if args.state:
-        pipeline.check_output_dir(args.state, pipeline.STATE_FILE)
+    pipeline.check_output_dir(cfg.output_dir)
+    if args.state and Path(args.state).exists() and not Path(args.state).is_dir():
+        raise ValueError(f"{args.state} exists and is not a directory")
     state, kb = pipeline.run_full(cfg)
     if args.state:
         state.save(args.state)
@@ -134,8 +136,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_update(args) -> int:
-    pipeline.check_output_dir(args.state, pipeline.STATE_FILE)  # before any event applies
-    _, models, state = _load_state(args)
+    _, models, state = _load_state(args)  # a missing or unreadable state fails before any event
     n = 0
     for event in pipeline.read_events(args.events):
         pipeline.apply_update(state, event, models)

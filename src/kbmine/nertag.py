@@ -61,18 +61,20 @@ class LabelSet:
     is_inside(c), and _transitions is transition_mask as nested lists.
 
     The one entity-type rule: each type is a non-empty string, named once,
-    without KEY_SEP, so a candidate key splits back into its surface and
-    type at its last KEY_SEP; ValueError otherwise.
+    without KEY_SEP and not starting with "|", so a candidate key, whose
+    surface ends in a letter or digit, splits back into its surface and type
+    at its last KEY_SEP; ValueError otherwise.
     """
 
     def __init__(self, entity_types=DEFAULT_ENTITY_TYPES):
         self.entity_types = tuple(entity_types)
         if not all(
-            isinstance(t, str) and t and KEY_SEP not in t for t in self.entity_types
+            isinstance(t, str) and t and KEY_SEP not in t and t[0] != "|"
+            for t in self.entity_types
         ) or len(set(self.entity_types)) < len(self.entity_types):
             raise ValueError(
-                f"entity_types must be distinct, non-empty strings without {KEY_SEP!r}, "
-                f"not {list(self.entity_types)!r}"
+                f"entity_types must be distinct, non-empty strings without {KEY_SEP!r} "
+                f"that do not start with '|', not {list(self.entity_types)!r}"
             )
         labels = ["O"]
         for t in self.entity_types:

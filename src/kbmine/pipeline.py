@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import shutil
 import sys
 import time
@@ -327,16 +328,28 @@ class PipelineState:
         return list(dict.fromkeys(p for _, r in sorted(self.documents.items()) for p in r.acronyms))
 
     # -- persistence ---------------------------------------------------------
-    # A state directory holds one file, STATE_FILE: each live document's
-    # DocRecord.to_line, sorted by doc_id. The topic candidates are not
-    # saved; the store derives them from the ledger entries.
 
     def save(self, state_dir: str | Path) -> None:
-        def write(staging: Path) -> None:
-            with open(staging / STATE_FILE, "w", encoding="utf-8") as fh:
+        """Replace STATE_FILE in state_dir (made if missing) with the records'
+        to_line, sorted by doc_id: write and fsync STATE_FILE.tmp, os.replace
+        it, then fsync state_dir. A crash leaves the old file or the new one."""
+        state_dir = Path(state_dir)
+        state_dir.mkdir(parents=True, exist_ok=True)
+        tmp = state_dir / (STATE_FILE + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines(rec.to_line() + "\n" for _, rec in sorted(self.documents.items()))
-
-        _write_dir_atomically(Path(state_dir), STATE_FILE, write)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, state_dir / STATE_FILE)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        fd = os.open(state_dir, os.O_RDONLY)  # the rename is durable once its directory is
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "PipelineState":
@@ -363,7 +376,9 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
     entries hash-conses the entries: it maps an entry's signature, the flat
     tuple (key, titles, surface, count, surface, count, ...) in file order,
     to the first entry parsed with it, and an equal entry parsed later is
-    that same dict, so only a new entry builds its surfaces dict. The
+    that same dict, so only a new entry builds its surfaces dict and checks
+    its key: a normalized surface (topicrank.normalize_key), KEY_SEP and a
+    non-empty entity type, as topicrank.candidate_key builds it. The
     signature holds the interned strings and the counts of its entry, so
     the table adds one tuple per distinct entry and no copy of a string.
     One table passed for every line of a file makes equal entries one
@@ -394,6 +409,10 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
         signature = (key, titles, *flat)
         entry = entries.get(signature)
         if entry is None:
+            surface, _, entity_type = key.rpartition(nertag.KEY_SEP)
+            if not entity_type or _normal_form(surface) != surface:
+                raise ValueError(f"ledger key {key!r} is not a normalized surface, "
+                                 f"{nertag.KEY_SEP!r} and an entity type")
             pairs = iter(flat)  # zip(pairs, pairs) yields (surface, count)
             entry = entries[signature] = {"titles": titles, "surfaces": dict(zip(pairs, pairs))}
         ledger[key] = entry
@@ -401,10 +420,20 @@ def _parse_ledger(contrib, entries: dict | None = None) -> dict[str, dict]:
 
 
 def _acronym_pair(pair) -> tuple[str, str]:
-    """A saved [long form, acronym] pair as the tuple the build uses."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+    """A saved [long form, acronym] pair as the tuple the build uses: two
+    strings that each normalize, as extraction's pairs do."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, str) and _normal_form(x) for x in pair)):
         raise ValueError(f"bad acronym pair: {pair!r}")
     return pair[0], pair[1]
+
+
+def _normal_form(surface: str) -> str | None:
+    """topicrank.normalize_key(surface), or None if it normalizes to empty."""
+    try:
+        return topicrank.normalize_key(surface)
+    except ValueError:
+        return None
 
 
 def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> PipelineState:
@@ -612,13 +641,13 @@ def _siblings(out_dir: Path) -> tuple[Path, Path]:
     return out_dir.parent / (out_dir.name + ".staging"), out_dir.parent / (out_dir.name + ".old")
 
 
-def check_output_dir(out_dir: str | Path, marker: str) -> None:
-    """ValueError if out_dir, where a directory is to be written whole, is
-    the working directory or holds it; or if out_dir, or the <out>.staging
-    or <out>.old that the write also replaces, exists and is not a
-    directory, or is a non-empty directory without marker, the file its
-    writer writes: it is then no earlier output, and replacing it would lose
-    what it holds. Callers check before any work whose result goes there."""
+def check_output_dir(out_dir: str | Path) -> None:
+    """ValueError if out_dir, a KB directory that export_kb swaps out whole,
+    is the working directory or holds it; or if out_dir, or the
+    <out>.staging or <out>.old that the swap also replaces, exists and is
+    not a directory, or is a non-empty directory without MANIFEST_FILE: it
+    is then no earlier export, and replacing it would lose what it holds.
+    Callers check before any work whose result goes there."""
     out_dir = Path(out_dir)
     resolved, cwd = out_dir.resolve(), Path.cwd().resolve()
     if resolved == cwd or resolved in cwd.parents:
@@ -626,16 +655,18 @@ def check_output_dir(out_dir: str | Path, marker: str) -> None:
     for path in (out_dir, *_siblings(out_dir)):
         if path.exists() and not path.is_dir():
             raise ValueError(f"{path} exists and is not a directory")
-        if path.is_dir() and not (path / marker).is_file() and any(path.iterdir()):
-            raise ValueError(f"{path} is not empty and has no {marker}, so it is not replaced")
+        if path.is_dir() and not (path / MANIFEST_FILE).is_file() and any(path.iterdir()):
+            raise ValueError(
+                f"{path} is not empty and has no {MANIFEST_FILE}, so it is not replaced"
+            )
 
 
-def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
-    """Call write(staging), which writes marker, on a fresh sibling
-    directory, then swap it in for out_dir: a failed write leaves no partial
-    output and the old tree as it was, and a rewrite replaces the old tree.
-    check_output_dir runs before anything is written."""
-    check_output_dir(out_dir, marker)
+def _write_dir_atomically(out_dir: Path, write) -> None:
+    """Call write(staging), which writes MANIFEST_FILE first, on a fresh
+    sibling directory, then swap it in for out_dir: a failed write leaves no
+    partial output and the old tree as it was, and a rewrite replaces the
+    old tree. check_output_dir runs before anything is written."""
+    check_output_dir(out_dir)
     staging, trash = _siblings(out_dir)
     if staging.exists():
         shutil.rmtree(staging)
@@ -650,8 +681,7 @@ def _write_dir_atomically(out_dir: Path, marker: str, write) -> None:
             shutil.rmtree(trash)
         out_dir.rename(trash)
     staging.rename(out_dir)
-    # also when there was no out_dir: a crash between the two renames leaves
-    # <out>.old, and a state directory's copy holds deleted documents' records
+    # also when there was no out_dir: a crash between the two renames leaves <out>.old
     if trash.exists():
         shutil.rmtree(trash)
 
@@ -687,4 +717,4 @@ def export_kb(kb: KnowledgeBase, out_dir: str | Path) -> None:
                 staging / "users.emb", kb.space.user_ids, kb.space.user_vectors, "user"
             )
 
-    _write_dir_atomically(Path(out_dir), MANIFEST_FILE, write)
+    _write_dir_atomically(Path(out_dir), write)

@@ -1040,8 +1040,9 @@ class TestConflation:
         assert not merges(7, 8)  # a shared word: the Jaccard of the words not shared
 
     def test_names_merge_on_double_spaced_keys_from_a_state_file(self, tmp_path):
-        """A saved key is not normalized again on load, so its name can hold
-        two spaces in a row."""
+        """A saved key's surface must be normalized, so a state file whose
+        keys hold two spaces in a row fails to load; on such names
+        _names_merge still decides as the reference does."""
         from kbmine import pipeline
 
         keys = ["data  lake", "data lake", "data-lake", "lake  data", "falcon  works",
@@ -1052,10 +1053,12 @@ class TestConflation:
             "acronyms": [], "definitions": [],
         }
         (tmp_path / pipeline.STATE_FILE).write_text(json.dumps(line) + "\n")
-        state = pipeline.PipelineState.load(tmp_path)
-        surfaces = [c.norm_surface for c in state.store.candidates.values()]
-        assert surfaces == keys
-        self.assert_names_merge_is_reference(surfaces, set())
+        with pytest.raises(
+            ValueError,
+            match=r"^corrupt state: documents.jsonl line 1: ledger key 'data  lake\|\|product' ",
+        ):
+            pipeline.PipelineState.load(tmp_path)
+        self.assert_names_merge_is_reference(keys, set())
 
 
 class TestEmbeddingExport:

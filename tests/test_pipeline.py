@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kbmine import cardbuild, cli, corpus, defmine, nertag, pipeline, topicrank
 from kbmine.corpus import Document
@@ -832,6 +833,24 @@ class TestParseLedger:
             assert parsed == expected
             assert json.dumps(parsed) == json.dumps(expected)  # 1 and 1.0 differ here
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.text(), st.text(" |.-aB\u00df\u0130\u2163")),
+        st.one_of(st.text(min_size=1), st.text("|a ", min_size=1)),
+    )
+    def test_every_key_extraction_builds_passes_the_key_check(self, surface, entity_type):
+        """No saved state is refused for its keys: a key candidate_key builds
+        from a surface that normalizes and an entity type LabelSet accepts
+        loads, and splits back into that surface's normal form and type."""
+        try:
+            nertag.LabelSet([entity_type])
+            key = topicrank.candidate_key(surface, entity_type)
+        except ValueError:
+            assume(False)
+        ledger = pipeline._parse_ledger({key: {"titles": 0, "surfaces": {surface: 1}}})
+        assert list(ledger) == [key]
+        assert key.rpartition(nertag.KEY_SEP)[::2] == (topicrank.normalize_key(surface), entity_type)
+
     def test_repeated_strings_are_interned_across_lines(self):
         lines = [
             '{"falcon||product": {"titles": 1, "surfaces": {"Falcon": 2, "falcon": 1}}}',
@@ -976,8 +995,11 @@ class TestStatePersistence:
             lambda line: line.update(acronyms={"Atlas Engine": "AE"}),
             lambda line: line.update(acronyms=[["Atlas Engine"]]),
             lambda line: line.update(acronyms=["AE"]),
+            lambda line: line.update(acronyms=[["...", "AE"]]),
+            lambda line: line.update(acronyms=[["Atlas Engine", "()"]]),
         ],
-        ids=["missing", "not_a_list", "short_pair", "not_a_pair"],
+        ids=["missing", "not_a_list", "short_pair", "not_a_pair",
+             "long_form_normalizes_to_empty", "acronym_normalizes_to_empty"],
     )
     def test_bad_acronyms_are_corrupt(self, models, tmp_path, edit):
         state_dir = _saved_state(models, tmp_path / "state")
@@ -1009,6 +1031,14 @@ class TestStatePersistence:
             lambda lines: lines["d1"].update(length=0),
             lambda lines: lines["d1"].update(length=True),
             lambda lines: lines["d1"].update(length=12.0),
+            *(
+                lambda lines, key=key: lines["d2"]["ledger"].update(
+                    {key: {"titles": 0, "surfaces": {"Contoso Falcon": 1}}}
+                )
+                for key in ["Not Normalized", "contoso falcon||", "Contoso Falcon||product",
+                            "contoso  falcon||product", " contoso falcon||product", "||product",
+                            "...||product"]
+            ),
         ],
         ids=[
             "entry_not_object",
@@ -1025,6 +1055,13 @@ class TestStatePersistence:
             "doc_length_zero",
             "doc_length_bool",
             "doc_length_float",
+            "key_without_key_sep",
+            "key_type_empty",
+            "key_upper_case",
+            "key_two_spaces",
+            "key_edge_space",
+            "key_surface_empty",
+            "key_surface_normalizes_to_empty",
         ],
     )
     def test_ledger_contents_are_checked(self, config, models, tmp_path, capsys, edit):
@@ -1152,7 +1189,36 @@ class TestStatePersistence:
         monkeypatch.undo()
         assert _tree_bytes(tmp_path / "state") == before
         assert sorted(PipelineState.load(tmp_path / "state").documents) == ["d1"]
-        assert not (tmp_path / "state.staging").exists()
+        assert [p.name for p in (tmp_path / "state").iterdir()] == [pipeline.STATE_FILE]
+
+    def test_save_fsyncs_the_file_before_the_replace_and_the_directory_after(
+        self, models, tmp_path, monkeypatch
+    ):
+        state_dir = _saved_state(models, tmp_path / "state")
+        state = PipelineState.load(state_dir)
+        state.remove_document("d2")
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            st_ = os.fstat(fd)
+            calls.append(("fsync", "dir" if stat.S_ISDIR(st_.st_mode) else "file", st_.st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        state.save(state_dir)
+        monkeypatch.undo()
+        assert calls == [
+            ("fsync", "file", (state_dir / pipeline.STATE_FILE).stat().st_ino),
+            ("replace", pipeline.STATE_FILE + ".tmp", pipeline.STATE_FILE),
+            ("fsync", "dir", state_dir.stat().st_ino),
+        ]
+        assert sorted(PipelineState.load(state_dir).documents) == ["d1"]
 
 
 class TestExport:
@@ -1716,6 +1782,7 @@ class TestCli:
             ("entity_types", ["product", "product"]),
             ("entity_types", [""]),
             ("corpus_path", 7),
+            ("entity_types", ["|x"]),  # its keys would split as type "x"
         ],
     )
     def test_config_type_error_exits_2(self, config, tmp_path, capsys, key, value):
@@ -2010,17 +2077,16 @@ class TestCli:
         "command, flag, marker",
         [
             ("mine", "--out", pipeline.MANIFEST_FILE),
-            ("mine", "--state", pipeline.STATE_FILE),
             ("export", "--out", pipeline.MANIFEST_FILE),
         ],
-        ids=["mine_out", "mine_state", "export_out"],
+        ids=["mine_out", "export_out"],
     )
     def test_directory_of_other_files_is_not_replaced(
         self, config, models, tmp_path, capsys, monkeypatch, command, flag, marker
     ):
-        """Writing a KB or a state replaces its whole directory, so a
-        non-empty directory without the file that writer writes is refused
-        with one line before any work, and every file in it survives."""
+        """Writing a KB replaces its whole directory, so a non-empty
+        directory without the file that writer writes is refused with one
+        line before any work, and every file in it survives."""
         data = tmp_path / "data"
         data.mkdir()
         corpus_path = self._two_doc_corpus(data)
@@ -2081,35 +2147,153 @@ class TestCli:
         for rel in manifest["cards"].values():
             assert (out / rel).is_file()
 
+    @pytest.mark.parametrize("kill_at", ["mid_write", "after_replace"])
+    def test_update_killed_mid_save_leaves_a_state_the_next_update_reads(
+        self, config, models, tmp_path, kill_at
+    ):
+        """An update killed while it writes documents.jsonl.tmp leaves the old
+        documents.jsonl byte for byte; one killed after the replace, before
+        the directory fsync, leaves the new one. Either way the next update
+        exits 0 and removes the leftover temporary file, and no <state>.old
+        or <state>.staging ever exists."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        before = (state_dir / pipeline.STATE_FILE).read_bytes()
+        cfg_path = self.write_config(tmp_path, config)
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(
+            {"kind": "upsert", "document": asdict(make_doc("d3", "Atlas Engine"))}
+        ) + "\n")
+        args = ["update", "--config", str(cfg_path), "--state", str(state_dir),
+                "--events", str(events)]
+        # SIGKILL, as a crash or an OOM kill would end it: on the second
+        # record written, or right after the replace
+        hook = {
+            "mid_write": (
+                "to_line, records = pipeline.DocRecord.to_line, []\n"
+                "def killing_to_line(rec):\n"
+                "    records.append(rec)\n"
+                "    if len(records) == 2:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return to_line(rec)\n"
+                "pipeline.DocRecord.to_line = killing_to_line\n"
+            ),
+            "after_replace": (
+                "replace = os.replace\n"
+                "def killing_replace(src, dst):\n"
+                "    replace(src, dst)\n"
+                "    os.kill(os.getpid(), signal.SIGKILL)\n"
+                "os.replace = killing_replace\n"
+            ),
+        }[kill_at]
+        code = (
+            "import os, signal, sys\n"
+            "from kbmine import cli, pipeline\n"
+            + hook
+            + "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = Path(pipeline.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+        assert child.returncode == -signal.SIGKILL
+        assert [p.name for p in tmp_path.glob("state*")] == ["state"]
+        if kill_at == "mid_write":
+            assert (state_dir / pipeline.STATE_FILE).read_bytes() == before
+            assert (state_dir / (pipeline.STATE_FILE + ".tmp")).is_file()
+            expected = ["d1", "d2"]
+        else:
+            expected = ["d1", "d2", "d3"]
+        assert sorted(PipelineState.load(state_dir).documents) == expected
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
+        assert cli.main(args) == cli.EXIT_OK
+        assert sorted(PipelineState.load(state_dir).documents) == expected[1:]
+        assert [p.name for p in state_dir.iterdir()] == [pipeline.STATE_FILE]
+        assert [p.name for p in tmp_path.glob("state*")] == ["state"]
+
+    @pytest.mark.parametrize("state_arg", ["data", "."], ids=["other_files", "working_directory"])
+    def test_state_is_written_into_a_directory_of_other_files(
+        self, config, tmp_path, monkeypatch, state_arg
+    ):
+        """A save replaces only documents.jsonl, so mine and update write it
+        into a --state directory that holds other files, or is the working
+        directory, and leave every other file there byte for byte."""
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        (data / "notes.txt").write_bytes(b"keep me\n")
+        (data / "sub" / pipeline.STATE_FILE).write_bytes(b"not this state\n")
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
+        monkeypatch.chdir(data if state_arg == "." else tmp_path)
+        before = _tree_bytes(data)
+        flags = ["--config", str(cfg_path), "--state", state_arg]
+        assert cli.main(["mine", *flags]) == cli.EXIT_OK
+        assert sorted(PipelineState.load(data).documents) == ["d0", "d1"]
+        assert cli.main(["update", *flags, "--events", str(events)]) == cli.EXIT_OK
+        assert sorted(PipelineState.load(data).documents) == ["d0"]
+        after = _tree_bytes(data)
+        assert after.pop(pipeline.STATE_FILE)
+        assert after == before
+        assert [p.name for p in tmp_path.glob("data*")] == ["data"]
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda line: line["ledger"].update(
+                {"Not Normalized": {"titles": 0, "surfaces": {"Not Normalized": 1}}}),
+             "ledger key 'Not Normalized' is not a normalized surface, '||' and an entity type"),
+            (lambda line: line.update(acronyms=[["...", "CF"]]),
+             "bad acronym pair: ['...', 'CF']"),
+        ],
+        ids=["ledger_key_without_type", "acronym_long_form_normalizes_to_empty"],
+    )
+    def test_state_no_extraction_writes_exits_2_on_load(
+        self, config, models, tmp_path, capsys, edit, reason
+    ):
+        """A ledger key or an acronym pair that no extraction writes is a
+        corrupt state line: export exits 2 naming the file and line before
+        it builds anything."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        _edit_state(state_dir, lambda lines: edit(lines["d2"]))
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"), min_topic_score=0.0
+        )
+        capsys.readouterr()
+        rc = cli.main(["export", "--config", str(cfg_path), "--state", str(state_dir)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: corrupt state: documents.jsonl line 2: {reason}\n"
+        )
+        assert not (tmp_path / "kb").exists()
+
     @pytest.mark.parametrize("suffix, kind", [(".staging", "dir"), (".old", "file")])
     @pytest.mark.parametrize(
         "command, flag, marker",
         [
             ("mine", "--out", pipeline.MANIFEST_FILE),
-            ("mine", "--state", pipeline.STATE_FILE),
-            ("update", "--state", pipeline.STATE_FILE),
             ("export", "--out", pipeline.MANIFEST_FILE),
         ],
-        ids=["mine_out", "mine_state", "update_state", "export_out"],
+        ids=["mine_out", "export_out"],
     )
     def test_sibling_of_other_files_is_not_replaced(
         self, config, models, tmp_path, capsys, monkeypatch, command, flag, marker, suffix, kind
     ):
-        """The write replaces <out>.staging and <out>.old as well as <out>,
+        """A KB write replaces <out>.staging and <out>.old as well as <out>,
         so either one that holds something other than an earlier output is
         refused with one line before any work, and its file survives."""
-        events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
         cfg_path = self.write_config(
             tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
             output_dir=str(tmp_path / "kb"),
         )
         args = {"--config": cfg_path}
-        if command != "mine":
+        if command == "export":
             args["--state"] = _saved_state(models, tmp_path / "state")
-        if command == "update":
-            args["--events"] = events
-        target = tmp_path / ("state" if command == "update" else "out")
+        target = tmp_path / "out"
         args[flag] = target
         sibling = tmp_path / (target.name + suffix)
         if kind == "dir":
@@ -2119,7 +2303,7 @@ class TestCli:
             kept = sibling
         kept.write_bytes(b"keep me\n")
         work = []
-        for name in ("run_full", "build_knowledge_base", "apply_update"):
+        for name in ("run_full", "build_knowledge_base"):
             monkeypatch.setattr(pipeline, name, lambda *a: work.append(a))
         before = _tree_bytes(tmp_path)
         capsys.readouterr()
@@ -2137,32 +2321,28 @@ class TestCli:
     @pytest.mark.parametrize("path", [".", ".."])
     @pytest.mark.parametrize(
         "command, flag",
-        [("mine", "--out"), ("mine", "--state"), ("export", "--out"), ("update", "--state")],
-        ids=["mine_out", "mine_state", "export_out", "update_state"],
+        [("mine", "--out"), ("export", "--out")],
+        ids=["mine_out", "export_out"],
     )
     def test_working_directory_is_not_replaced(
         self, config, models, tmp_path, capsys, monkeypatch, command, flag, path
     ):
-        """An output or state path that is the working directory, or holds
-        it, cannot be swapped out: refused with one line before any work,
-        leaving no staging directory behind."""
+        """An output path that is the working directory, or holds it, cannot
+        be swapped out: refused with one line before any work, leaving no
+        staging directory behind."""
         here = tmp_path / "work" / "here"
         here.mkdir(parents=True)
         (here / "notes.txt").write_text("keep me\n")
-        events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps({"kind": "delete", "doc_id": "d1"}) + "\n")
         cfg_path = self.write_config(
             tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
             output_dir=str(tmp_path / "kb"),
         )
         args = {"--config": cfg_path}
-        if command != "mine":
+        if command == "export":
             args["--state"] = _saved_state(models, tmp_path / "state")
-        if command == "update":
-            args["--events"] = events
         args[flag] = path
         work = []
-        for name in ("run_full", "build_knowledge_base", "apply_update"):
+        for name in ("run_full", "build_knowledge_base"):
             monkeypatch.setattr(pipeline, name, lambda *a: work.append(a))
         monkeypatch.chdir(here)
         before = _tree_bytes(tmp_path)
@@ -2209,9 +2389,9 @@ class TestCli:
     def test_overlapping_out_and_state_exit_2(
         self, config, models, tmp_path, capsys, command, out, state
     ):
-        """Writing the KB or the state swaps in a whole new tree, so an output
-        directory that is the state directory, or holds it or sits in it,
-        would lose the other: refused with one line before any work, and the
+        """An output directory that is the state directory, holds it or sits
+        in it is refused with one line before any work (writing the KB swaps
+        in a whole new tree, which would take a state in it along), and the
         saved state stays as it was."""
         cfg_path = self.write_config(
             tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
