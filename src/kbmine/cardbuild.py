@@ -13,8 +13,8 @@ SvdConfig.batch_size) whose bound fits the memory budget, and a test checks
 that bound against what tracemalloc sees NumPy allocate.
 
 Card assembly stays off O(K*D) Python loops: each related list is a partial
-top-k over one score vector, the rerank signals are asked for the recalled
-documents only, and conflation decides just the pairs at or above tau.
+top-k over one score vector, the recalled documents are reranked from the
+topic's BM25 column, and conflation decides just the pairs at or above tau.
 Conflation never holds the K x K relatedness matrix: it computes it twice
 over in row blocks of at most REL_BLOCK_ENTRIES entries (512 KiB) while K
 is at most 4096, and of REL_BLOCK_ALIGN rows past that, so its memory grows
@@ -26,8 +26,8 @@ more whose names _names_merge matches with its own, so no chain of aliases
 joins two topics whose names do not match. Each name is split into words,
 and each string's trigram set built, once per call. For two names that
 share no word, the words each has and the other lacks are all its words,
-so the guard takes the Jaccard of the two names' words joined by single
-spaces, which _name joins once.
+so the guard takes the Jaccard of the two names themselves, which
+normalize_key has single-spaced.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import logging
 import math
 import re
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -460,22 +459,24 @@ RERANK_WEIGHTS = {"bm25": 1.0, "title": 0.5, "recency": 0.2}
 
 
 def rerank_related_docs(
-    candidates: list[tuple[str, float]], signals: dict[str, dict]
+    candidates: list[tuple[str, float]], topic_docs: dict, timestamps: dict[str, float]
 ) -> list[tuple[str, float]]:
     """Rerank embedding-recalled documents by BM25, title presence and
-    recency. Stable: equal sort keys keep the embedding order."""
+    recency. topic_docs maps each document that has the topic to (BM25
+    weight, names it in a title), any other counting as (0.0, False).
+    Stable: equal sort keys keep the embedding order."""
     if not candidates:
         raise ValueError("no candidate documents")
-    bm25s = [signals[d].get("bm25", 0.0) for d, _ in candidates]
-    stamps = [signals[d].get("timestamp", 0.0) for d, _ in candidates]
-    max_bm25 = max(bm25s) or 1.0
+    signals = [topic_docs.get(d, (0.0, False)) for d, _ in candidates]
+    stamps = [timestamps[d] for d, _ in candidates]
+    max_bm25 = max(bm for bm, _ in signals) or 1.0
     lo, hi = min(stamps), max(stamps)
     span = (hi - lo) or 1.0
     scored = []
-    for (doc_id, _), bm, ts in zip(candidates, bm25s, stamps):
+    for (doc_id, _), (bm, titled), ts in zip(candidates, signals, stamps):
         s = (
             RERANK_WEIGHTS["bm25"] * bm / max_bm25
-            + RERANK_WEIGHTS["title"] * (1.0 if signals[doc_id].get("title") else 0.0)
+            + RERANK_WEIGHTS["title"] * (1.0 if titled else 0.0)
             + RERANK_WEIGHTS["recency"] * (ts - lo) / span
         )
         scored.append((doc_id, s))
@@ -527,12 +528,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def _name(surface: str) -> tuple[str, list[str], set[str], str, str]:
+def _name(surface: str) -> tuple[str, list[str], set[str], str]:
     """A topic name as _names_merge reads it: the name, its words, their
-    set, the name with spaces and hyphens dropped, and its words joined by
-    single spaces."""
+    set, and the name with spaces and hyphens dropped."""
     words = surface.split()
-    return surface, words, set(words), "".join(words).replace("-", ""), " ".join(words)
+    return surface, words, set(words), "".join(words).replace("-", "")
 
 
 def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams) -> bool:
@@ -541,14 +541,15 @@ def _names_merge(a: tuple, b: tuple, acronym_pairs: set[tuple[str, str]], grams)
     are dropped ("data lake", "data-lake"); or the words each has and the
     other lacks, joined, at a trigram Jaccard of TRIGRAM_THRESHOLD or more
     ("falcon", "falcons", but not "arbor gateway", "harbor gateway").
-    grams gives a string's trigram set."""
-    (na, wa, sa, ja, spa), (nb, wb, sb, jb, spb) = a, b
+    grams gives a string's trigram set. Names are normalized and
+    single-spaced, as normalize_key makes every key the loader accepts."""
+    (na, wa, sa, ja), (nb, wb, sb, jb) = a, b
     if (na, nb) in acronym_pairs or (nb, na) in acronym_pairs:
         return True
     if sa == sb or ja == jb:
         return True
     if sa.isdisjoint(sb):  # every word is its own
-        only_a, only_b = spa, spb
+        only_a, only_b = na, nb
     else:  # if one side has no words of its own, the two share no trigram
         only_a = " ".join([w for w in wa if w not in sb])
         only_b = " ".join([w for w in wb if w not in sa])
@@ -683,11 +684,12 @@ def build_card(
     acronyms: list[str],
     space: EmbeddingSpace,
     k: int,
-    doc_signals: Callable[[list[str]], dict[str, dict]],
+    topic_docs: dict,
+    timestamps: dict[str, float],
 ) -> TopicCard:
     """Assemble one topic card from ranked data and the embedding space.
-    doc_signals maps the doc ids the embedding recalls to their rerank
-    signals; it is asked for those documents only."""
+    The documents the embedding recalls are reranked from topic_docs and
+    timestamps (see rerank_related_docs)."""
     defs = sorted(definitions, key=lambda r: (-r.confidence, r.doc_id, r.sentence_index))
     def_texts = [r.sentence_text for r in defs[:MAX_DEFINITIONS]]
 
@@ -696,8 +698,7 @@ def build_card(
     doc_candidates = top_k_related(candidate.key, space, "doc", k * RECALL_FACTOR)
     related_docs = []
     if doc_candidates:
-        signals = doc_signals([d for d, _ in doc_candidates])
-        related_docs = rerank_related_docs(doc_candidates, signals)[:k]
+        related_docs = rerank_related_docs(doc_candidates, topic_docs, timestamps)[:k]
 
     alt = sorted(set(aliases) | set(acronyms))
     return TopicCard(

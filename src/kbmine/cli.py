@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 bad input (config file, event file, saved state, a
 model, score, pattern, lexicon or abbreviation file that the command reads,
 an unreadable input path, an output directory that pipeline.check_output_dir
 refuses, a state path that is not a directory, or output and state
-directories that overlap), 3 stage failure. Each command reads only the
-model inputs it uses (see pipeline.Models), so a bad file fails only a
-command that reads it.
+directories that overlap, as an export swaps out its whole directory and a
+KB at <state>/documents.jsonl.tmp would fail every later save), 3 stage
+failure. Each command reads only the model inputs it uses (see
+pipeline.Models), so a bad file fails only a command that reads it.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _load_state(args, writes_kb=False):
 def _check_apart(out_dir, state_dir) -> None:
     """ValueError if the output and state directories are one directory or
     one holds the other: an export swaps out the output directory's whole
-    tree, so a state in it would go with it. (A save touches only the
-    state directory's documents.jsonl.)"""
+    tree, so a state in it would go with it, and a save writes the state's
+    documents.jsonl.tmp, so a KB there fails every later update ("Is a
+    directory") until it is moved."""
     out, state = Path(out_dir).resolve(), Path(state_dir).resolve()
     if out == state or out in state.parents or state in out.parents:
         raise ValueError(f"output directory {out_dir} and state directory {state_dir} overlap")

@@ -536,6 +536,7 @@ def build_knowledge_base(
         acro_by_norm.setdefault(topicrank.normalize_key(long_form), []).append(acro)
 
     by_topic = matrix.matrix.transpose()  # column i is topic i's row
+    timestamps = {doc_id: rec.timestamp for doc_id, rec in state.documents.items()}
     cards = []
     for canonical in sorted(conflation):
         cand = state.store.candidates[canonical]
@@ -551,8 +552,12 @@ def build_knowledge_base(
         for ns in sorted(norm_surfaces):
             acronyms.extend(acro_by_norm.get(ns, []))
 
+        # the documents in the topic's BM25 column: each has the topic in its ledger
         docs, weights = by_topic.column(space.topic_index[canonical])
-        bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in docs), weights))
+        topic_docs = {
+            doc_id: (w, state.documents[doc_id].ledger[canonical]["titles"] > 0)
+            for doc_id, w in zip((matrix.doc_ids[j] for j in docs), weights)
+        }
         cards.append(
             cardbuild.build_card(
                 cand,
@@ -561,25 +566,11 @@ def build_knowledge_base(
                 acronyms,
                 space,
                 config.card_k,
-                functools.partial(_doc_signals, state, canonical, bm25_by_doc),
+                topic_docs,
+                timestamps,
             )
         )
     return KnowledgeBase(cards=cards, manifest=manifest, space=space)
-
-
-def _doc_signals(
-    state: PipelineState, key: str, bm25_by_doc: dict, doc_ids: list[str]
-) -> dict[str, dict]:
-    """Rerank signals of the given documents on key's card: its BM25 weight
-    there, whether it names key in a title, and the document's timestamp."""
-    return {
-        doc_id: {
-            "bm25": bm25_by_doc.get(doc_id, 0.0),
-            "title": state.documents[doc_id].ledger.get(key, {}).get("titles", 0) > 0,
-            "timestamp": state.documents[doc_id].timestamp,
-        }
-        for doc_id in doc_ids
-    }
 
 
 def _corpus_snapshot_id(state: PipelineState) -> str:

