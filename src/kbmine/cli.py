@@ -5,9 +5,9 @@ model, score, pattern, lexicon or abbreviation file that the command reads,
 an unreadable input path, an output directory that pipeline.check_output_dir
 refuses, a state path that is not a directory, or output and state
 directories that overlap, as an export swaps out its whole directory and a
-KB at <state>/documents.jsonl.tmp would fail every later save), 3 stage
-failure. Each command reads only the model inputs it uses (see
-pipeline.Models), so a bad file fails only a command that reads it.
+KB at <state>/documents.jsonl.tmp would fail every later save), 3 an SVD
+memory budget below its least (pipeline.StageError). A command reads only
+its model inputs (see pipeline.Models): a bad file fails only its readers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import cardbuild, corpus, defmine, nertag, pipeline, topicrank
+from . import corpus, defmine, nertag, pipeline, topicrank
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,10 +158,7 @@ def cmd_refresh(args) -> int:
 
 def cmd_export(args) -> int:
     cfg, models, state = _load_state(args, writes_kb=True)
-    try:
-        kb = pipeline.build_knowledge_base(state, cfg, models)
-    except cardbuild.MemoryBudgetError as exc:  # reported as `mine` reports it
-        raise pipeline.StageError("build", exc) from exc
+    kb = pipeline.build_knowledge_base(state, cfg, models)
     pipeline.export_kb(kb, cfg.output_dir)
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
     return EXIT_OK

@@ -89,14 +89,25 @@ def parse_doc_id(value) -> str:
         raise ValueError(f"doc_id is {value!r}, not a string or an integer")
     if value == "":
         raise ValueError("doc_id is empty")
-    return str(value)
+    return _encodable(str(value), "doc_id")
 
 
 def _text(obj: dict, key: str) -> str:
-    """obj[key] if it is a string by has_type; else ValueError."""
+    """obj[key] if it is an encodable string by has_type; else ValueError."""
     if not has_type(obj[key], str):
         raise ValueError(f"{key} is {obj[key]!r}, not a string")
-    return obj[key]
+    return _encodable(obj[key], key)
+
+
+def _encodable(text: str, key: str) -> str:
+    """text if UTF-8 can encode it, else ValueError: a JSON escape such as
+    "\\ud800" decodes to a lone surrogate. isascii() is O(1), so ASCII is free."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{key} holds a lone surrogate, which UTF-8 cannot encode") from None
+    return text
 
 
 def parse_source(obj: dict) -> tuple[str, str, float]:
@@ -175,6 +186,12 @@ def read_records(path: str | Path, parse, what: str, decode=decode_json) -> Iter
         yield item
 
 
+def read_corpus(path: str | Path) -> Iterator[tuple[int, Document | None, str | None]]:
+    """The one corpus reader, lazy: (line number, Document, None) for each valid
+    record in file order, or (line number, None, reason) for a bad line."""
+    return _parse_lines(path, parse_document, decode_json)
+
+
 def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
     """Load a corpus file. A malformed line or invalid record becomes an
     IngestError and the load continues past it; a later record with the
@@ -182,7 +199,7 @@ def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
     position)."""
     docs: dict[str, Document] = {}
     errors: list[IngestError] = []
-    for lineno, doc, reason in _parse_lines(path, parse_document, decode_json):
+    for lineno, doc, reason in read_corpus(path):
         if reason is None:
             docs[doc.doc_id] = doc
         else:

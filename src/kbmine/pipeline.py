@@ -1,5 +1,5 @@
-"""End-to-end orchestration: batch runs, semi-streaming updates and
-deletions, ranking refresh, and knowledge-base export.
+"""End-to-end orchestration: semi-streaming updates and deletions, batch
+runs (an update from an empty state), ranking refresh and KB export.
 
 Deletion is exact: every fact in the state belongs to one document, in that
 document's one frozen DocRecord. The record keeps only what a rebuild reads,
@@ -39,9 +39,10 @@ class ConfigError(ValueError):
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
+    """The SVD's MemoryBudgetError: the one failure neither bad input nor a bug."""
+
+    def __init__(self, cause: Exception):
+        super().__init__(f"stage 'build' failed: {cause}")
         self.cause = cause
 
 
@@ -437,8 +438,7 @@ def _normal_form(surface: str) -> str | None:
 
 
 def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> PipelineState:
-    """Apply one event. An upsert of a document marked deleted removes that
-    document, as a batch run skips a corpus record marked deleted."""
+    """Apply one event. An upsert of a document marked deleted removes it."""
     if event.kind == "delete":
         if not state.remove_document(event.doc_id):
             logger.warning("delete of unknown doc_id %r ignored", event.doc_id)
@@ -503,7 +503,10 @@ def build_knowledge_base(
     svd_config = cardbuild.SvdConfig(
         rank=rank, oversampling=oversampling, memory_budget=config.memory_budget, seed=config.seed
     )
-    topic_vecs, doc_vecs, _, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
+    try:
+        topic_vecs, doc_vecs, _, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
+    except cardbuild.MemoryBudgetError as exc:
+        raise StageError(exc) from exc
     manifest["svd_peak_bytes"] = peak
 
     authorship: dict[str, list[str]] = {}
@@ -581,32 +584,19 @@ def _corpus_snapshot_id(state: PipelineState) -> str:
 
 
 def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
-    """Batch run: ingest, per-document extraction, ranking, embeddings, cards.
-    A failure raises StageError naming its stage, except a ValueError or
-    OSError from ingest, extract or build: bad input or a path that cannot
-    be read, such as the corpus or a model or score file read on its first
-    use there, which passes as it is."""
-    try:
-        models = Models.load(config)
-    except Exception as exc:
-        raise StageError("load_models", exc) from exc
+    """Batch run: an update from an empty state. Each valid corpus record
+    is applied as an upsert, in file order, so a later record with the same
+    doc_id replaces an earlier one and a record marked deleted removes its
+    document; a bad line is logged and skipped. Then ranking, embeddings
+    and cards. Each record is dropped once it is applied."""
+    models = Models.load(config)
     state = PipelineState()
-    stage = "ingest"
-    try:
-        docs, errors = corpus.ingest_jsonl(config.corpus_path)
-        for err in errors:
-            logger.warning("corpus line %d skipped: %s", err.line_number, err.reason)
-        stage = "extract"
-        for doc in docs:
-            if not doc.deleted:
-                state.process_document(doc, models)
-        stage = "build"
-        kb = build_knowledge_base(state, config, models)
-    except (ValueError, OSError):
-        raise
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-    return state, kb
+    for lineno, doc, reason in corpus.read_corpus(config.corpus_path):
+        if reason is None:
+            apply_update(state, UpdateEvent("upsert", document=doc), models)
+        else:
+            logger.warning("corpus line %d skipped: %s", lineno, reason)
+    return state, build_knowledge_base(state, config, models)
 
 
 def read_events(path: str | Path):

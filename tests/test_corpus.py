@@ -66,8 +66,9 @@ class TestIngest:
             (True, "doc_id is True, not a string or an integer"),
             (1.5, "doc_id is 1.5, not a string or an integer"),
             ("", "doc_id is empty"),
+            ("d\ud800", "doc_id holds a lone surrogate, which UTF-8 cannot encode"),
         ],
-        ids=["string", "integer", "null", "bool", "float", "empty"],
+        ids=["string", "integer", "null", "bool", "float", "empty", "lone_surrogate"],
     )
     def test_doc_id_rule(self, tmp_path, doc_id, expected):
         path = tmp_path / "c.jsonl"
@@ -86,9 +87,10 @@ class TestIngest:
             ({"deleted": "false"}, "deleted is 'false', not a bool"),
             ({"deleted": 0}, "deleted is 0, not a bool"),
             ({"timestamp": True}, "timestamp is not a finite number"),
+            ({"body": "B\udfff"}, "body holds a lone surrogate, which UTF-8 cannot encode"),
         ],
         ids=["null_title", "number_body", "null_author", "number_author", "text_deleted",
-             "number_deleted", "bool_timestamp"],
+             "number_deleted", "bool_timestamp", "lone_surrogate_body"],
     )
     def test_document_fields_follow_the_input_rule(self, tmp_path, edit, reason):
         """Text fields are strings, deleted is a bool, and a timestamp is

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import urllib.parse
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -374,11 +375,25 @@ class TestRunFull:
         assert kb.cards
         assert kb.manifest["svd_peak_bytes"] <= err.minimum
 
-    def test_missing_models_is_stage_error(self, tmp_path):
+    def test_keeps_no_earlier_document_alive(self, config, monkeypatch):
+        """run_full reads the corpus one record at a time: when a document is
+        extracted, no earlier document is still alive."""
+        extract, earlier = pipeline.extract, []
+
+        def watched(doc, models):
+            assert [ref for ref in earlier if ref() is not None] == []
+            earlier.append(weakref.ref(doc))
+            return extract(doc, models)
+
+        monkeypatch.setattr(pipeline, "extract", watched)
+        state, _ = run_full(config)
+        assert len(earlier) == len(state.documents) > 1
+
+    def test_missing_models_is_config_error(self, tmp_path):
         cfg = PipelineConfig(corpus_path=str(tmp_path / "x.jsonl"))
-        with pytest.raises(StageError) as exc:
+        with pytest.raises(pipeline.ConfigError) as exc:
             run_full(cfg)
-        assert exc.value.stage == "load_models"
+        assert str(exc.value) == "config needs either tagger_model or score_file"
 
     @pytest.mark.parametrize("key", ["corpus_path", "tagger_model"])
     def test_missing_input_exits_2(self, key, config, tmp_path, capsys):
@@ -597,24 +612,34 @@ class TestIncrementalEquivalence:
 
     def test_deleted_upsert_replay_matches_batch(self, config, models, tmp_path):
         # a record marked deleted drops a live document, is a no-op for an
-        # unknown one, and a later live record brings its document back
+        # unknown one, and a later live record brings its document back; a
+        # later record with another body replaces an earlier one, and a bad
+        # line is skipped
         records = [
             make_doc("d1", "Contoso Falcon"),
             make_doc("d2", "Atlas Engine"),
+            make_doc("d4", "Quantum Mesh"),
             replace(make_doc("d1", "Contoso Falcon"), deleted=True),
             replace(make_doc("d3", "Quantum Mesh"), deleted=True),
             replace(make_doc("d2", "Atlas Engine"), deleted=True),
             make_doc("d2", "Atlas Engine", ts=5.0),
+            make_doc("d4", "Contoso Falcon", body_extra="Contoso Falcon ships.", ts=6.0),
         ]
+        lines = [json.dumps(asdict(d)) for d in records]
+        lines.insert(3, "{not json")
         path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(json.dumps(asdict(d)) + "\n" for d in records))
+        path.write_text("".join(line + "\n" for line in lines))
         batch_state, _ = run_full(replace(config, corpus_path=str(path)))
         streamed = PipelineState()
         for doc in records:
             apply_update(streamed, UpdateEvent(kind="upsert", document=doc), models)
-        assert sorted(streamed.documents) == sorted(batch_state.documents) == ["d2"]
+        assert sorted(streamed.documents) == sorted(batch_state.documents) == ["d2", "d4"]
+        assert "contoso falcon||product" in streamed.documents["d4"].ledger
         assert streamed.documents == batch_state.documents
         assert streamed.store.snapshot() == batch_state.store.snapshot()
+        streamed.save(tmp_path / "streamed")
+        batch_state.save(tmp_path / "batch")
+        assert _tree_bytes(tmp_path / "streamed") == _tree_bytes(tmp_path / "batch")
 
     @settings(max_examples=50, deadline=None)
     @given(_replay_docs, _replay_ops)
@@ -1517,6 +1542,8 @@ class TestCli:
                     ({"title": None}, "title is None, not a string"),
                     ({"author_id": 7}, "author_id is 7, not a string"),
                     ({"deleted": "false"}, "deleted is 'false', not a bool"),
+                    ({"doc_id": "d9\ud800"},
+                     "doc_id holds a lone surrogate, which UTF-8 cannot encode"),
                 ]
             ),
         ],
@@ -1525,6 +1552,7 @@ class TestCli:
             "null_doc_id", "text_nan_timestamp", "text_inf_timestamp",
             "overflowing_float_timestamp", "nan_timestamp", "overflowing_int_timestamp",
             "bool_timestamp", "null_title", "number_author", "text_deleted",
+            "lone_surrogate_doc_id",
         ],
     )
     def test_bad_event_exits_2_and_keeps_state(
@@ -1622,6 +1650,34 @@ class TestCli:
             "corrupt_tagger": f"error: tagger model {model}: ",
             "corrupt_ranker": f"error: ranker model {model}: missing key 'learning_rate'\n",
         }[bad])
+        assert not (tmp_path / "kb").exists() and not (tmp_path / "state").exists()
+
+    def test_mine_extracts_superseded_records(self, tmp_path, capsys):
+        """mine applies each record as an upsert, a superseded one too: a
+        first record of d0 whose score rows do not fit its tokens fails mine
+        with exit 2 naming the document and sentence, though a later record
+        of d0 fits them, and nothing is written."""
+        o, b, i = [-0.01, -6.0, -6.0], [-6.0, -0.01, -6.0], [-6.0, -6.0, -0.01]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps(
+            {"doc_id": "d0", "sentence_index": 1, "scores": [o, o, b, i, o, o]}
+        ) + "\n")
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps(asdict(Document("d0", "Notes", body, "u1", ts))) + "\n"
+            for body, ts in [("We shipped the Contoso Falcon today.", 1.0),  # 7 tokens
+                             ("We shipped Contoso Falcon today.", 2.0)]  # 6 tokens
+        ))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus_path": str(corpus_path), "score_file": str(scores),
+            "entity_types": ["product"], "output_dir": str(tmp_path / "kb"),
+        }))
+        rc = cli.main(["mine", "--config", str(cfg_path), "--state", str(tmp_path / "state")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: doc_id 'd0' sentence_index 1: the score file gives 6 rows for its 7 tokens\n"
+        )
         assert not (tmp_path / "kb").exists() and not (tmp_path / "state").exists()
 
     def test_export_and_refresh_read_only_the_ranker(self, config, full_run, tmp_path, capsys):
@@ -2327,15 +2383,18 @@ class TestCli:
              "ledger key 'Not Normalized' is not a normalized surface, '||' and an entity type"),
             (lambda line: line.update(acronyms=[["...", "CF"]]),
              "bad acronym pair: ['...', 'CF']"),
+            (lambda line: line.update(doc_id="d2\ud800"),
+             "doc_id holds a lone surrogate, which UTF-8 cannot encode"),
         ],
-        ids=["ledger_key_without_type", "acronym_long_form_normalizes_to_empty"],
+        ids=["ledger_key_without_type", "acronym_long_form_normalizes_to_empty",
+             "lone_surrogate_doc_id"],
     )
     def test_state_no_extraction_writes_exits_2_on_load(
         self, config, models, tmp_path, capsys, edit, reason
     ):
-        """A ledger key or an acronym pair that no extraction writes is a
-        corrupt state line: export exits 2 naming the file and line before
-        it builds anything."""
+        """A ledger key, an acronym pair or a doc_id that no extraction
+        writes is a corrupt state line: export exits 2 naming the file and
+        line before it builds anything."""
         state_dir = _saved_state(models, tmp_path / "state")
         _edit_state(state_dir, lambda lines: edit(lines["d2"]))
         cfg_path = self.write_config(
@@ -2618,12 +2677,12 @@ class TestCli:
         assert cli.main(["mine", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_stage_failure_exits_3(self, tmp_path, capsys):
-        # no tagger model and no score file -> model loading stage fails
+    def test_missing_models_exits_2(self, tmp_path, capsys):
+        # no tagger model and no score file: a config error, as under update and export
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"corpus_path": str(tmp_path / "c.jsonl")}))
-        assert cli.main(["mine", "--config", str(path)]) == cli.EXIT_STAGE
-        assert "load_models" in capsys.readouterr().err
+        assert cli.main(["mine", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_train_defclassifier(self, tmp_path):
         from helpers import make_definition_rows
