@@ -1,13 +1,14 @@
-"""Command-line interface.
+"""Command-line interface: each command builds its config, loads its models
+where it needs them, makes one library call and prints. The state commands
+run pipeline.mine_corpus, update_state and export_state, which hold every
+rule on --out and --state paths.
 
 Exit codes: 0 success, 2 bad input (config file, event file, saved state, a
 model, score, pattern, lexicon or abbreviation file that the command reads,
-an unreadable input path, an output directory that pipeline.check_output_dir
-refuses, a state path that is not a directory, or output and state
-directories that overlap, as an export swaps out its whole directory and a
-KB at <state>/documents.jsonl.tmp would fail every later save), 3 an SVD
-memory budget below its least (pipeline.StageError). A command reads only
-its model inputs (see pipeline.Models): a bad file fails only its readers.
+an unreadable input path, or an --out or --state path that pipeline
+refuses), 3 an SVD memory budget below its least (pipeline.StageError). A
+command reads only its model inputs (see pipeline.Models): a bad file fails
+only its readers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from . import corpus, defmine, nertag, pipeline, topicrank
 
@@ -42,28 +42,6 @@ def _load_config(args) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig.from_file(args.config, **overrides)
 
 
-def _load_state(args, writes_kb=False):
-    """(config, models, saved state) for the commands that work on --state.
-    With writes_kb, output and state directories that overlap, and an
-    output directory that check_output_dir refuses, are refused first."""
-    cfg = _load_config(args)
-    if writes_kb:
-        _check_apart(cfg.output_dir, args.state)
-        pipeline.check_output_dir(cfg.output_dir)
-    return cfg, pipeline.Models.load(cfg), pipeline.PipelineState.load(args.state)
-
-
-def _check_apart(out_dir, state_dir) -> None:
-    """ValueError if the output and state directories are one directory or
-    one holds the other: an export swaps out the output directory's whole
-    tree, so a state in it would go with it, and a save writes the state's
-    documents.jsonl.tmp, so a KB there fails every later update ("Is a
-    directory") until it is moved."""
-    out, state = Path(out_dir).resolve(), Path(state_dir).resolve()
-    if out == state or out in state.parents or state in out.parents:
-        raise ValueError(f"output directory {out_dir} and state directory {state_dir} overlap")
-
-
 def _add_config(parser, *flags):
     """--config plus the given config-overriding flags: the ones the command reads."""
     parser.add_argument("--config", help="JSON config file")
@@ -77,7 +55,8 @@ def cmd_ingest(args) -> int:
     docs, errors = corpus.ingest_jsonl(cfg.corpus_path)
     for err in errors:
         print(f"line {err.line_number}: {err.reason}", file=sys.stderr)
-    print(f"{len(docs)} documents, {len(errors)} errors")
+    live = sum(not doc.deleted for doc in docs)  # a document's last record may delete it
+    print(f"{live} documents, {len(errors)} errors")
     return EXIT_OK
 
 
@@ -123,43 +102,29 @@ def cmd_train_defclassifier(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg = _load_config(args)
-    # refused before the batch runs, not after
-    if args.state:
-        _check_apart(cfg.output_dir, args.state)
-    pipeline.check_output_dir(cfg.output_dir)
-    if args.state and Path(args.state).exists() and not Path(args.state).is_dir():
-        raise ValueError(f"{args.state} exists and is not a directory")
-    state, kb = pipeline.run_full(cfg)
-    if args.state:
-        state.save(args.state)
-    pipeline.export_kb(kb, cfg.output_dir)
+    kb = pipeline.mine_corpus(cfg, args.state)
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
     return EXIT_OK
 
 
 def cmd_update(args) -> int:
-    _, models, state = _load_state(args)  # a missing or unreadable state fails before any event
-    n = 0
-    for event in pipeline.read_events(args.events):
-        pipeline.apply_update(state, event, models)
-        n += 1
-    state.save(args.state)
-    print(f"applied {n} events")
+    models = pipeline.Models.load(_load_config(args))
+    print(f"applied {pipeline.update_state(args.state, args.events, models)} events")
     return EXIT_OK
 
 
 def cmd_refresh(args) -> int:
-    cfg, models, state = _load_state(args)
-    ranked = pipeline.rank_refresh(state, cfg, models)
+    cfg = _load_config(args)
+    models = pipeline.Models.load(cfg)
+    ranked = pipeline.rank_refresh(pipeline.PipelineState.load(args.state), cfg, models)
     for key, score in ranked.entries:
         print(f"{score:.4f}\t{key}")
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    cfg, models, state = _load_state(args, writes_kb=True)
-    kb = pipeline.build_knowledge_base(state, cfg, models)
-    pipeline.export_kb(kb, cfg.output_dir)
+    cfg = _load_config(args)
+    kb = pipeline.export_state(args.state, cfg, pipeline.Models.load(cfg))
     print(f"{len(kb.cards)} cards written to {cfg.output_dir}")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import check_record, has_type, parse_doc_id, read_records
+from .corpus import _encodable, check_record, has_type, parse_doc_id, read_records
 
 DEFAULT_ENTITY_TYPES = (
     "person",
@@ -436,6 +436,8 @@ def read_tagger_data(
         for key in ("tokens", "labels"):
             if not (isinstance(obj[key], list) and all(isinstance(x, str) for x in obj[key])):
                 raise ValueError(f"{key} is not a list of strings")
+        for token in obj["tokens"]:
+            _encodable(token, "tokens")
         unknown = [lab for lab in obj["labels"] if lab not in labelset.labels]
         if unknown:
             raise ValueError(f"label {unknown[0]!r} is not in the label set")

@@ -43,7 +43,6 @@ class StageError(RuntimeError):
 
     def __init__(self, cause: Exception):
         super().__init__(f"stage 'build' failed: {cause}")
-        self.cause = cause
 
 
 @dataclass
@@ -437,16 +436,18 @@ def _normal_form(surface: str) -> str | None:
         return None
 
 
-def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> PipelineState:
-    """Apply one event. An upsert of a document marked deleted removes it."""
+def apply_update(state: PipelineState, event: UpdateEvent, models: Models) -> bool:
+    """Apply one event; False if it changed nothing: a delete, or an upsert
+    marked deleted, of an unknown doc_id. An upsert marked deleted removes."""
     if event.kind == "delete":
         if not state.remove_document(event.doc_id):
             logger.warning("delete of unknown doc_id %r ignored", event.doc_id)
+            return False
     elif event.document.deleted:
-        state.remove_document(event.document.doc_id)
+        return state.remove_document(event.document.doc_id)
     else:
         state.process_document(event.document, models)
-    return state
+    return True
 
 
 def rank_refresh(state: PipelineState, config: PipelineConfig, models: Models):
@@ -599,6 +600,44 @@ def run_full(config: PipelineConfig) -> tuple[PipelineState, KnowledgeBase]:
     return state, build_knowledge_base(state, config, models)
 
 
+def mine_corpus(config: PipelineConfig, state_dir: str | Path | None = None) -> KnowledgeBase:
+    """kbmine mine: run_full, then save the state to state_dir, if given,
+    and export the KB. check_output_dir refuses the paths before any work."""
+    check_output_dir(config.output_dir, state_dir)
+    state, kb = run_full(config)
+    if state_dir:
+        state.save(state_dir)
+    export_kb(kb, config.output_dir)
+    return kb
+
+
+def update_state(state_dir: str | Path, events_path: str | Path, models: Models,
+                 on_event=None) -> int:
+    """kbmine update: apply each event to the saved state, in file order,
+    then save it; returns the event count. A missing or unreadable state
+    fails before any event, and a bad event line before the save. After each
+    event, on_event(event, changed, seconds): apply_update's result and wall
+    time."""
+    state = PipelineState.load(state_dir)
+    n = 0
+    for n, event in enumerate(read_events(events_path), 1):
+        start = time.perf_counter()
+        changed = apply_update(state, event, models)
+        if on_event is not None:
+            on_event(event, changed, time.perf_counter() - start)
+    state.save(state_dir)
+    return n
+
+
+def export_state(state_dir: str | Path, config: PipelineConfig, models: Models) -> KnowledgeBase:
+    """kbmine export: build the KB from the saved state and export it.
+    check_output_dir refuses the paths before the state is read."""
+    check_output_dir(config.output_dir, state_dir)
+    kb = build_knowledge_base(PipelineState.load(state_dir), config, models)
+    export_kb(kb, config.output_dir)
+    return kb
+
+
 def read_events(path: str | Path):
     """JSONL event stream: {"kind": "upsert", "document": {...}} or
     {"kind": "delete", "doc_id": "..."}. A bad line raises ValueError
@@ -622,13 +661,20 @@ def _siblings(out_dir: Path) -> tuple[Path, Path]:
     return out_dir.parent / (out_dir.name + ".staging"), out_dir.parent / (out_dir.name + ".old")
 
 
-def check_output_dir(out_dir: str | Path) -> None:
+def check_output_dir(out_dir: str | Path, state_dir: str | Path | None = None) -> None:
     """ValueError if out_dir, a KB directory that export_kb swaps out whole,
     is the working directory or holds it; or if out_dir, or the
     <out>.staging or <out>.old that the swap also replaces, exists and is
     not a directory, or is a non-empty directory without MANIFEST_FILE: it
     is then no earlier export, and replacing it would lose what it holds.
-    Callers check before any work whose result goes there."""
+    With state_dir, first if the two overlap (the swap would take a state in
+    out_dir along, and a KB at <state>/STATE_FILE.tmp fails every later
+    save), and last if state_dir exists and is not a directory. Callers
+    check before any work whose result goes there."""
+    if state_dir:
+        out, state = Path(out_dir).resolve(), Path(state_dir).resolve()
+        if out == state or out in state.parents or state in out.parents:
+            raise ValueError(f"output directory {out_dir} and state directory {state_dir} overlap")
     out_dir = Path(out_dir)
     resolved, cwd = out_dir.resolve(), Path.cwd().resolve()
     if resolved == cwd or resolved in cwd.parents:
@@ -640,6 +686,8 @@ def check_output_dir(out_dir: str | Path) -> None:
             raise ValueError(
                 f"{path} is not empty and has no {MANIFEST_FILE}, so it is not replaced"
             )
+    if state_dir and Path(state_dir).exists() and not Path(state_dir).is_dir():
+        raise ValueError(f"{state_dir} exists and is not a directory")
 
 
 def _write_dir_atomically(out_dir: Path, write) -> None:

@@ -365,7 +365,7 @@ class TestRunFull:
     def test_named_minimum_budget_suffices(self, config):
         with pytest.raises(StageError) as exc:
             run_full(replace(config, memory_budget=1000))
-        err = exc.value.cause
+        err = exc.value.__cause__
         assert isinstance(err, cardbuild.MemoryBudgetError)
         assert str(err) == (
             f"memory budget 1000 bytes too small; minimum feasible budget is {err.minimum} bytes"
@@ -570,6 +570,69 @@ class TestUpdates:
         events = list(read_events(path))
         assert events[0].kind == "upsert" and events[0].document.doc_id == "d1"
         assert events[1].kind == "delete" and events[1].doc_id == "d1"
+
+
+class TestUpdateState:
+    def _write_events(self, path, events):
+        path.write_text("".join(
+            (e if isinstance(e, str) else json.dumps(e)) + "\n" for e in events
+        ))
+        return path
+
+    def test_on_event_sees_every_event_in_file_order(self, models, tmp_path):
+        """on_event gets each event in file order, whether it changed the
+        state (False only for a delete, or a deleted-marked upsert, of a
+        never-added id) and apply_update's wall time; the count is returned."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        events = [
+            {"kind": "upsert", "document": asdict(make_doc("d3", "Quantum Mesh"))},
+            {"kind": "delete", "doc_id": "ghost"},
+            {"kind": "upsert", "document": asdict(replace(make_doc("ghost2", "Atlas Engine"),
+                                                          deleted=True))},
+            {"kind": "delete", "doc_id": "d2"},
+            {"kind": "upsert", "document": asdict(replace(make_doc("d1", "Contoso Falcon"),
+                                                          deleted=True))},
+            {"kind": "upsert", "document": asdict(make_doc("d1", "Atlas Engine"))},
+        ]
+        path = self._write_events(tmp_path / "events.jsonl", events)
+        seen = []
+        n = pipeline.update_state(state_dir, path, models,
+                                  on_event=lambda *args: seen.append(args))
+        assert n == len(events) == len(seen)
+        assert [(e.kind, e.doc_id or e.document.doc_id) for e, _, _ in seen] == [
+            ("upsert", "d3"), ("delete", "ghost"), ("upsert", "ghost2"),
+            ("delete", "d2"), ("upsert", "d1"), ("upsert", "d1"),
+        ]
+        assert [changed for _, changed, _ in seen] == [True, False, False, True, True, True]
+        assert all(seconds >= 0 for _, _, seconds in seen)
+        assert sorted(PipelineState.load(state_dir).documents) == ["d1", "d3"]
+
+    def test_no_hook_and_no_events(self, models, tmp_path):
+        state_dir = _saved_state(models, tmp_path / "state")
+        path = self._write_events(tmp_path / "events.jsonl", [])
+        assert pipeline.update_state(state_dir, path, models) == 0
+        assert sorted(PipelineState.load(state_dir).documents) == ["d1", "d2"]
+
+    @pytest.mark.parametrize("bad_line", [1, 2, 4])
+    def test_bad_line_saves_nothing(self, models, tmp_path, bad_line):
+        """With a bad line N, the state file keeps its bytes and on_event saw
+        exactly the N-1 events before it."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        before = _tree_bytes(state_dir)
+        events = [
+            {"kind": "delete", "doc_id": "d1"},
+            {"kind": "upsert", "document": asdict(make_doc("d3", "Quantum Mesh"))},
+            {"kind": "delete", "doc_id": "d2"},
+            {"kind": "delete", "doc_id": "d3"},
+        ]
+        events[bad_line - 1] = "{not json"
+        path = self._write_events(tmp_path / "events.jsonl", events)
+        seen = []
+        with pytest.raises(ValueError, match=f"line {bad_line}"):
+            pipeline.update_state(state_dir, path, models,
+                                  on_event=lambda *args: seen.append(args))
+        assert len(seen) == bad_line - 1
+        assert _tree_bytes(state_dir) == before
 
 
 def _replay_doc(i: int, variant: int) -> Document:
@@ -2671,6 +2734,16 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert "200 documents, 0 errors" in capsys.readouterr().out
 
+    def test_ingest_counts_live_documents(self, tmp_path, capsys):
+        """A document whose last record is marked deleted is not counted,
+        as mine keeps no document for it."""
+        path = tmp_path / "corpus.jsonl"
+        records = [make_doc("d1", "Atlas Engine"), make_doc("d2", "Contoso Falcon"),
+                   replace(make_doc("d1", "Atlas Engine"), deleted=True)]
+        path.write_text("".join(json.dumps(asdict(doc)) + "\n" for doc in records))
+        assert cli.main(["ingest", "--corpus", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "1 documents, 0 errors\n"
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus_key": 1}))
@@ -2741,10 +2814,11 @@ class TestCli:
             ({"tokens": ["Ada"], "labels": ["I-person"]}, "labels are not a BIO-valid sequence"),
             ({"tokens": ["Ada", "Lovelace"], "labels": ["B-person"]}, "tokens and labels must align"),
             ("{not json", "invalid JSON"),
+            ({"tokens": ["a\ud800"], "labels": ["O"]}, "tokens holds a lone surrogate"),
         ],
         ids=[
             "missing_labels", "list_row", "text_tokens", "unknown_label", "bio_invalid",
-            "misaligned", "invalid_json",
+            "misaligned", "invalid_json", "lone_surrogate_token",
         ],
     )
     def test_bad_tagger_data_exits_2(self, tmp_path, capsys, row, reason):
