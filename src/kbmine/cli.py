@@ -67,10 +67,8 @@ def cmd_train_tagger(args) -> int:
     )
     model = nertag.train_tagger(data, cfg)
     model.save(args.model)
-    print(
-        f"trained on {len(data)} sentences, final loss {model.final_training_loss:.4f}, "
-        f"stored {len(model.rows)} of {model.hash_dim} weight rows"
-    )
+    print(f"trained on {len(data)} sentences, final loss {model.final_training_loss:.4f}, "
+          f"stored {len(model.rows)} of {model.hash_dim} weight rows")
     return EXIT_OK
 
 
@@ -96,7 +94,8 @@ def cmd_train_defclassifier(args) -> int:
         rows, defmine.ClassifierConfig(seed=args.seed)
     )
     model.save(args.model)
-    print(f"trained on {len(rows)} sentences")
+    print(f"trained on {len(rows)} sentences, "
+          f"stored {len(model.rows)} of {model.hash_dim} weight rows")
     return EXIT_OK
 
 

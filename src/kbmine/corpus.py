@@ -161,13 +161,19 @@ def read_json(path: str | Path):
 def _parse_lines(path: str | Path, parse, decode) -> Iterator[tuple[int, object, str | None]]:
     """The one line loop: (line number, parse(decode(line)), None) for each
     non-blank line, in file order, or (line number, None, reason) for a line
-    that decode or parse rejects with ValueError (json.JSONDecodeError is
-    one)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    that is not valid UTF-8 (surrogateescape reads a bad byte as a lone
+    surrogate, which UTF-8 cannot encode) or that decode or parse rejects
+    with ValueError (json.JSONDecodeError is one)."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError("line is not valid UTF-8") from None
                 yield lineno, parse(decode(line)), None
             except json.JSONDecodeError as exc:
                 yield lineno, None, f"invalid JSON: {exc.msg}"
@@ -210,13 +216,8 @@ def ingest_jsonl(path: str | Path) -> tuple[list[Document], list[IngestError]]:
 def read_word_list(path) -> set[str]:
     """The one word-list format: one entry per line, stripped and
     lowercased; blank lines and lines starting with '#' or ';' are skipped."""
-    words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith(("#", ";")):
-                words.add(word.lower())
-    return words
+    entries = read_records(path, str.strip, f"word list {path}", decode=str)
+    return {word.lower() for word in entries if not word.startswith(("#", ";"))}
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:

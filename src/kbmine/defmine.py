@@ -5,7 +5,7 @@ opinion filtering, composed over one document's sentences by mine_definitions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from operator import attrgetter
@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Sentence, check_record, has_type, read_json, read_records, read_word_list
 # split_sentences is unused here, but bench/tracing.py patches this binding
 from .corpus import split_sentences  # noqa: F401
-from .nertag import check_weights, hash_features, read_npz
+from .nertag import TrainConfig, fit_hashed, hash_features, read_npz, read_weights
 from .topicrank import normalize_key
 
 
@@ -208,63 +208,55 @@ class ClassifierConfig:
 
 
 class LinearClassifier:
-    """Multinomial logistic regression over hashed uni/bigram features."""
+    """Multinomial logistic regression over hashed uni/bigram features,
+    stored as nertag.TaggerModel is: the nonzero rows of (hash_dim, 5) weights."""
 
-    def __init__(self, weights: np.ndarray, hash_dim: int):
-        self.weights = weights  # (hash_dim, 5)
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, hash_dim: int):
+        self.rows = rows  # (n_rows,) strictly increasing ints in [0, hash_dim)
+        self.weights = weights  # (n_rows, 5)
         self.hash_dim = hash_dim
 
-    def _logits(self, text: str) -> np.ndarray:
-        return self.weights[hash_features(_ngram_features(text), self.hash_dim)].sum(axis=0)
-
     def classify(self, text: str) -> tuple[DefinitionCategory, float]:
-        logits = self._logits(text)
+        # the stored rows of text's ids, in ascending id order, sum bitwise as
+        # the dense rows do: a zero row adds +0.0, and trained weights hold no -0.0
+        ids = hash_features(_ngram_features(text), self.hash_dim)
+        pos = np.searchsorted(self.rows, ids)
+        inside = pos < len(self.rows)
+        pos, ids = pos[inside], ids[inside]
+        logits = self.weights[pos[self.rows[pos] == ids]].sum(axis=0)
         z = logits - logits.max()
         probs = np.exp(z) / np.exp(z).sum()
         k = int(np.argmax(probs))
         return CATEGORIES[k], float(probs[k])
 
     def save(self, path: str | Path) -> None:
-        np.savez(path, weights=self.weights, hash_dim=self.hash_dim)
+        np.savez(path, rows=self.rows, weights=self.weights, hash_dim=self.hash_dim)
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearClassifier":
-        """ValueError names the file and what is wrong with it."""
-        data = read_npz(path, ("weights", "hash_dim"), "classifier model")
-        shape = (data["hash_dim"], len(CATEGORIES))
-        check_weights(path, data["weights"], shape, "classifier model")
-        return cls(weights=data["weights"], hash_dim=data["hash_dim"])
+        """ValueError names the file and what is wrong with it (see nertag.read_weights)."""
+        what = "classifier model"
+        data = read_npz(path, ("weights", "hash_dim"), what)
+        return cls(*read_weights(path, data, len(CATEGORIES), what), data["hash_dim"])
 
 
 def train_sentence_classifier(
     rows: list[tuple[str, DefinitionCategory]], config: ClassifierConfig | None = None
 ) -> LinearClassifier:
+    """nertag.fit_hashed on cross-entropy, its focal loss at gamma 0, over
+    each row's hashed uni/bigram features. Deterministic per seed."""
     if not rows:
         raise ValueError("no training rows")
     if len({cat for _, cat in rows}) < 2:
         raise ValueError("need at least two categories in training data")
     config = config or ClassifierConfig()
-    cat_index = {c: i for i, c in enumerate(CATEGORIES)}
-    rng = np.random.default_rng(config.seed)
-
     examples = [
-        (hash_features(_ngram_features(text), config.hash_dim), cat_index[cat])
+        (hash_features(_ngram_features(text), config.hash_dim), CATEGORIES.index(cat))
         for text, cat in rows
     ]
-
-    weights = np.zeros((config.hash_dim, len(CATEGORIES)))
-    order = np.arange(len(examples))
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for ex in order:
-            idx, gold = examples[ex]
-            logits = weights[idx].sum(axis=0)
-            z = logits - logits.max()
-            probs = np.exp(z) / np.exp(z).sum()
-            grad = probs.copy()
-            grad[gold] -= 1.0
-            weights[idx] -= config.learning_rate * grad
-    return LinearClassifier(weights, config.hash_dim)
+    sgd = TrainConfig(gamma=0.0, **asdict(config))
+    stored, weights, _ = fit_hashed(examples, len(CATEGORIES), sgd)
+    return LinearClassifier(stored, weights, config.hash_dim)
 
 
 # ---------------------------------------------------------------------------

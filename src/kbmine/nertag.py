@@ -282,8 +282,7 @@ class TaggerModel:
     @classmethod
     def from_dense(cls, weights: np.ndarray, labelset: LabelSet) -> "TaggerModel":
         """The model that stores the nonzero rows of a dense weight matrix."""
-        rows = np.flatnonzero(weights.any(axis=1))
-        return cls(rows, weights[rows], labelset, len(weights))
+        return cls(*nonzero_rows(weights), labelset, len(weights))
 
     @cached_property
     def _padded_weights(self) -> np.ndarray:
@@ -331,21 +330,15 @@ class TaggerModel:
         return out
 
     def save(self, path: str | Path) -> None:
-        np.savez(
-            path,
-            rows=self.rows,
-            weights=self.weights,
-            entity_types=np.array(self.labelset.entity_types),
-            hash_dim=self.hash_dim,
-        )
+        types = np.array(self.labelset.entity_types)
+        np.savez(path, rows=self.rows, weights=self.weights, entity_types=types,
+                 hash_dim=self.hash_dim)
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
-        """ValueError names the file and what is wrong with it. A file
-        without rows holds the dense (hash_dim, n_labels) matrix, as tagger
-        files did before; it loads as the model of its nonzero rows."""
+        """ValueError names the file and what is wrong with it (see read_weights)."""
         what = "tagger model"
-        data = read_npz(path, ("weights", "entity_types", "hash_dim"), what, optional=("rows",))
+        data = read_npz(path, ("weights", "entity_types", "hash_dim"), what)
         types = data["entity_types"]
         try:
             if types.ndim != 1:
@@ -353,31 +346,20 @@ class TaggerModel:
             labelset = LabelSet(types.tolist())
         except ValueError as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
-        weights, hash_dim = data["weights"], data["hash_dim"]
-        if "rows" not in data:
-            check_weights(path, weights, (hash_dim, len(labelset)), what)
-            return cls.from_dense(weights, labelset)
-        rows = data["rows"]
-        if not (
-            rows.ndim == 1
-            and rows.dtype.kind in "iu"
-            and (rows.size == 0 or (rows[0] >= 0 and rows[-1] < hash_dim))
-            and not (rows[1:] <= rows[:-1]).any()
-        ):
-            raise ValueError(
-                f"{what} {path}: rows are not strictly increasing integers in [0, {hash_dim})"
-            )
-        check_weights(path, weights, (len(rows), len(labelset)), what)
-        return cls(rows, weights, labelset, hash_dim)
+        return cls(*read_weights(path, data, len(labelset), what), labelset, data["hash_dim"])
 
 
-def read_npz(
-    path: str | Path, keys: tuple[str, ...], what: str, optional: tuple[str, ...] = ()
-) -> dict:
-    """The named arrays of an .npz model file, read without pickle, and
-    those of optional that it holds. keys include hash_dim, which comes
-    back as a Python int; ValueError names the file and the first missing
-    key, or a hash_dim that is not an int >= 1."""
+def nonzero_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights[rows]), rows the ascending numbers of weights' nonzero rows."""
+    rows = np.flatnonzero(weights.any(axis=1))
+    return rows, weights[rows]
+
+
+def read_npz(path: str | Path, keys: tuple[str, ...], what: str) -> dict:
+    """The named arrays of an .npz model file, read without pickle, and its
+    rows if it holds them. keys include hash_dim, which comes back as a
+    Python int; ValueError names the file and the first missing key, or a
+    hash_dim that is not an int >= 1."""
     try:
         # np.load leaks the file it opens when a zip is truncated; this one closes
         with open(path, "rb") as fh:
@@ -387,7 +369,7 @@ def read_npz(
             missing = [k for k in keys if k not in data.files]
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")
-            out = {k: data[k] for k in (*keys, *optional) if k in data.files}
+            out = {k: data[k] for k in (*keys, "rows") if k in data.files}
         hash_dim = out["hash_dim"].item() if out["hash_dim"].ndim == 0 else None
         if not (has_type(hash_dim, int) and hash_dim >= 1):
             raise ValueError("hash_dim is not an integer >= 1")
@@ -397,9 +379,23 @@ def read_npz(
         raise ValueError(f"{what} {path}: {exc}") from None
 
 
-def check_weights(path: str | Path, weights: np.ndarray, shape: tuple, what: str) -> None:
-    """ValueError unless a loaded weight matrix has the shape its other keys
-    give and holds finite numbers only."""
+def read_weights(path: str | Path, data: dict, width: int, what: str) -> tuple:
+    """(rows, weights) of a model file's read_npz data: ValueError names the
+    file unless rows are strictly increasing ints in [0, hash_dim) and
+    weights their (len(rows), width) finite numbers. A file without rows,
+    as saved before, holds the dense (hash_dim, width) matrix: it loads as
+    its nonzero_rows, which score bitwise as the dense matrix does."""
+    weights, hash_dim, rows = data["weights"], data["hash_dim"], data.get("rows")
+    if rows is not None and not (
+        rows.ndim == 1
+        and rows.dtype.kind in "iu"
+        and (rows.size == 0 or (rows[0] >= 0 and rows[-1] < hash_dim))
+        and not (rows[1:] <= rows[:-1]).any()
+    ):
+        raise ValueError(
+            f"{what} {path}: rows are not strictly increasing integers in [0, {hash_dim})"
+        )
+    shape = (hash_dim if rows is None else len(rows), width)
     if weights.shape != shape:
         raise ValueError(f"{what} {path}: weights have shape {weights.shape}, not {shape}")
     if weights.dtype.kind not in "iuf":
@@ -407,6 +403,7 @@ def check_weights(path: str | Path, weights: np.ndarray, shape: tuple, what: str
     # a finite sum has finite terms; only a sum that overflows needs the full test
     if not (math.isfinite(weights.sum()) or np.isfinite(weights).all()):
         raise ValueError(f"{what} {path}: weights hold a NaN or infinite value")
+    return nonzero_rows(weights) if rows is None else (rows, weights)
 
 
 @dataclass
@@ -453,7 +450,7 @@ def train_tagger(
     config: TrainConfig | None = None,
     entity_types=DEFAULT_ENTITY_TYPES,
 ) -> TaggerModel:
-    """SGD on per-token focal loss over hashed features. Deterministic per seed."""
+    """fit_hashed on per-token focal loss over hashed features. Deterministic per seed."""
     if not data:
         raise ValueError("training data is empty")
     config = config or TrainConfig()
@@ -463,16 +460,29 @@ def train_tagger(
         if not labelset.is_valid_sequence(ordinals):
             raise ValueError(f"gold sequence is not BIO-valid: {sent.labels}")
 
-    # dense while it trains: a model that stores every row numbers them by hash id
-    weights = np.zeros((config.hash_dim, len(labelset)))
-    model = TaggerModel(np.arange(config.hash_dim), weights, labelset, config.hash_dim)
-    rng = np.random.default_rng(config.seed)
+    # a model that stores every row numbers them by hash id; only len(dense) is read
+    dense = np.zeros((config.hash_dim, len(labelset)))
+    model = TaggerModel(np.arange(config.hash_dim), dense, labelset, config.hash_dim)
 
     # a token's stored ids are the entries below the zero row, hash_dim here
     ids = model.feature_ids([(sent.tokens, sent.from_title) for sent in data])
     labels = [labelset.index(label) for sent in data for label in sent.labels]
     examples = [(row[row < config.hash_dim], gold) for row, gold in zip(ids, labels)]
 
+    rows, weights, final_loss = fit_hashed(examples, len(labelset), config)
+    model = TaggerModel(rows, weights, labelset, config.hash_dim)
+    model.final_training_loss = final_loss
+    return model
+
+
+def fit_hashed(examples: list, width: int, config: TrainConfig) -> tuple:
+    """The one training loop of a hashed-weights model: per-example SGD on
+    the focal loss (cross-entropy at gamma 0) of a softmax over the summed
+    rows of the example's ascending hash ids, over (ids, gold column)
+    examples in a new shuffle each epoch. Returns the trained (hash_dim,
+    width) matrix's nonzero_rows and the last epoch's mean loss."""
+    weights = np.zeros((config.hash_dim, width))
+    rng = np.random.default_rng(config.seed)
     order = np.arange(len(examples))
     final_loss = 0.0
     for _ in range(config.epochs):
@@ -486,10 +496,7 @@ def train_tagger(
             total += loss
             weights[idx] -= config.learning_rate * grad
         final_loss = total / len(examples)
-
-    model = TaggerModel.from_dense(weights, labelset)
-    model.final_training_loss = final_loss
-    return model
+    return (*nonzero_rows(weights), final_loss)
 
 
 def score_tokens(

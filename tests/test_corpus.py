@@ -126,6 +126,24 @@ class TestIngest:
             "1 documents, 1 errors\n", "line 1: timestamp is not a finite number\n"
         )
 
+    def test_line_that_is_not_utf8_is_reported_and_skipped(self, tmp_path, capsys):
+        """A bad byte fails its own line only, named by number, and CRLF
+        line ends read as LF ones do."""
+        path = tmp_path / "c.jsonl"
+        record = '{"doc_id":"d%d","title":"T","body":"%s","author_id":"u1","timestamp":0}'
+        path.write_bytes(
+            (record % (1, "B") + "\n").encode()
+            + (record % (2, "B") + "\r\n").encode().replace(b'"B"', b'"B\xff"')
+            + (record % (3, "caf\u00e9") + "\r\n").encode("utf-8")
+        )
+        docs, errors = corpus.ingest_jsonl(path)
+        assert [(d.doc_id, d.body) for d in docs] == [("d1", "B"), ("d3", "caf\u00e9")]
+        assert errors == [IngestError(2, "line is not valid UTF-8")]
+        assert cli.main(["ingest", "--corpus", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr() == (
+            "2 documents, 1 errors\n", "line 2: line is not valid UTF-8\n"
+        )
+
     def test_ingest_twice_identical(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
@@ -272,6 +290,13 @@ class TestWordList:
         path.write_text("# comment\n; comment too\n\n  Dr.  \nE.G\nvs\n")
         assert corpus.read_word_list(path) == {"dr.", "e.g", "vs"}
         assert corpus.load_abbreviations(path) == frozenset({"dr", "e.g", "vs"})
+
+    def test_line_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"dire\nbad\xff\n")
+        with pytest.raises(ValueError) as exc:
+            corpus.read_word_list(path)
+        assert str(exc.value) == f"word list {path} line 2: line is not valid UTF-8"
 
 
 def peel_loop_tokenize(text):

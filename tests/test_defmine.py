@@ -298,6 +298,35 @@ class TestLinearClassifier:
         for t, _ in rows[:10]:
             assert loaded.classify(t) == model.classify(t)
 
+    @staticmethod
+    def save_dense(model, path):
+        """Save model as classifier files were saved before they stored only
+        their nonzero rows: the whole (hash_dim, 5) matrix."""
+        dense = np.zeros((model.hash_dim, len(defmine.CATEGORIES)))
+        dense[model.rows] = model.weights
+        np.savez(path, weights=dense, hash_dim=model.hash_dim)
+
+    def test_dense_file_loads_as_its_compact_save(self, tmp_path):
+        rows = make_definition_rows(200, seed=4)
+        model = train_sentence_classifier(rows, ClassifierConfig(epochs=3))
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        model.save(new)
+        self.save_dense(model, old)
+        compact, dense = defmine.LinearClassifier.load(new), defmine.LinearClassifier.load(old)
+        assert dense.rows.tolist() == compact.rows.tolist()
+        assert dense.weights.tobytes() == compact.weights.tobytes()
+        assert dense.hash_dim == compact.hash_dim
+        texts = [t for t, _ in rows] + ["Unseen zzyzx words.", " ".join(t for t, _ in rows[:50])]
+        for text in texts:
+            assert dense.classify(text) == compact.classify(text)
+
+    def test_saved_file_is_under_one_percent_of_dense(self, tmp_path):
+        model = train_sentence_classifier(make_definition_rows(500, seed=0))
+        compact, dense = tmp_path / "compact.npz", tmp_path / "dense.npz"
+        model.save(compact)
+        self.save_dense(model, dense)
+        assert compact.stat().st_size < 0.01 * dense.stat().st_size
+
 
 class TestMineDefinitions:
     def make_doc(self, body, doc_id="d1"):

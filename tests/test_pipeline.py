@@ -1643,6 +1643,31 @@ class TestCli:
         assert "config error" not in err
         assert _tree_bytes(state_dir) == before
 
+    def test_event_line_that_is_not_utf8_exits_2_and_keeps_state(
+        self, config, tmp_path, capsys
+    ):
+        cfg_path = self.write_config(
+            tmp_path, config, corpus_path=str(self._two_doc_corpus(tmp_path)),
+            output_dir=str(tmp_path / "kb"),
+        )
+        state_dir = tmp_path / "state"
+        assert cli.main(["mine", "--config", str(cfg_path), "--state", str(state_dir)]) == 0
+        before = _tree_bytes(state_dir)
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(
+            json.dumps({"kind": "delete", "doc_id": "d1"}).encode() + b"\n"
+            + json.dumps({"kind": "delete", "doc_id": "d2"}).encode().replace(b"d2", b"d\xff")
+            + b"\n"
+        )
+        capsys.readouterr()
+        rc = cli.main(
+            ["update", "--config", str(cfg_path), "--state", str(state_dir),
+             "--events", str(events)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: events line 2: line is not valid UTF-8\n"
+        assert _tree_bytes(state_dir) == before
+
     @pytest.mark.parametrize("n_rows", [5, 7])
     def test_misaligned_score_matrix_names_its_sentence(self, tmp_path, capsys, n_rows):
         """A score-file matrix with more or fewer rows than its sentence has
@@ -1770,7 +1795,8 @@ class TestCli:
         )
         # the files are good
         good = Models.load(PipelineConfig.from_file(cfg_path))
-        assert good.external_scores and good.patterns and good.classifier.weights.shape == (8, 5)
+        assert good.external_scores and good.patterns and good.classifier.weights.shape == (0, 5)
+        assert good.classifier.hash_dim == 8
         assert nertag.TaggerModel.load(files["tagger_model"]).labelset
 
         def run():
@@ -2184,6 +2210,18 @@ class TestCli:
                                    entity_types=np.array("product"), hash_dim=4),
                 "entity_types have shape (), not a list",
             ),
+            (
+                "update", "def_classifier",
+                lambda p: np.savez(p, rows=np.array([5, 2]), weights=np.zeros((2, 5)),
+                                   hash_dim=8),
+                "rows are not strictly increasing integers in [0, 8)",
+            ),
+            (
+                "update", "def_classifier",
+                lambda p: np.savez(p, rows=np.array([2, 5]), weights=np.zeros((3, 5)),
+                                   hash_dim=8),
+                "weights have shape (3, 5), not (2, 5)",
+            ),
         ],
         ids=[
             "tagger_without_entity_types", "tagger_weights_shape", "tagger_not_npz",
@@ -2196,7 +2234,8 @@ class TestCli:
             "tagger_rows_repeated", "tagger_rows_negative", "tagger_rows_past_hash_dim",
             "tagger_rows_float", "tagger_rows_2d", "tagger_compact_weights_shape",
             "tagger_type_with_key_sep", "tagger_type_repeated", "tagger_type_empty",
-            "tagger_types_not_a_list",
+            "tagger_types_not_a_list", "classifier_rows_decreasing",
+            "classifier_compact_weights_shape",
         ],
     )
     def test_bad_model_file_exits_2(
@@ -2771,6 +2810,19 @@ class TestCli:
         )
         assert rc == cli.EXIT_OK
         assert model_path.exists()
+
+    def test_train_defclassifier_reports_stored_rows(self, tmp_path, capsys):
+        data = tmp_path / "rows.csv"
+        data.write_text("Sufficient,Statistics is a branch of mathematics.\n"
+                        "Personal,Alice is a nurse at Acme.\n")
+        model_path = tmp_path / "clf.npz"
+        rc = cli.main(["train-defclassifier", "--data", str(data), "--model", str(model_path)])
+        assert rc == cli.EXIT_OK
+        model = defmine.LinearClassifier.load(model_path)
+        assert 0 < len(model.rows) < model.hash_dim
+        assert capsys.readouterr().out == (
+            f"trained on 2 sentences, stored {len(model.rows)} of {model.hash_dim} weight rows\n"
+        )
 
     def test_train_defclassifier_bad_category_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "rows.csv"
