@@ -153,9 +153,14 @@ def decode_json(text: str):
 
 
 def read_json(path: str | Path):
-    """decode_json of a UTF-8 file's text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_json(fh.read())
+    """decode_json of a UTF-8 file's text; a file that is not UTF-8 raises
+    ValueError giving the offset of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not valid UTF-8 at byte {exc.start}") from None
+    return decode_json(text)
 
 
 def _parse_lines(path: str | Path, parse, decode) -> Iterator[tuple[int, object, str | None]]:

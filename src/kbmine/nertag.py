@@ -241,9 +241,10 @@ def hash_features(feats: list[str], dim: int) -> np.ndarray:
 _MEMO_LIMIT = 1 << 16
 
 
-def _remember(memo: dict, key, value):
-    """memo[key] = value, clearing memo first when it is full; returns value."""
-    if len(memo) >= _MEMO_LIMIT:
+def remember(memo: dict, key, value, limit: int):
+    """memo[key] = value, clearing memo first when it holds limit entries;
+    returns value."""
+    if len(memo) >= limit:
         memo.clear()
     memo[key] = value
     return value
@@ -299,12 +300,12 @@ class TaggerModel:
         """word's memo entry, made on a miss."""
         rows = self._row_numbers(_feature_ids(_word_features(word), self.hash_dim))
         rows += (len(self.weights),) * (_WORD_WIDTH - len(rows))
-        return _remember(self._word_ids, word, rows)
+        return remember(self._word_ids, word, rows, _MEMO_LIMIT)
 
     def _context_rows(self, lower: str) -> tuple[int, int]:
         """lower's memo entry, made on a miss."""
         rows = self._row_numbers(_feature_ids(_context_features(lower), self.hash_dim))
-        return _remember(self._context_ids, lower, rows)
+        return remember(self._context_ids, lower, rows, _MEMO_LIMIT)
 
     def feature_ids(self, sentences: list[tuple[list[str], bool]]) -> np.ndarray:
         """(n_tokens, FEATURE_WIDTH) row numbers of a document's sentences,

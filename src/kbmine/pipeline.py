@@ -6,7 +6,9 @@ document's one frozen DocRecord. The record keeps only what a rebuild reads,
 each fact once: the doc_id, author and timestamp, the token length, the
 topic-counter contribution (title-mention and surface counts per topic key),
 the acronym pairs and the definitions. The document's title and body are
-read by extract alone and are not kept. A saved state line is that record as
+read by extract alone and are not kept in the record; the state's sentence
+memo holds sentence texts in memory for the state's life and never saves
+them. A saved state line is that record as
 written by DocRecord.to_line, and the topic candidates are derived from the
 records' contributions. An upsert runs extract to completion and then swaps
 the new record in, so a failed extraction leaves the state as it was.
@@ -96,8 +98,10 @@ class PipelineConfig:
         if path is not None:
             try:
                 data = corpus.read_json(path)
-            except (OSError, ValueError) as exc:
+            except OSError as exc:  # names the file
                 raise ConfigError(str(exc)) from None
+            except ValueError as exc:
+                raise ConfigError(f"config file {path}: {exc}") from None
             if not isinstance(data, dict):
                 raise ConfigError("config file does not hold a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
@@ -252,43 +256,28 @@ class DocRecord:
 STATE_KEYS = tuple(DocRecord.__dataclass_fields__)
 
 
-def extract(doc: corpus.Document, models: Models) -> DocRecord:
+# Entries a state's sentence memo may hold before it is cleared.
+_SENTENCE_MEMO_LIMIT = 4096
+
+
+def extract(doc: corpus.Document, models: Models, memo: dict | None = None) -> DocRecord:
     """The document's record; reads no state and writes none. The only
     reader of document text: one sentence split feeds the tagger, the
-    definition miner and the acronym extractor. The tagger scores all the
-    document's tokenized sentences in one call, and one call decodes them.
-    A score-file matrix whose row count is not its sentence's token count
-    raises ValueError naming the document and sentence."""
+    definition miner and the acronym extractor. memo maps a sentence's
+    (from_title, text) to its tagged token count and mentions, filled by
+    _tag; None tags every distinct sentence of the document. A score-file
+    matrix whose row count is not its sentence's token count raises
+    ValueError naming the document and sentence."""
     sentences = corpus.split_sentences(doc, models.abbreviations)
-    tokenized = [(sent, tokens) for sent in sentences if (tokens := corpus.tokenize(sent))]
-    tagged = tokenized
     if models.external_scores is None:
-        doc_scores = nertag.score_tokens(
-            models.tagger, [(tokens, sent.from_title) for sent, tokens in tokenized]
-        )
+        length, mentions = _tag(sentences, models, {} if memo is None else memo)
     else:
-        tagged, doc_scores = [], []
-        for sent, tokens in tokenized:
-            scores = models.external_scores.get((doc.doc_id, sent.index))
-            if scores is None:
-                continue
-            if len(scores) != len(tokens):
-                raise ValueError(
-                    f"doc_id {doc.doc_id!r} sentence_index {sent.index}: the score file "
-                    f"gives {len(scores)} rows for its {len(tokens)} tokens"
-                )
-            tagged.append((sent, tokens))
-            doc_scores.append(scores)
-    mentions: list[nertag.Mention] = []
-    for (sent, tokens), labels in zip(tagged, nertag.decode(doc_scores, models.labelset)):
-        mentions += nertag.extract_mentions(
-            tokens, labels, models.labelset, from_title=sent.from_title
-        )
+        length, mentions = _tag_from_scores(doc.doc_id, sentences, models)
     return DocRecord(
         doc_id=doc.doc_id,
         author_id=doc.author_id,
         timestamp=doc.timestamp,
-        length=max(1, sum(len(tokens) for _, tokens in tokenized)),
+        length=max(1, length),
         ledger=topicrank.contribution(mentions),
         acronyms=tuple(cardbuild.extract_acronym_aliases(s.text for s in sentences)),
         definitions=tuple(
@@ -297,12 +286,75 @@ def extract(doc: corpus.Document, models: Models) -> DocRecord:
     )
 
 
+def _tag(sentences: list[corpus.Sentence], models: Models, memo: dict) -> tuple[int, list]:
+    """The sentences' token count and mentions, in sentence order. A
+    sentence's (token count, mentions) is looked up in memo by (from_title,
+    text), which fix both; the distinct misses that have tokens are scored
+    in one nertag.score_tokens call and decoded in one nertag.decode call,
+    and every miss is remembered, at most _SENTENCE_MEMO_LIMIT entries."""
+    keys = [(sent.from_title, sent.text) for sent in sentences]
+    found = {}  # key -> (token count, mentions); memo may be cleared part way
+    todo = []  # (key, tokens) of each distinct miss that has tokens
+    for sent, key in zip(sentences, keys):
+        if key in found:
+            continue
+        hit = memo.get(key)
+        if hit is None:
+            tokens = corpus.tokenize(sent)
+            if tokens:
+                todo.append((key, tokens))
+            else:
+                hit = nertag.remember(memo, key, (0, ()), _SENTENCE_MEMO_LIMIT)
+        found[key] = hit
+    if todo:
+        labelset = models.labelset
+        doc_scores = nertag.score_tokens(models.tagger, [(t, key[0]) for key, t in todo])
+        for (key, tokens), labels in zip(todo, nertag.decode(doc_scores, labelset)):
+            mentions = nertag.extract_mentions(tokens, labels, labelset, from_title=key[0])
+            found[key] = nertag.remember(
+                memo, key, (len(tokens), tuple(mentions)), _SENTENCE_MEMO_LIMIT
+            )
+    tagged = [found[key] for key in keys]
+    return sum(n for n, _ in tagged), [m for _, mentions in tagged for m in mentions]
+
+
+def _tag_from_scores(
+    doc_id: str, sentences: list[corpus.Sentence], models: Models
+) -> tuple[int, list]:
+    """The sentences' token count and the mentions the score file's
+    matrices give, keyed by (doc_id, sentence index), decoded in one
+    nertag.decode call; a sentence the file does not score has none."""
+    tokenized = [(sent, tokens) for sent in sentences if (tokens := corpus.tokenize(sent))]
+    tagged, doc_scores = [], []
+    for sent, tokens in tokenized:
+        scores = models.external_scores.get((doc_id, sent.index))
+        if scores is None:
+            continue
+        if len(scores) != len(tokens):
+            raise ValueError(
+                f"doc_id {doc_id!r} sentence_index {sent.index}: the score file "
+                f"gives {len(scores)} rows for its {len(tokens)} tokens"
+            )
+        tagged.append((sent, tokens))
+        doc_scores.append(scores)
+    mentions: list[nertag.Mention] = []
+    for (sent, tokens), labels in zip(tagged, nertag.decode(doc_scores, models.labelset)):
+        mentions += nertag.extract_mentions(
+            tokens, labels, models.labelset, from_title=sent.from_title
+        )
+    return sum(len(tokens) for _, tokens in tokenized), mentions
+
+
 class PipelineState:
     """Everything needed to serve updates and rebuild the KB: one DocRecord
-    per live document, keyed by doc_id."""
+    per live document, keyed by doc_id. The state also holds extract's
+    sentence memo, which belongs to the Models of its last upsert, starts
+    empty, and is never saved."""
 
     def __init__(self):
         self.documents: dict[str, DocRecord] = {}
+        self._memo_models: Models | None = None
+        self._sentence_memo: dict = {}
 
     @functools.cached_property
     def store(self) -> topicrank.CandidateStore:
@@ -314,8 +366,11 @@ class PipelineState:
 
     def process_document(self, doc: corpus.Document, models: Models) -> None:
         """Upsert: extract runs to completion before the record is swapped
-        in, so a failed extraction leaves the state as it was."""
-        self.documents[doc.doc_id] = extract(doc, models)
+        in, so a failed extraction leaves the state as it was. Another
+        Models than the last upsert's starts a new sentence memo."""
+        if models is not self._memo_models:
+            self._memo_models, self._sentence_memo = models, {}
+        self.documents[doc.doc_id] = extract(doc, models, self._sentence_memo)
         self.__dict__.pop("store", None)
 
     def remove_document(self, doc_id: str) -> bool:

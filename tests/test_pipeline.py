@@ -380,10 +380,10 @@ class TestRunFull:
         extracted, no earlier document is still alive."""
         extract, earlier = pipeline.extract, []
 
-        def watched(doc, models):
+        def watched(doc, models, memo):
             assert [ref for ref in earlier if ref() is not None] == []
             earlier.append(weakref.ref(doc))
-            return extract(doc, models)
+            return extract(doc, models, memo)
 
         monkeypatch.setattr(pipeline, "extract", watched)
         state, _ = run_full(config)
@@ -894,6 +894,98 @@ class TestSplitOnce:
         kb = build_knowledge_base(state, cfg, models)
         assert "contoso falcon||product" in {c.key for c in kb.cards}
         assert "CF" not in {a for c in kb.cards for a in c.alternate_names}
+
+
+class TestSentenceMemo:
+    """A state tags each distinct (from_title, text) sentence once; the
+    records it keeps equal extract's without a memo."""
+
+    CASES = {
+        # the second document holds the first's body sentence twice
+        "repeat": [
+            Document("d1", "Notes", "Contoso Falcon shipped today.", "u1", 0.0),
+            Document("d2", "Notes", "Contoso Falcon shipped today. Contoso Falcon shipped today.",
+                     "u1", 0.0),
+        ],
+        # one text as the first document's title and the second's body
+        "title_and_body": [
+            Document("d1", "Contoso Falcon shipped today", "Notes follow.", "u1", 0.0),
+            Document("d2", "Notes", "Contoso Falcon shipped today", "u1", 0.0),
+        ],
+        "no_tokens": [make_doc("d1", "Contoso Falcon"), make_doc("d2", "Atlas Engine")],
+        # three distinct sentences each, against a limit of two
+        "limit_mid_document": [make_doc("d1", "Contoso Falcon"), make_doc("d2", "Atlas Engine")],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_warm_memo_records_equal_fresh_extract(self, models, monkeypatch, case):
+        docs = self.CASES[case]
+        plain = [pipeline.extract(doc, models) for doc in docs]
+        if case == "no_tokens":  # split_sentences never gives one; extract still takes it
+            split = corpus.split_sentences
+
+            def with_empty(doc, *args):
+                sentences = split(doc, *args)
+                return [*sentences[:1], corpus.Sentence(doc.doc_id, len(sentences), ""),
+                        *sentences[1:]]
+
+            monkeypatch.setattr(corpus, "split_sentences", with_empty)
+        fresh = [pipeline.extract(doc, models) for doc in docs]
+        assert all(rec.ledger for rec in fresh)
+        assert fresh == plain  # a sentence without tokens adds no token and no mention
+        if case == "limit_mid_document":
+            monkeypatch.setattr(pipeline, "_SENTENCE_MEMO_LIMIT", 2)
+        state = PipelineState()
+        for _ in range(2):  # the second pass finds its sentences in the memo
+            for doc, expected in zip(docs, fresh):
+                state.process_document(doc, models)
+                assert state.documents[doc.doc_id] == expected
+                assert len(state._sentence_memo) <= pipeline._SENTENCE_MEMO_LIMIT
+        if case == "repeat":
+            once, twice = (rec.ledger["contoso falcon||product"] for rec in fresh)
+            assert topicrank.mention_count(twice) == 2 * topicrank.mention_count(once)
+        if case == "title_and_body":
+            assert [rec.ledger["contoso falcon||product"]["titles"] for rec in fresh] == [1, 0]
+
+    def test_each_models_gets_its_own_taggers_mentions(self, config, models, tmp_path):
+        """A state upserting with two Models in turn tags with each one's
+        tagger: the memo starts anew whenever the Models changes."""
+        tagger = models.tagger
+        weights = np.zeros_like(tagger.weights)
+        weights[:, tagger.labelset.index("O")] = 1.0  # every stored feature votes O
+        path = tmp_path / "silent.npz"
+        nertag.TaggerModel(tagger.rows, weights, tagger.labelset, tagger.hash_dim).save(path)
+        silent = Models.load(replace(config, tagger_model=str(path)))
+        doc = make_doc("d1", "Contoso Falcon")
+        assert pipeline.extract(doc, models).ledger and not pipeline.extract(doc, silent).ledger
+        state = PipelineState()
+        for each in (models, silent, models, silent):
+            state.process_document(doc, each)
+            assert state.documents["d1"] == pipeline.extract(doc, each)
+
+    def test_memo_is_bounded_and_changes_no_saved_byte(self, config, models, tmp_path,
+                                                        monkeypatch):
+        """The planted corpus repeats sentences across documents; a state
+        that upserts it twice, its memo held to 64 entries, saves the bytes
+        of records extracted one by one without a memo."""
+        docs, _ = corpus.ingest_jsonl(config.corpus_path)
+        fresh = PipelineState()
+        for doc in docs:
+            fresh.documents[doc.doc_id] = pipeline.extract(doc, models)
+        fresh.save(tmp_path / "fresh")
+        monkeypatch.setattr(pipeline, "_SENTENCE_MEMO_LIMIT", 64)
+        state, sizes = PipelineState(), []
+        for _ in range(2):
+            for doc in docs:
+                apply_update(state, UpdateEvent(kind="upsert", document=doc), models)
+                sizes.append(len(state._sentence_memo))
+        assert max(sizes) == 64
+        state.save(tmp_path / "memo")
+        assert (
+            (tmp_path / "memo" / pipeline.STATE_FILE).read_bytes()
+            == (tmp_path / "fresh" / pipeline.STATE_FILE).read_bytes()
+        )
+        assert PipelineState.load(tmp_path / "memo")._sentence_memo == {}
 
 
 class TestRankRefresh:
@@ -2709,6 +2801,38 @@ class TestCli:
         else:
             assert rc == cli.EXIT_CONFIG
             assert err.startswith("config error: " if path_kind == "config" else "error: ")
+        assert not (tmp_path / "kb").exists()
+
+    @pytest.mark.parametrize("path_kind", ["config", "patterns", "ranker"])
+    def test_json_file_that_is_not_utf8_is_bad_input(
+        self, config, models, tmp_path, capsys, path_kind
+    ):
+        """A JSON file holding a byte that is not UTF-8 exits 2 with one
+        line naming the file and the byte's offset."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"learning_rate": \xff}')
+        state_dir = _saved_state(models, tmp_path / "state")
+        field = {"ranker": "ranker_model", "patterns": "patterns_file"}.get(path_kind)
+        cfg_path = self.write_config(
+            tmp_path, config, output_dir=str(tmp_path / "kb"),
+            **({field: str(bad)} if field else {}),
+        )
+        # export does not read the patterns: an upsert does
+        upsert = tmp_path / "upsert.jsonl"
+        upsert.write_text(json.dumps({"kind": "upsert", "document": asdict(make_doc(
+            "d3", "Atlas Engine"))}) + "\n")
+        argv = {
+            "config": ["export", "--config", bad, "--state", state_dir],
+            "patterns": ["update", "--config", cfg_path, "--state", state_dir,
+                         "--events", upsert],
+            "ranker": ["export", "--config", cfg_path, "--state", state_dir],
+        }[path_kind]
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: not valid UTF-8 at byte 18\n" in err and "codec" not in err
+        assert err.startswith("config error: " if path_kind == "config" else "error: ")
         assert not (tmp_path / "kb").exists()
 
     def test_long_card_key_exports_under_a_digest_name(self, tmp_path, capsys):
