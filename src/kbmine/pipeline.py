@@ -7,8 +7,8 @@ each fact once: the doc_id, author and timestamp, the token length, the
 topic-counter contribution (title-mention and surface counts per topic key),
 the acronym pairs and the definitions. The document's title and body are
 read by extract alone and are not kept in the record; the state's sentence
-memo holds sentence texts in memory for the state's life and never saves
-them. A saved state line is that record as
+memo holds the texts of at most 4,096 short sentences in memory for the
+state's life and never saves them. A saved state line is that record as
 written by DocRecord.to_line, and the topic candidates are derived from the
 records' contributions. An upsert runs extract to completion and then swaps
 the new record in, so a failed extraction leaves the state as it was.
@@ -256,8 +256,12 @@ class DocRecord:
 STATE_KEYS = tuple(DocRecord.__dataclass_fields__)
 
 
-# Entries a state's sentence memo may hold before it is cleared.
+# Entries a state's sentence memo may hold before it is cleared, and the
+# longest sentence, in characters, that it keeps. Titles, templates and
+# boilerplate are short; the two bounds cap the text the memo holds at 1 Mi
+# characters, whatever the corpus's sentence lengths.
 _SENTENCE_MEMO_LIMIT = 4096
+_MEMO_SENTENCE_CHARS = 256
 
 
 def extract(doc: corpus.Document, models: Models, memo: dict | None = None) -> DocRecord:
@@ -290,42 +294,41 @@ def _tag(sentences: list[corpus.Sentence], models: Models, memo: dict) -> tuple[
     """The sentences' token count and mentions, in sentence order. A
     sentence's (token count, mentions) is looked up in memo by (from_title,
     text), which fix both; the distinct misses that have tokens are scored
-    in one nertag.score_tokens call and decoded in one nertag.decode call,
-    and every miss is remembered, at most _SENTENCE_MEMO_LIMIT entries."""
+    in one nertag.score_tokens call and decoded by _mentions, and each miss
+    of at most _MEMO_SENTENCE_CHARS characters is remembered, at most
+    _SENTENCE_MEMO_LIMIT entries."""
     keys = [(sent.from_title, sent.text) for sent in sentences]
     found = {}  # key -> (token count, mentions); memo may be cleared part way
-    todo = []  # (key, tokens) of each distinct miss that has tokens
+    misses = {}  # key -> tokens of each distinct miss
     for sent, key in zip(sentences, keys):
-        if key in found:
+        if key in found or key in misses:
             continue
         hit = memo.get(key)
         if hit is None:
-            tokens = corpus.tokenize(sent)
-            if tokens:
-                todo.append((key, tokens))
-            else:
-                hit = nertag.remember(memo, key, (0, ()), _SENTENCE_MEMO_LIMIT)
-        found[key] = hit
-    if todo:
-        labelset = models.labelset
-        doc_scores = nertag.score_tokens(models.tagger, [(t, key[0]) for key, t in todo])
-        for (key, tokens), labels in zip(todo, nertag.decode(doc_scores, labelset)):
-            mentions = nertag.extract_mentions(tokens, labels, labelset, from_title=key[0])
-            found[key] = nertag.remember(
-                memo, key, (len(tokens), tuple(mentions)), _SENTENCE_MEMO_LIMIT
-            )
-    tagged = [found[key] for key in keys]
-    return sum(n for n, _ in tagged), [m for _, mentions in tagged for m in mentions]
+            misses[key] = corpus.tokenize(sent)
+        else:
+            found[key] = hit
+    scored = [(tokens, key[0]) for key, tokens in misses.items() if tokens]
+    tagged = iter(())  # a document whose sentences all hit scores nothing
+    if scored:
+        doc_scores = nertag.score_tokens(models.tagger, scored)
+        tagged = iter(_mentions(scored, doc_scores, models.labelset))
+    for key, tokens in misses.items():
+        found[key] = (len(tokens), tuple(next(tagged)) if tokens else ())
+        if len(key[1]) <= _MEMO_SENTENCE_CHARS:
+            nertag.remember(memo, key, found[key], _SENTENCE_MEMO_LIMIT)
+    results = [found[key] for key in keys]
+    return sum(n for n, _ in results), [m for _, mentions in results for m in mentions]
 
 
 def _tag_from_scores(
     doc_id: str, sentences: list[corpus.Sentence], models: Models
 ) -> tuple[int, list]:
     """The sentences' token count and the mentions the score file's
-    matrices give, keyed by (doc_id, sentence index), decoded in one
-    nertag.decode call; a sentence the file does not score has none."""
+    matrices give, keyed by (doc_id, sentence index); a sentence the file
+    does not score has none."""
     tokenized = [(sent, tokens) for sent in sentences if (tokens := corpus.tokenize(sent))]
-    tagged, doc_scores = [], []
+    scored, doc_scores = [], []
     for sent, tokens in tokenized:
         scores = models.external_scores.get((doc_id, sent.index))
         if scores is None:
@@ -335,14 +338,21 @@ def _tag_from_scores(
                 f"doc_id {doc_id!r} sentence_index {sent.index}: the score file "
                 f"gives {len(scores)} rows for its {len(tokens)} tokens"
             )
-        tagged.append((sent, tokens))
+        scored.append((tokens, sent.from_title))
         doc_scores.append(scores)
-    mentions: list[nertag.Mention] = []
-    for (sent, tokens), labels in zip(tagged, nertag.decode(doc_scores, models.labelset)):
-        mentions += nertag.extract_mentions(
-            tokens, labels, models.labelset, from_title=sent.from_title
-        )
+    mentions = [m for each in _mentions(scored, doc_scores, models.labelset) for m in each]
     return sum(len(tokens) for _, tokens in tokenized), mentions
+
+
+def _mentions(
+    scored: list[tuple[list[str], bool]], doc_scores: list, labelset: nertag.LabelSet
+) -> list[list[nertag.Mention]]:
+    """Each (tokens, from_title) sentence's mentions, its score matrix in
+    doc_scores; one nertag.decode call decodes them all."""
+    return [
+        nertag.extract_mentions(tokens, labels, labelset, from_title=from_title)
+        for (tokens, from_title), labels in zip(scored, nertag.decode(doc_scores, labelset))
+    ]
 
 
 class PipelineState:

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import urllib.parse
 import weakref
 from dataclasses import asdict, replace
@@ -986,6 +987,31 @@ class TestSentenceMemo:
             == (tmp_path / "fresh" / pipeline.STATE_FILE).read_bytes()
         )
         assert PipelineState.load(tmp_path / "memo")._sentence_memo == {}
+
+    def test_long_sentences_are_not_kept(self, models):
+        """A body with no sentence break is one sentence. A state keeps no
+        sentence longer than _MEMO_SENTENCE_CHARS, so upserting 100 such
+        bodies of 10 KB each retains less than their 1 MB of text; a memo
+        that kept them all would retain about 3.8 MB."""
+        phrase = "the team shipped Contoso Falcon last week and"
+        docs = [
+            Document(f"d{i}", "Notes", " ".join(f"{phrase} {i} {j}" for j in range(200)),
+                     "u1", 0.0)
+            for i in range(100)
+        ]
+        state = PipelineState()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for doc in docs:
+                state.process_document(doc, models)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(len(doc.body) for doc in docs) > 1_000_000
+        assert list(state._sentence_memo) == [(True, "Notes")]
+        assert retained < 1_000_000
+        assert state.documents["d7"] == pipeline.extract(docs[7], models)
 
 
 class TestRankRefresh:
