@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import check_record, has_type, read_json
 from .topicrank import normalize_key
 
 logger = logging.getLogger(__name__)
@@ -718,6 +719,7 @@ def build_card(
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"KBEM"
+_HEADER_BYTES = 36  # magic, kind, then n and d
 
 
 def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray, kind: str) -> None:
@@ -737,13 +739,27 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray, kind:
 
 
 def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray, str]:
+    """Inverse of write_embeddings. ValueError names the file unless it is
+    the header and exactly n*d floats, and its index maps n ids to the rows
+    0..n-1, one each."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+    data = path.read_bytes()
+    try:
+        if len(data) < _HEADER_BYTES or data[:4] != _MAGIC:
             raise ValueError("not an embedding file")
-        kind = fh.read(16).rstrip(b"\0").decode("ascii")
-        n, d = struct.unpack("<QQ", fh.read(16))
-        matrix = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
-    with open(path.with_suffix(path.suffix + ".index.json"), "r", encoding="utf-8") as fh:
-        index = json.load(fh)
+        kind = data[4:20].rstrip(b"\0").decode("ascii")
+        n, d = struct.unpack_from("<QQ", data, 20)
+        if len(data) != _HEADER_BYTES + 8 * n * d:
+            raise ValueError(f"{len(data)} bytes, not the header and {n}x{d} floats")
+    except ValueError as exc:  # a kind that is not ASCII included
+        raise ValueError(f"embedding file {path}: {exc}") from None
+    index_path = path.with_suffix(path.suffix + ".index.json")
+    try:
+        index = check_record(read_json(index_path), ())
+        rows = sorted(i for i in index.values() if has_type(i, int))
+        if len(rows) != len(index) or rows != list(range(n)):
+            raise ValueError(f"not {n} ids at the rows 0..{n - 1}, one each")
+    except ValueError as exc:  # invalid JSON included
+        raise ValueError(f"embedding index {index_path}: {exc}") from None
+    matrix = np.frombuffer(data, dtype="<f8", offset=_HEADER_BYTES).reshape(n, d)
     return sorted(index, key=index.get), matrix.copy(), kind

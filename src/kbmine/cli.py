@@ -6,9 +6,9 @@ rule on --out and --state paths.
 Exit codes: 0 success, 2 bad input (config file, event file, saved state, a
 model, score, pattern, lexicon or abbreviation file that the command reads,
 an unreadable input path, or an --out or --state path that pipeline
-refuses), 3 an SVD memory budget below its least (pipeline.StageError). A
-command reads only its model inputs (see pipeline.Models): a bad file fails
-only its readers.
+refuses), 3 an SVD memory budget below its least
+(cardbuild.MemoryBudgetError). A command reads only its model inputs (see
+pipeline.Models): a bad file fails only its readers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import logging
 import sys
 
-from . import corpus, defmine, nertag, pipeline, topicrank
+from . import cardbuild, corpus, defmine, nertag, pipeline, topicrank
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # bad input data or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except pipeline.StageError as exc:
+    except cardbuild.MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -125,26 +125,21 @@ def _topic_at(text: str, hit) -> tuple[str, str, DefinitionPattern] | None:
     return topic, description, pattern
 
 
-class OpinionLexicon:
-    def __init__(self, negative: set[str]):
-        self.negative = {w.lower() for w in negative}
-
-    @classmethod
-    def load(cls, negative_path=None) -> "OpinionLexicon":
-        """The negative word list at negative_path, or the packaged one."""
-        if negative_path is None:
-            negative_path = resources.files("kbmine") / "data" / "negative_words.txt"
-        return cls(read_word_list(negative_path))
+def load_negative_words(path=None) -> frozenset[str]:
+    """The opinion filter's negative word list at path, or the packaged one."""
+    if path is None:
+        path = resources.files("kbmine") / "data" / "negative_words.txt"
+    return frozenset(read_word_list(path))
 
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
 
-def opinion_filter(text: str, lexicon: OpinionLexicon) -> tuple[bool, str | None]:
-    """(keep, reason): drop when any token hits the negative set; the reason
-    is the first matching word."""
+def opinion_filter(text: str, negative: frozenset[str]) -> tuple[bool, str | None]:
+    """(keep, reason): drop when any token is in the negative word set; the
+    reason is the first matching word."""
     for word in _WORD_RE.findall(text.lower()):
-        if word in lexicon.negative:
+        if word in negative:
             return False, word
     return True, None
 
@@ -294,7 +289,7 @@ class DefinitionRecord:
 
 
 def mine_definitions(
-    sentences: list[Sentence], classifier, patterns, lexicon: OpinionLexicon
+    sentences: list[Sentence], classifier, patterns, negative: frozenset[str]
 ) -> list[DefinitionRecord]:
     """One document's sentences -> extract topic -> classify (keep
     Sufficient) -> opinion filter. Both of the first two checks are pure and
@@ -308,7 +303,7 @@ def mine_definitions(
         category, confidence = classifier.classify(sentence.text)
         if category is not DefinitionCategory.SUFFICIENT:
             continue
-        keep, _ = opinion_filter(sentence.text, lexicon)
+        keep, _ = opinion_filter(sentence.text, negative)
         if not keep:
             continue
         try:

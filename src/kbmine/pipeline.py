@@ -40,13 +40,6 @@ class ConfigError(ValueError):
     """A bad config file or setting, as opposed to bad input data."""
 
 
-class StageError(RuntimeError):
-    """The SVD's MemoryBudgetError: the one failure neither bad input nor a bug."""
-
-    def __init__(self, cause: Exception):
-        super().__init__(f"stage 'build' failed: {cause}")
-
-
 @dataclass
 class PipelineConfig:
     corpus_path: str = ""
@@ -180,8 +173,8 @@ class Models:
         return defmine.RuleClassifier(self.patterns)
 
     @functools.cached_property
-    def lexicon(self) -> defmine.OpinionLexicon:
-        return defmine.OpinionLexicon.load(self.config.negative_lexicon or None)
+    def lexicon(self) -> frozenset[str]:
+        return defmine.load_negative_words(self.config.negative_lexicon or None)
 
     @functools.cached_property
     def abbreviations(self) -> frozenset:
@@ -546,7 +539,8 @@ def _doc_tf_stats(state: PipelineState) -> dict[str, dict]:
 def build_knowledge_base(
     state: PipelineState, config: PipelineConfig, models: Models
 ) -> KnowledgeBase:
-    """Ranking through card assembly on the current state."""
+    """Ranking through card assembly on the current state. A memory budget
+    below the SVD's least raises cardbuild.MemoryBudgetError."""
     ranked = rank_refresh(state, config, models)
     config_hash, snapshot_id = config.config_hash(), _corpus_snapshot_id(state)
     manifest = {
@@ -569,10 +563,7 @@ def build_knowledge_base(
     svd_config = cardbuild.SvdConfig(
         rank=rank, oversampling=oversampling, memory_budget=config.memory_budget, seed=config.seed
     )
-    try:
-        topic_vecs, doc_vecs, _, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
-    except cardbuild.MemoryBudgetError as exc:
-        raise StageError(exc) from exc
+    topic_vecs, doc_vecs, _, peak = cardbuild.batched_randomized_svd(matrix, svd_config)
     manifest["svd_peak_bytes"] = peak
 
     authorship: dict[str, list[str]] = {}

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import check_record, has_type, read_json, read_records
+from .corpus import _parse_lines, check_record, has_type, read_json
 from .nertag import KEY_SEP, Mention
 
 
@@ -81,43 +81,22 @@ class TopicCandidate:
         return min(s for s, c in self.surface_counts.items() if c == best_count)
 
 
-@dataclass
-class RankFeatures:
-    ner_freq: float
-    doc_freq: float
-    title_freq: float
-    ner_per_doc: float
-    title_per_doc: float
-    title_per_ner: float
-    log_ner: float
-    log_doc: float
-    log_title: float
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
+# the ranker's feature order: a tree node's feature index points into it, so
+# a saved ranker is valid only while this order stays as it is
+FEATURE_NAMES = ("ner_freq", "doc_freq", "title_freq", "ner_per_doc", "title_per_doc",
+                 "title_per_ner", "log_ner", "log_doc", "log_title")
 
 
-# the ranker's feature order: a tree node's feature index points into it
-FEATURE_NAMES = tuple(f.name for f in fields(RankFeatures))
-
-
-def compute_features(candidate: TopicCandidate) -> RankFeatures:
+def compute_features(candidate: TopicCandidate) -> np.ndarray:
+    """The candidate's ranker row: float64 values in FEATURE_NAMES order."""
     ner = candidate.ner_frequency
     doc = candidate.document_frequency
     title = candidate.title_frequency
     if doc < 1 or ner < doc or title > ner:
         raise ValueError(f"candidate counters violate invariants: {candidate.key}")
-    return RankFeatures(
-        ner_freq=float(ner),
-        doc_freq=float(doc),
-        title_freq=float(title),
-        ner_per_doc=ner / doc,
-        title_per_doc=title / doc,
-        title_per_ner=title / ner,
-        log_ner=math.log1p(ner),
-        log_doc=math.log1p(doc),
-        log_title=math.log1p(title),
-    )
+    ratios = [ner / doc, title / doc, title / ner]
+    logs = [math.log1p(ner), math.log1p(doc), math.log1p(title)]
+    return np.array([ner, doc, title, *ratios, *logs], dtype=np.float64)
 
 
 class CandidateStore:
@@ -336,7 +315,7 @@ class GbdtModel:
 
 
 def train_gbdt(
-    rows: list[tuple[RankFeatures, int]], config: GbdtConfig | None = None
+    rows: list[tuple[np.ndarray, int]], config: GbdtConfig | None = None
 ) -> GbdtModel:
     """Boosted logistic regression: each tree fits the negative gradient
     of log-loss with Newton leaf values."""
@@ -346,7 +325,7 @@ def train_gbdt(
     y = np.array([lab for _, lab in rows], dtype=np.float64)
     if len(set(y.tolist())) < 2:
         raise ValueError("training data must contain both classes")
-    X = np.vstack([f.to_vector() for f, _ in rows])
+    X = np.vstack([x for x, _ in rows])
 
     p0 = y.mean()
     base = math.log(p0 / (1.0 - p0))
@@ -363,8 +342,9 @@ def train_gbdt(
     return GbdtModel(trees=trees, learning_rate=config.learning_rate, base_score=base)
 
 
-def score_topic(model: GbdtModel, features: RankFeatures) -> float:
-    return float(_sigmoid(model.raw_score(features.to_vector())))
+def score_topic(model: GbdtModel, row: np.ndarray) -> float:
+    """The ranker's probability for one compute_features row."""
+    return float(_sigmoid(model.raw_score(row)))
 
 
 @dataclass
@@ -411,8 +391,8 @@ def load_label_file(path: str | Path) -> dict[str, int]:
     """Ranker training labels: CSV 'key,label' lines, each label 0 or 1, with
     an optional 'key,...' header. Only the first non-blank line can be the
     header, and only if its label field is neither 0 nor 1, so a first line
-    'key, inc||organization,1' is a label. ValueError names the file and the
-    line."""
+    'key, inc||organization,1' is a label. A key may be on one line only.
+    ValueError names the file and the line."""
     first = True
 
     def parse(line: str) -> tuple[str, int] | None:
@@ -428,4 +408,12 @@ def load_label_file(path: str | Path) -> dict[str, int]:
             raise ValueError(f"{line!r} is not 'key,label' with label 0 or 1")
         return key, int(lab)
 
-    return dict(filter(None, read_records(path, parse, f"label file {path}", decode=str)))
+    labels: dict[str, tuple[int, int]] = {}  # key -> (label, line number)
+    for lineno, row, reason in _parse_lines(path, parse, str):
+        if row is not None and row[0] in labels:
+            reason = f"key {row[0]!r} is on line {labels[row[0]][1]} too"
+        if reason is not None:
+            raise ValueError(f"label file {path} line {lineno}: {reason}")
+        if row is not None:
+            labels[row[0]] = (row[1], lineno)
+    return {key: label for key, (label, _) in labels.items()}

@@ -308,20 +308,12 @@ def all_rows_tagger(weights: np.ndarray, labelset: nertag.LabelSet) -> nertag.Ta
 # ---------------------------------------------------------------------------
 
 
-def _features(ner: int, doc: int, title: int) -> topicrank.RankFeatures:
-    import math
-
-    return topicrank.RankFeatures(
-        ner_freq=float(ner),
-        doc_freq=float(doc),
-        title_freq=float(title),
-        ner_per_doc=ner / doc,
-        title_per_doc=title / doc,
-        title_per_ner=title / ner,
-        log_ner=math.log1p(ner),
-        log_doc=math.log1p(doc),
-        log_title=math.log1p(title),
-    )
+def _features(ner: int, doc: int, title: int) -> np.ndarray:
+    """The ranker row of a candidate with these counters."""
+    return topicrank.compute_features(topicrank.TopicCandidate(
+        key="k", norm_surface="k", entity_type="product",
+        ner_frequency=ner, document_frequency=doc, title_frequency=title,
+    ))
 
 
 def make_ranker_rows(n: int = 400, seed: int = 0):

@@ -228,7 +228,7 @@ def test_criterion_6_ranker_direction(fixture_ranker):
     model = topicrank.train_gbdt(train, topicrank.GbdtConfig(num_trees=60))
     labels = [y for _, y in valid]
     gbdt_auc = topicrank.auc([topicrank.score_topic(model, f) for f, _ in valid], labels)
-    base_auc = topicrank.auc([f.ner_freq for f, _ in valid], labels)
+    base_auc = topicrank.auc([f[topicrank.FEATURE_NAMES.index("ner_freq")] for f, _ in valid], labels)
 
     # "Company"-signature candidate: very frequent, but ~1 mention per document
     store = topicrank.CandidateStore()
@@ -277,7 +277,7 @@ def test_criterion_7_definition_pipeline():
         "language processing."
     )
     caterpillar = "The Caterpillar 797B is the biggest car I've ever seen."
-    lexicon = defmine.OpinionLexicon.load()
+    lexicon = defmine.load_negative_words()
     keep, reason = defmine.opinion_filter(caterpillar, lexicon)
 
     rows = make_definition_rows(500, seed=30)

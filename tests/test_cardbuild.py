@@ -1061,6 +1061,20 @@ class TestConflation:
             pipeline.PipelineState.load(tmp_path)
 
 
+def _edit_index(edit):
+    """A corruption of an embedding file that rewrites its row index
+    {id: row} by edit."""
+    def corrupt(path):
+        index_path = path.with_suffix(".emb.index.json")
+        index = json.loads(index_path.read_text())
+        edit(index)
+        index_path.write_text(json.dumps(index))
+    return corrupt
+
+
+_NOT_ONE_ID_PER_ROW = "index {}: not 4 ids at the rows 0..3, one each"
+
+
 class TestEmbeddingExport:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -1072,3 +1086,27 @@ class TestEmbeddingExport:
         assert rids == ids
         assert kind == "topic"
         assert np.array_equal(rmat, mat)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_edit_index(lambda index: index.update(b=0)), _NOT_ONE_ID_PER_ROW),
+            (_edit_index(lambda index: index.pop("d")), _NOT_ONE_ID_PER_ROW),
+            (_edit_index(lambda index: index.update(d=3.0)), _NOT_ONE_ID_PER_ROW),
+            (lambda path: path.write_bytes(path.read_bytes() + bytes(16)),
+             "file {}: 148 bytes, not the header and 4x3 floats"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-8]),
+             "file {}: 124 bytes, not the header and 4x3 floats"),
+            (lambda path: path.write_bytes(b"KBEM"), "file {}: not an embedding file"),
+        ],
+        ids=["shared_row", "id_missing", "row_not_int", "trailing_bytes", "short_file",
+             "short_header"],
+    )
+    def test_corrupt_file_is_refused_by_name(self, tmp_path, corrupt, message):
+        path = tmp_path / "users.emb"
+        write_embeddings(path, ["a", "b", "c", "d"], np.ones((4, 3)), "user")
+        corrupt(path)
+        named = path.with_suffix(".emb.index.json") if message.startswith("index") else path
+        with pytest.raises(ValueError) as exc:
+            read_embeddings(path)
+        assert str(exc.value) == "embedding " + message.format(named)

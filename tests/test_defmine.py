@@ -14,9 +14,9 @@ from kbmine.defmine import (
     ClassifierConfig,
     DefinitionCategory,
     DefinitionPattern,
-    OpinionLexicon,
     RuleClassifier,
     extract_topic,
+    load_negative_words,
     mine_definitions,
     opinion_filter,
     train_sentence_classifier,
@@ -39,7 +39,7 @@ CATERPILLAR = "The Caterpillar 797B is the biggest car I've ever seen."
 
 @pytest.fixture(scope="module")
 def lexicon():
-    return OpinionLexicon.load()
+    return load_negative_words()
 
 
 class TestRuleClassifier:
@@ -258,16 +258,16 @@ class TestOpinionFilter:
     def test_custom_lexicon_files(self, tmp_path):
         neg = tmp_path / "neg.txt"
         neg.write_text("dire\n")
-        lex = OpinionLexicon.load(neg)
+        lex = load_negative_words(neg)
         assert opinion_filter("a dire outcome", lex)[0] is False
         assert opinion_filter("the biggest win", lex)[0] is True
 
     def test_lexicon_files_are_word_lists(self, tmp_path):
         neg = tmp_path / "neg.txt"
         neg.write_text("; opinion words\n# negative\n\n  Dire \n")
-        lex = OpinionLexicon.load(neg)
-        assert lex.negative == {"dire"}
-        assert lex.negative == read_word_list(neg)
+        lex = load_negative_words(neg)
+        assert lex == {"dire"}
+        assert lex == read_word_list(neg)
 
 
 class TestLinearClassifier:

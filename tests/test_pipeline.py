@@ -29,7 +29,6 @@ from kbmine.pipeline import (
     Models,
     PipelineConfig,
     PipelineState,
-    StageError,
     UpdateEvent,
     apply_update,
     build_knowledge_base,
@@ -233,7 +232,7 @@ class TestModels:
         for owner, name in [
             (nertag, "load_external_scores"), (nertag.TaggerModel, "load"),
             (topicrank.GbdtModel, "load"), (defmine.LinearClassifier, "load"),
-            (defmine, "load_patterns"), (defmine.OpinionLexicon, "load"),
+            (defmine, "load_patterns"), (defmine, "load_negative_words"),
             (corpus, "load_abbreviations"), (np, "load"), (builtins, "open"), (io, "open"),
         ]:
             label = f"{owner.__name__}.{name}"
@@ -364,9 +363,9 @@ class TestRunFull:
             assert card.related_docs == expected[: config.card_k]
 
     def test_named_minimum_budget_suffices(self, config):
-        with pytest.raises(StageError) as exc:
+        with pytest.raises(cardbuild.MemoryBudgetError) as exc:
             run_full(replace(config, memory_budget=1000))
-        err = exc.value.__cause__
+        err = exc.value
         assert isinstance(err, cardbuild.MemoryBudgetError)
         assert str(err) == (
             f"memory budget 1000 bytes too small; minimum feasible budget is {err.minimum} bytes"
@@ -2056,6 +2055,23 @@ class TestCli:
         )
         assert not model_path.exists()
 
+    def test_train_ranker_key_labeled_twice_exits_2(self, models, tmp_path, capsys):
+        """A key labeled 1 and then 0 used to train on its last label."""
+        state_dir = _saved_state(models, tmp_path / "state")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("key,label\natlas engine||product,1\natlas engine||product,0\n")
+        model_path = tmp_path / "ranker.json"
+        capsys.readouterr()
+        rc = cli.main(
+            ["train-ranker", "--state", str(state_dir), "--labels", str(labels),
+             "--model", str(model_path)]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: label file {labels} line 3: key 'atlas engine||product' is on line 2 too\n"
+        )
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -2901,7 +2917,7 @@ class TestCli:
         assert rc == cli.EXIT_STAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: stage 'build' failed: memory budget 1000 bytes too small")
+        assert err.startswith("error: memory budget 1000 bytes too small")
         assert int(re.search(r"minimum feasible budget is (\d+) bytes", err).group(1)) > 1000
         assert not (tmp_path / "kb").exists()
 

@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from kbmine import topicrank
 from kbmine.corpus import Document
 from kbmine.nertag import Mention
 from kbmine.topicrank import (
+    FEATURE_NAMES,
     CandidateStore,
     GbdtConfig,
     GbdtModel,
@@ -143,22 +147,36 @@ class TestShortlist:
 
 class TestComputeFeatures:
     def test_hand_ratios(self):
-        f = _features(10, 5, 2)
-        assert (f.ner_per_doc, f.title_per_doc, f.title_per_ner) == (2.0, 0.4, 0.2)
+        f = dict(zip(FEATURE_NAMES, _features(10, 5, 2)))
+        assert (f["ner_per_doc"], f["title_per_doc"], f["title_per_ner"]) == (2.0, 0.4, 0.2)
 
     def test_degenerate_single(self):
-        f = _features(1, 1, 0)
-        assert (f.ner_per_doc, f.title_per_doc, f.title_per_ner) == (1.0, 0.0, 0.0)
+        f = dict(zip(FEATURE_NAMES, _features(1, 1, 0)))
+        assert (f["ner_per_doc"], f["title_per_doc"], f["title_per_ner"]) == (1.0, 0.0, 0.0)
 
     def test_company_signature_low_ratio(self):
-        f = _features(1000, 1000, 0)
-        assert f.ner_per_doc == 1.0
+        f = dict(zip(FEATURE_NAMES, _features(1000, 1000, 0)))
+        assert f["ner_per_doc"] == 1.0
 
     def test_from_candidate(self):
         store = CandidateStore()
         store.accumulate([mention("X"), mention("X", from_title=True)], doc())
-        f = compute_features(store.candidates["x||product"])
-        assert f.ner_freq == 2 and f.doc_freq == 1 and f.title_freq == 1
+        row = compute_features(store.candidates["x||product"])
+        f = dict(zip(FEATURE_NAMES, row))
+        assert f["ner_freq"] == 2 and f["doc_freq"] == 1 and f["title_freq"] == 1
+        # every value bitwise equal to its formula, written out here once more;
+        # y's 5 mentions in 2 documents give ratios that are not exact floats
+        store.accumulate([mention("Y"), mention("Y"), mention("Y", from_title=True)], doc("d2"))
+        store.accumulate([mention("Y"), mention("Y")], doc("d3"))
+        for key, (ner, n_docs, title) in [("x||product", (2, 1, 1)), ("y||product", (5, 2, 1))]:
+            row = compute_features(store.candidates[key])
+            expected = [
+                float(ner), float(n_docs), float(title),
+                ner / n_docs, title / n_docs, title / ner,
+                math.log1p(ner), math.log1p(n_docs), math.log1p(title),
+            ]
+            assert row.dtype == np.float64 and row.shape == (len(FEATURE_NAMES),)
+            assert row.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 class TestGbdt:
@@ -217,6 +235,21 @@ class TestGbdt:
             assert score_topic(loaded, f) == score_topic(fixture_ranker, f)
         loaded.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_ranker_saved_earlier_scores_rows_bitwise_the_same(self, tmp_path):
+        """saved_ranker.json holds a ranker file as GbdtModel.save wrote it
+        when the features were a dataclass, with the feature order and the
+        score that ranker gave each row of make_ranker_rows(400, seed=0). Its
+        five trees trained on those rows, and one stump per feature at that
+        feature's median over them, make every swap of two features change
+        some score."""
+        saved = json.loads((Path(__file__).parent / "saved_ranker.json").read_text())
+        assert FEATURE_NAMES == tuple(saved["feature_names"])
+        path = tmp_path / "ranker.json"
+        path.write_text(json.dumps(saved["ranker"]))
+        model = GbdtModel.load(path)
+        scores = [score_topic(model, f) for f, _ in make_ranker_rows(400, seed=0)]
+        assert scores == saved["scores"]
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -329,7 +362,7 @@ class TestBaselineComparison:
         model = train_gbdt(train, GbdtConfig(num_trees=60))
         labels = [y for _, y in valid]
         gbdt_auc = auc([score_topic(model, f) for f, _ in valid], labels)
-        baseline_auc = auc([f.ner_freq for f, _ in valid], labels)
+        baseline_auc = auc([f[FEATURE_NAMES.index("ner_freq")] for f, _ in valid], labels)
         assert gbdt_auc > baseline_auc + 0.1
 
 
@@ -412,6 +445,24 @@ class TestLabelFile:
             topicrank.load_label_file(path)
         assert str(exc.value) == (
             f"label file {path} line 2: 'key,label' is not 'key,label' with label 0 or 1"
+        )
+
+    @pytest.mark.parametrize(
+        "text, line, first",
+        [
+            ("key,label\natlas engine||product,1\natlas engine||product,0\n", 3, 2),
+            ("x||product,1\n\ny||product,0\nx||product,1\n", 4, 1),
+        ],
+        ids=["other_label", "same_label_after_a_blank_line"],
+    )
+    def test_key_on_two_lines_is_refused(self, tmp_path, text, line, first):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        key = text.splitlines()[line - 1].rpartition(",")[0]
+        with pytest.raises(ValueError) as exc:
+            topicrank.load_label_file(path)
+        assert str(exc.value) == (
+            f"label file {path} line {line}: key {key!r} is on line {first} too"
         )
 
     @pytest.mark.parametrize("line", ["x||product,abc", "x||product,2", "x||product,", "1"])
